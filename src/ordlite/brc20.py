@@ -217,18 +217,33 @@ class Brc20Ledger:
     # --- invariants / serialization ---
 
     def check_invariants(self) -> None:
-        for tick, state in self.ticks.items():
-            assert state.minted <= state.max, tick
-            assert state.lim <= state.max, tick
-            bal = self.balances.get(tick, {})
-            assert all(v > 0 for v in bal.values()), tick
-            total = sum(bal.values())
-            assert total == state.minted, (tick, total, state.minted)
-            for addr in bal:
-                assert self.available(tick, addr) >= 0, (tick, addr)
+        """Raise InvariantViolation unless every tick's supply and every
+        holder's earmarks are consistent. Recomputes the unused-pending totals
+        from `pendings` in one pass rather than trusting any running total."""
+        earmarked: dict[tuple[str, str], int] = {}
         for pending in self.pendings.values():
             if not pending.used:
-                assert self.raw_balance(pending.tick, pending.owner) >= pending.amt
+                key = (pending.tick, pending.owner)
+                earmarked[key] = earmarked.get(key, 0) + pending.amt
+                if self.raw_balance(pending.tick, pending.owner) < pending.amt:
+                    raise errors.InvariantViolation(
+                        f"pending {pending.inscription_id} exceeds its owner's balance")
+        for tick, state in self.ticks.items():
+            if state.minted > state.max:
+                raise errors.InvariantViolation(f"{tick}: minted > max")
+            if state.lim > state.max:
+                raise errors.InvariantViolation(f"{tick}: lim > max")
+            bal = self.balances.get(tick, {})
+            if not all(v > 0 for v in bal.values()):
+                raise errors.InvariantViolation(f"{tick}: non-positive balance")
+            total = sum(bal.values())
+            if total != state.minted:
+                raise errors.InvariantViolation(
+                    f"{tick}: balances sum to {total}, minted {state.minted}")
+            for addr, raw in bal.items():
+                if raw < earmarked.get((tick, addr), 0):
+                    raise errors.InvariantViolation(
+                        f"{tick}: {addr} has a negative available balance")
 
     def to_json(self) -> dict:
         return {

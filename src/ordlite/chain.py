@@ -8,6 +8,7 @@ carry the ranges alongside each unspent output.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ CYCLE_BLOCKS = 1_260_000
 SUBSIDY_EPOCHS = 33  # 50e8 >> 33 == 0
 
 SCRIPT_KINDS = ("plain", "p2tr_inscription")
+TXID_RE = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True, order=True)
@@ -30,7 +32,7 @@ class OutPoint:
     vout: int
 
     def __post_init__(self):
-        if len(self.txid) != 64 or any(c not in "0123456789abcdef" for c in self.txid):
+        if not TXID_RE.fullmatch(self.txid):
             raise ValueError(f"bad txid {self.txid!r}")
 
     def __str__(self):

@@ -222,14 +222,15 @@ def main():
         sys.exit(1)
     except click.Abort:
         sys.exit(1)
+    except (errors.InvariantViolation, AssertionError) as exc:
+        # before OrdliteError: a broken invariant is a bug, not a user error
+        click.echo(json.dumps({"error": "InvariantViolation", "message": str(exc)}),
+                   err=True)
+        sys.exit(2)
     except errors.OrdliteError as exc:
         click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
                    err=True)
         sys.exit(1)
-    except AssertionError as exc:
-        click.echo(json.dumps({"error": "InvariantViolation", "message": str(exc)}),
-                   err=True)
-        sys.exit(2)
 
 
 if __name__ == "__main__":

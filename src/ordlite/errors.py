@@ -9,6 +9,10 @@ class OrdliteError(Exception):
     """Base class for all domain errors."""
 
 
+class InvariantViolation(OrdliteError):
+    """State broke an invariant that must always hold: a bug, not bad input."""
+
+
 # --- chain model ---
 
 class ChainError(OrdliteError):

@@ -5,6 +5,17 @@ extract inscriptions from witnesses, replay BRC-20 operations, and settle
 pending transfers whose inscribed sat moved. Protocol-level failures are
 recorded as diagnostics and never abort indexing; chain-level failures abort
 with the offending height and leave the state untouched.
+
+Inscriptions are tracked per transaction, in block order, through an
+outpoint -> inscriptions index, as ord's InscriptionUpdater does: a tx moves
+exactly the inscriptions on the outpoints it spends. An inscribed sat at
+`offset` in input i sits at position (values of inputs before i) + offset of
+the tx's input stream; FIFO puts it in the output that spans that position.
+A position past the outputs is fee: the sat lands in the coinbase's range
+pool after the subsidy and the fees of earlier txs, and is burned if that is
+past the coinbase's outputs. A pending BRC-20 transfer settles to the
+recipient of the first output its sat lands in, so a transfer inscription
+that moves twice in one block credits its first receiver.
 """
 
 from __future__ import annotations
@@ -49,6 +60,15 @@ class Inscription:
     height: int
 
 
+def _satpoint_at(tx: chain.Transaction, pos: int) -> SatPoint | None:
+    """Where FIFO puts the sat at position pos of tx's output stream, if any."""
+    for k, txout in enumerate(tx.outputs):
+        if pos < txout.value:
+            return SatPoint(OutPoint(tx.txid, k), pos)
+        pos -= txout.value
+    return None
+
+
 @dataclass
 class Offer:
     id: str
@@ -68,6 +88,8 @@ class IndexState:
         self.utxos = chain.UtxoSet()
         self.inscriptions: dict[str, Inscription] = {}
         self.location: dict[str, SatPoint] = {}  # inscription id -> current satpoint
+        # derived from `location`, never serialized: outpoint -> ids located on it
+        self.by_outpoint: dict[OutPoint, list[str]] = {}
         self.next_number = 0
         self.ledger = brc20.Brc20Ledger()
         self.offers: dict[str, Offer] = {}
@@ -80,10 +102,12 @@ class IndexState:
         report = chain.validate_block(block, self.utxos, self.tip_height + 1)
         assigned, burned = ordinals.assign_ordinals(block, self.utxos)
 
-        # commit chain state
+        # commit chain state; input values are kept per tx because outputs
+        # created and spent within this block are gone from the set afterwards
+        input_values = []
         for tx in block.txs:
-            for tin in tx.inputs:
-                self.utxos.entries.pop(tin.prevout, None)
+            input_values.append([self.utxos.entries.pop(tin.prevout).txout.value
+                                 for tin in tx.inputs])
             for i, txout in enumerate(tx.outputs):
                 op = OutPoint(tx.txid, i)
                 if op in assigned:
@@ -95,41 +119,48 @@ class IndexState:
                 f"(coinbase underclaim)")
 
         # per tx, in order: settle moved inscriptions, then process reveals
-        for tx in block.txs:
+        coinbase = block.txs[0]
+        fee_start = chain.block_subsidy(block.height)  # coinbase pool: subsidy, then fees
+        for tx, values in zip(block.txs, input_values):
             if not tx.is_coinbase:
-                self._track_moved_inscriptions(tx, block)
+                self._track_moved_inscriptions(tx, values, coinbase, fee_start)
+                fee_start += report.fees[tx.txid]
             self._extract_reveals(tx, block, assigned)
 
         self.ledger.check_invariants()
 
-    def _recipient_of(self, satpoint: SatPoint) -> str:
-        return self.utxos.require(satpoint.outpoint).txout.recipient
+    def _place(self, ins_id: str, satpoint: SatPoint) -> None:
+        self.location[ins_id] = satpoint
+        self.by_outpoint.setdefault(satpoint.outpoint, []).append(ins_id)
 
-    def _relocate(self, inscription_id: str) -> SatPoint | None:
-        sat = self.inscriptions[inscription_id].genesis_sat
-        try:
-            return ordinals.locate_sat(sat, self.utxos)
-        except errors.SatNotInUtxoSet:
-            return None
-
-    def _track_moved_inscriptions(self, tx: chain.Transaction, block: chain.Block) -> None:
-        spent = {tin.prevout for tin in tx.inputs}
-        for ins_id, satpoint in list(self.location.items()):
-            if satpoint.outpoint not in spent:
-                continue
-            new_point = self._relocate(ins_id)
+    def _track_moved_inscriptions(self, tx: chain.Transaction, input_values: list,
+                                  coinbase: chain.Transaction, fee_start: int) -> None:
+        moved = []
+        pos = 0  # position of the current input's first sat in the input stream
+        for tin, value in zip(tx.inputs, input_values):
+            for ins_id in self.by_outpoint.pop(tin.prevout, ()):
+                moved.append((self.inscriptions[ins_id].number, ins_id,
+                              pos + self.location[ins_id].offset))
+            pos += value
+        for _, ins_id, sat_pos in sorted(moved):
+            holder = tx
+            new_point = _satpoint_at(tx, sat_pos)
+            if new_point is None:
+                holder = coinbase
+                new_point = _satpoint_at(coinbase,
+                                         fee_start + sat_pos - tx.output_total())
             pending = self.ledger.pendings.get(ins_id)
             if new_point is None:
-                self.location.pop(ins_id, None)
+                del self.location[ins_id]
                 self.diagnostics.append(f"inscription {ins_id} lost (sat burned)")
                 if pending is not None and not pending.used:
                     self.ledger.cancel_pending(ins_id, "inscribed sat burned")
                 continue
-            self.location[ins_id] = new_point
+            self._place(ins_id, new_point)
             if pending is None or pending.used:
                 continue
-            receiver = self._recipient_of(new_point)
-            if new_point.outpoint.txid == block.txs[0].txid:
+            receiver = holder.outputs[new_point.outpoint.vout].recipient
+            if holder is coinbase:
                 self.diagnostics.append(
                     f"pending {ins_id} spent to fee; settled to sat holder {receiver}")
             try:
@@ -166,7 +197,7 @@ class IndexState:
                               env.body, kind, genesis_sat, satpoint, block.height)
             self.next_number += 1
             self.inscriptions[ins_id] = ins
-            self.location[ins_id] = satpoint
+            self._place(ins_id, satpoint)
             if kind in BRC20_KINDS.values():
                 self._apply_brc20(ins, tx)
 
@@ -275,7 +306,7 @@ class IndexState:
             if i.get("satpoint"):
                 sp = i["satpoint"]
                 outpoint, _, off = sp.rpartition(":")
-                state.location[ins_id] = SatPoint(OutPoint.parse(outpoint), int(off))
+                state._place(ins_id, SatPoint(OutPoint.parse(outpoint), int(off)))
         state.ledger = brc20.Brc20Ledger.from_json(obj["brc20"])
         for oid, o in obj.get("offers", {}).items():
             state.offers[oid] = Offer(oid, o["seller"], o["inscription_id"],

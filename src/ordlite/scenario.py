@@ -63,11 +63,11 @@ class ScenarioCompiler:
 
     def _funding_outpoint(self, addr: str, amount: int) -> OutPoint:
         """A single plain UTXO of addr covering amount; auto-mines if needed."""
-        inscribed = {sp.outpoint for sp in self.state.location.values()}
-        for op, entry in sorted(self.state.utxos.entries.items()):
-            if (entry.txout.recipient == addr and entry.txout.script_kind == "plain"
-                    and entry.txout.value >= amount and op not in inscribed):
-                return op
+        eligible = [op for op, entry in self.state.utxos.entries.items()
+                    if entry.txout.recipient == addr and entry.txout.script_kind == "plain"
+                    and entry.txout.value >= amount and op not in self.state.by_outpoint]
+        if eligible:
+            return min(eligible)
         if chain.block_subsidy(self.state.tip_height + 1) < amount:
             raise errors.InsufficientFunds(
                 f"cannot fund {amount} sats for {addr} from one subsidy")

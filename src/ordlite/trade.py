@@ -175,10 +175,10 @@ def accept_offer(state: IndexState, offer: Offer, buyer: str,
 
 def select_funding(state: IndexState, buyer: str, amount: int) -> list[OutPoint]:
     """Pick plain unspent outputs of the buyer totalling at least `amount`."""
+    plain = [(op, entry) for op, entry in state.utxos.entries.items()
+             if entry.txout.recipient == buyer and entry.txout.script_kind == "plain"]
     picked, total = [], 0
-    for op, entry in sorted(state.utxos.entries.items()):
-        if entry.txout.recipient != buyer or entry.txout.script_kind != "plain":
-            continue
+    for op, entry in sorted(plain):
         picked.append(op)
         total += entry.txout.value
         if total >= amount:

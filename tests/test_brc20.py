@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,66 @@ def test_mint_unknown_tick():
     mint = parse_brc20(b'{"p":"brc-20","op":"mint","tick":"ordi","amt":"1"}')
     with pytest.raises(errors.UnknownTick):
         ledger.apply_mint(mint, "alice")
+
+
+def _overminted():
+    ledger = _funded()
+    excess = ledger.ticks["ordi"].max + 1
+    ledger.ticks["ordi"].minted = ledger.balances["ordi"]["alice"] = excess
+    return ledger
+
+
+def _overearmarked():
+    # each pending fits alice's 1000 on its own; together they exceed it
+    ledger = _funded()
+    for ins_id in ("t1", "t2"):
+        ledger.pendings[ins_id] = brc20.PendingTransfer(
+            ins_id, "ordi", parse_amount("600"), "alice")
+    return ledger
+
+
+def _overpending():
+    ledger = _funded()
+    ledger.pendings["t1"] = brc20.PendingTransfer(
+        "t1", "ordi", parse_amount("1001"), "alice")
+    return ledger
+
+
+def _unbalanced():
+    ledger = _funded()
+    ledger.balances["ordi"]["bob"] = parse_amount("1")
+    return ledger
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_overminted, "minted > max"),
+    (_overearmarked, "negative available balance"),
+    (_overpending, "exceeds its owner's balance"),
+    (_unbalanced, "balances sum to"),
+])
+def test_check_invariants_raises_typed_violation(corrupt, message):
+    _funded().check_invariants()
+    with pytest.raises(errors.InvariantViolation, match=message):
+        corrupt().check_invariants()
+
+
+def test_check_invariants_holds_under_optimize(tmp_path):
+    """The check raises, not asserts, so `python -O` cannot strip it."""
+    code = (
+        "import sys, test_brc20\n"
+        "from ordlite import errors\n"
+        "assert False, 'assert statements must be stripped under -O'\n"
+        "try:\n"
+        "    test_brc20._overminted().check_invariants()\n"
+        "except errors.InvariantViolation:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    src = Path(brc20.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _funded(amount="1000"):

@@ -21,6 +21,26 @@ def test_subsidy_override():
     assert chain.block_subsidy(4, initial=16, interval=2) == 4
 
 
+@pytest.mark.parametrize("bad", [
+    "A" * 64,  # uppercase
+    "g" * 64,  # not hex
+    "a" * 63,
+    "a" * 65,
+    "a" * 64 + "\n",
+    "",
+])
+def test_outpoint_rejects_malformed_txid(bad):
+    with pytest.raises(ValueError):
+        OutPoint(bad, 0)
+    with pytest.raises(ValueError):
+        OutPoint.parse(f"{bad}:0")
+
+
+def test_outpoint_accepts_lowercase_hex_txid():
+    op = OutPoint.parse(f"{'0123456789abcdef' * 4}:7")
+    assert op == OutPoint("0123456789abcdef" * 4, 7)
+
+
 def _chain_with(utxo_values, owner="alice"):
     """UtxoSet holding the given values as outputs of one fake tx."""
     utxos = UtxoSet()

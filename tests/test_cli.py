@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from ordlite import chain, scenario
+from ordlite import chain, cli as cli_module, errors, scenario
 from ordlite.cli import cli
 
 SCRIPT = [
@@ -150,3 +150,18 @@ def test_metrics_cli(runner, tmp_path):
     out = json.loads(result.output)
     assert set(out["per_symbol"]) == {"aaa", "bbb"}
     assert "aaa/bbb" in out["correlation"]
+
+
+@pytest.mark.parametrize("exc, code", [
+    (errors.InvariantViolation("ordi: minted > max"), 2),
+    (errors.UnknownTick("ordi"), 1),
+])
+def test_main_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(**kwargs):
+        raise exc
+    monkeypatch.setattr(cli_module, "cli", fail)
+    with pytest.raises(SystemExit) as info:
+        cli_module.main()
+    assert info.value.code == code
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        ("InvariantViolation" if code == 2 else type(exc).__name__)

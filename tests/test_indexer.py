@@ -1,12 +1,15 @@
+import collections
 import io
 import json
+import random
 
 import pytest
 
 from conftest import coinbase, spend, txid
-from ordlite import chain, envelope, errors, scenario
+from ordlite import chain, envelope, errors, ordinals, scenario
 from ordlite.chain import Block, OutPoint, TxOut
 from ordlite.indexer import IndexState, classify_envelope
+from ordlite.ordinals import SatPoint
 
 LISTINGS_SCRIPT = [
     {"action": "deploy", "tick": "ordi", "max": "2100000", "lim": "1000",
@@ -186,3 +189,157 @@ def test_btc_balance_from_utxos():
     state.index_blocks(compile_blocks())
     total = sum(state.btc_balance(a) for a in ("alice", "bob", "miner"))
     assert total == state.utxos.total_value()
+
+
+# --- inscription tracking: per-tx moves, fee and burn rules, oracle ---
+
+PENDING_SCRIPT = LISTINGS_SCRIPT[:3]  # deploy, mint 1000, inscribe a 100 transfer
+
+
+def pending_state():
+    """State holding alice's unsent 100-ordi transfer inscription, and its id."""
+    compiler = scenario.ScenarioCompiler()
+    compiler.compile(PENDING_SCRIPT)
+    return compiler.state, compiler.handles["t1"]
+
+
+def next_block(state, txs, claimed_fees, label):
+    """The next block: txs after a coinbase claiming subsidy + claimed_fees."""
+    height = state.tip_height + 1
+    claim = chain.block_subsidy(height) + claimed_fees
+    return Block(height, (coinbase(height, claim, label=label),) + tuple(txs))
+
+
+def test_transfer_moved_twice_in_one_block_credits_first_receiver():
+    state, ins_id = pending_state()
+    inscribed = state.location[ins_id].outpoint
+    to_bob = spend("to bob", [inscribed], [TxOut(546, "bob", "p2tr_inscription")])
+    to_carol = spend("to carol", [OutPoint(to_bob.txid, 0)],
+                     [TxOut(546, "carol", "p2tr_inscription")])
+    state.apply_block(next_block(state, [to_bob, to_carol], 0, "cb twice"))
+    assert state.ledger.query_balance("ordi", "bob") == \
+        {"available": "100", "pending": "0"}
+    assert state.ledger.query_balance("ordi", "carol") == \
+        {"available": "0", "pending": "0"}
+    assert state.location[ins_id] == SatPoint(OutPoint(to_carol.txid, 0), 0)
+
+
+def test_pending_transfer_spent_to_fee_settles_to_coinbase_recipient():
+    state, ins_id = pending_state()
+    inscribed = state.location[ins_id].outpoint
+    all_to_fee = spend("all to fee", [inscribed], [])
+    block = next_block(state, [all_to_fee], 546, "cb fee")
+    state.apply_block(block)
+    assert state.ledger.query_balance("ordi", "miner") == \
+        {"available": "100", "pending": "0"}
+    assert state.ledger.query_balance("ordi", "alice") == \
+        {"available": "900", "pending": "0"}
+    assert state.location[ins_id] == SatPoint(
+        OutPoint(block.txs[0].txid, 0), chain.block_subsidy(block.height))
+    assert f"pending {ins_id} spent to fee; settled to sat holder miner" in \
+        state.diagnostics
+
+
+def test_pending_transfer_whose_sat_is_burned_is_voided():
+    state, ins_id = pending_state()
+    inscribed = state.location[ins_id].outpoint
+    all_to_fee = spend("all to fee", [inscribed], [])
+    state.apply_block(next_block(state, [all_to_fee], 0, "cb underclaim"))
+    assert ins_id not in state.location
+    assert state.ledger.pendings[ins_id].used
+    assert state.ledger.query_balance("ordi", "alice") == \
+        {"available": "1000", "pending": "0"}
+    assert f"inscription {ins_id} lost (sat burned)" in state.diagnostics
+    assert any("voided: inscribed sat burned" in d for d in state.ledger.diagnostics)
+
+
+ADDRS = ("alice", "bob", "carol")
+
+
+def split_value(rng, total, n):
+    """n non-negative values summing to total."""
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def random_outputs(rng, total):
+    outs = [TxOut(v, rng.choice(ADDRS)) for v in split_value(rng, total, rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        outs.insert(rng.randint(0, len(outs)), TxOut(0, rng.choice(ADDRS)))
+    return outs
+
+
+def random_block(rng, state, seen, seed):
+    """A valid block over state's UTXO set, drawn to hit every tracking case."""
+    height = state.tip_height + 1
+    spendable = {op: e.txout.value for op, e in state.utxos.entries.items()}
+    inscribed = {sp.outpoint for sp in state.location.values()}
+    created, txs, fees = set(), [], 0
+    for t in range(rng.randint(0, 4)):
+        prevouts = []
+        for _ in range(rng.randint(1, 3)):
+            free = [op for op in spendable if op not in prevouts]
+            roll = rng.random()
+            pools = ([op for op in free if op in inscribed] if roll < 0.5 else [],
+                     [op for op in free if op in created] if roll < 0.8 else [],
+                     free)
+            pool = next((p for p in pools if p), None)
+            if pool is None:
+                break
+            prevouts.append(rng.choice(sorted(pool)))
+        if not prevouts:
+            break
+        seen["chained"] += sum(op in created for op in prevouts)
+        in_total = sum(spendable.pop(op) for op in prevouts)
+        if rng.random() < 0.15:
+            out_total, outputs = 0, [TxOut(0, "alice")] * rng.randint(0, 1)
+            seen["inscribed_to_fee"] += any(op in inscribed for op in prevouts)
+        else:
+            out_total = rng.choice([in_total, rng.randint(0, in_total)])
+            outputs = random_outputs(rng, out_total)
+        seen["zero_value"] += sum(o.value == 0 for o in outputs)
+        witnesses = [tuple(envelope.build_envelope("text/plain", f"{height}.{t}.{i}".encode()))
+                     if rng.random() < 0.4 else () for i in range(len(prevouts))]
+        seen["multi_envelope"] += sum(map(bool, witnesses)) > 1
+        tx = chain.Transaction(txid(f"{seed}|{height}|{t}"),
+                               tuple(chain.TxIn(op, w) for op, w in zip(prevouts, witnesses)),
+                               tuple(outputs))
+        txs.append(tx)
+        fees += in_total - out_total
+        for i, out in enumerate(outputs):
+            spendable[OutPoint(tx.txid, i)] = out.value
+            created.add(OutPoint(tx.txid, i))
+    budget = chain.block_subsidy(height) + fees
+    claim = budget if rng.random() < 0.7 else rng.randint(0, budget)
+    seen["underclaim"] += claim < budget
+    cb = chain.Transaction(txid(f"{seed}|{height}|cb"), (),
+                           tuple(random_outputs(rng, claim)), is_coinbase=True)
+    return Block(height, (cb,) + tuple(txs))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_inscription_locations_match_naive_oracle(seed):
+    """After every block, each inscription sits where locate_sat, a scan of
+    every range in the UTXO set, finds its genesis sat, or is gone with it."""
+    rng = random.Random(seed)
+    state = IndexState()
+    seen, coinbases = collections.Counter(), set()
+    for _ in range(40):
+        block = random_block(rng, state, seen, seed)
+        coinbases.add(block.txs[0].txid)
+        state.apply_block(block)
+        for ins_id, ins in state.inscriptions.items():
+            try:
+                want = ordinals.locate_sat(ins.genesis_sat, state.utxos)
+            except errors.SatNotInUtxoSet:
+                want = None
+            assert state.location.get(ins_id) == want, ins_id
+            seen["lost" if want is None else
+                 "in_coinbase" if want.outpoint.txid in coinbases else "in_tx"] += 1
+    reloaded = IndexState.from_json(json.loads(state.snapshot_bytes()))
+    assert {op: sorted(ids) for op, ids in reloaded.by_outpoint.items()} == \
+        {op: sorted(ids) for op, ids in state.by_outpoint.items()}
+    # every case the tracker distinguishes occurs in each generated chain
+    for case in ("chained", "inscribed_to_fee", "zero_value", "multi_envelope",
+                 "underclaim", "lost", "in_coinbase", "in_tx"):
+        assert seen[case] > 0, case
