@@ -87,7 +87,8 @@ class UtxoEntry:
 
 
 class UtxoSet:
-    """Map OutPoint -> UtxoEntry. Mutated only by validate_and_apply_block."""
+    """Map OutPoint -> UtxoEntry. Written only by IndexState.apply_block
+    and by snapshot loading."""
 
     def __init__(self):
         self.entries: dict[OutPoint, UtxoEntry] = {}
@@ -120,14 +121,14 @@ def block_subsidy(height: int, *, initial=INITIAL_SUBSIDY, interval=HALVING_INTE
     return initial >> epoch
 
 
-def resolve_input_total(tx: Transaction, utxos: UtxoSet) -> int:
-    return sum(utxos.require(tin.prevout).txout.value for tin in tx.inputs)
-
-
-def tx_fee(tx: Transaction, utxos: UtxoSet) -> int:
+def tx_fee(tx: Transaction, utxos: UtxoSet, created=None) -> int:
+    """Input value minus output value of a non-coinbase tx. An input may spend
+    an output in `created` (OutPoint -> TxOut): those made earlier in its block."""
     if tx.is_coinbase:
         raise ValueError("coinbase has no fee")
-    fee = resolve_input_total(tx, utxos) - tx.output_total()
+    created = created or {}
+    fee = sum((created.get(tin.prevout) or utxos.require(tin.prevout).txout).value
+              for tin in tx.inputs) - tx.output_total()
     if fee < 0:
         raise errors.NegativeFee(f"{tx.txid}: inputs short by {-fee} sats")
     return fee
@@ -151,21 +152,9 @@ def fee_rate(tx: Transaction, utxos: UtxoSet) -> Fraction:
     return Fraction(tx_fee(tx, utxos), tx_vsize(tx))
 
 
-@dataclass
-class BlockReport:
-    height: int
-    fees: dict  # txid -> fee
-    spent: list  # OutPoints removed
-    created: list  # OutPoints inserted
-
-    @property
-    def total_fees(self) -> int:
-        return sum(self.fees.values())
-
-
-def validate_block(block: Block, utxos: UtxoSet, next_height: int,
-                   *, subsidy=None) -> BlockReport:
-    """Check a block against the UTXO set without mutating anything.
+def validate_block(block: Block, utxos: UtxoSet, next_height: int) -> dict:
+    """Check a block against the UTXO set without mutating anything; return
+    the fee of each non-coinbase tx (txid -> sats).
 
     Within-block chaining is allowed: a tx may spend outputs created earlier
     in the same block.
@@ -182,43 +171,20 @@ def validate_block(block: Block, utxos: UtxoSet, next_height: int,
     created: dict[OutPoint, TxOut] = {}
     fees = {}
     for tx in block.txs[1:]:
-        in_total = 0
         for tin in tx.inputs:
-            op = tin.prevout
-            if op in spent:
-                raise errors.DoubleSpend(str(op))
-            if op in created:
-                in_total += created[op].value
-            else:
-                in_total += utxos.require(op).txout.value
-            spent.add(op)
-        out_total = tx.output_total()
-        if in_total < out_total:
-            raise errors.NegativeFee(f"{tx.txid}: inputs short by {out_total - in_total} sats")
-        fees[tx.txid] = in_total - out_total
+            if tin.prevout in spent:
+                raise errors.DoubleSpend(str(tin.prevout))
+            spent.add(tin.prevout)
+        fees[tx.txid] = tx_fee(tx, utxos, created)
         for i, txout in enumerate(tx.outputs):
             created[OutPoint(tx.txid, i)] = txout
 
-    if subsidy is None:
-        subsidy = block_subsidy(block.height)
     coinbase = block.txs[0]
-    budget = subsidy + sum(fees.values())
+    budget = block_subsidy(block.height) + sum(fees.values())
     if coinbase.output_total() > budget:
         raise errors.CoinbaseOverpay(
             f"coinbase claims {coinbase.output_total()}, budget {budget}")
-    return BlockReport(block.height, fees, sorted(spent), sorted(created))
-
-
-def apply_block(block: Block, utxos: UtxoSet, next_height: int,
-                *, subsidy=None) -> BlockReport:
-    """Validate then commit a block. On any error the UtxoSet is unchanged."""
-    report = validate_block(block, utxos, next_height, subsidy=subsidy)
-    for tx in block.txs:
-        for tin in tx.inputs:
-            utxos.entries.pop(tin.prevout, None)
-        for i, txout in enumerate(tx.outputs):
-            utxos.entries[OutPoint(tx.txid, i)] = UtxoEntry(txout)
-    return report
+    return fees
 
 
 # --- JSONL codec ---

@@ -175,6 +175,10 @@ class InsufficientFunds(TradeError):
     pass
 
 
+class BadFunding(TradeError):
+    """A funding outpoint is duplicated, not the buyer's plain output, or inscribed."""
+
+
 class OfferNotOpen(TradeError):
     pass
 

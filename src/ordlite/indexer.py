@@ -99,7 +99,9 @@ class IndexState:
     # --- block pipeline ---
 
     def apply_block(self, block: chain.Block) -> None:
-        report = chain.validate_block(block, self.utxos, self.tip_height + 1)
+        """Validate and commit the next block; the only code that commits one.
+        A chain error raises before anything is changed."""
+        fees = chain.validate_block(block, self.utxos, self.tip_height + 1)
         assigned, burned = ordinals.assign_ordinals(block, self.utxos)
 
         # commit chain state; input values are kept per tx because outputs
@@ -110,8 +112,7 @@ class IndexState:
                                  for tin in tx.inputs])
             for i, txout in enumerate(tx.outputs):
                 op = OutPoint(tx.txid, i)
-                if op in assigned:
-                    self.utxos.entries[op] = chain.UtxoEntry(txout, assigned[op])
+                self.utxos.entries[op] = chain.UtxoEntry(txout, assigned[op])
         self.tip_height = block.height
         if burned:
             self.diagnostics.append(
@@ -124,7 +125,7 @@ class IndexState:
         for tx, values in zip(block.txs, input_values):
             if not tx.is_coinbase:
                 self._track_moved_inscriptions(tx, values, coinbase, fee_start)
-                fee_start += report.fees[tx.txid]
+                fee_start += fees[tx.txid]
             self._extract_reveals(tx, block, assigned)
 
         self.ledger.check_invariants()

@@ -245,8 +245,7 @@ def slice_ranges(input_ranges, output_values):
     return outputs, cursor.rest()
 
 
-def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet,
-                    *, subsidy=None) -> tuple[dict, list]:
+def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, list]:
     """Compute sat ranges for every output a block creates.
 
     Non-coinbase txs are processed in block order; each tx's fee remainder is
@@ -254,8 +253,7 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet,
     coinbase's range pool. Returns (OutPoint -> range list, burned ranges).
     Burned ranges arise when the coinbase claims less than subsidy + fees.
     """
-    if subsidy is None:
-        subsidy = block_subsidy(block.height)
+    subsidy = block_subsidy(block.height)
     assigned: dict[OutPoint, list] = {}
     fee_tail: list = []
     for tx in block.txs[1:]:

@@ -47,11 +47,7 @@ class ScenarioCompiler:
 
     def _emit(self, txs_after_coinbase, miner="miner") -> Block:
         height = self.state.tip_height + 1
-        fees = 0
-        for tx in txs_after_coinbase:
-            in_total = sum(self.state.utxos.require(t.prevout).txout.value
-                           for t in tx.inputs)
-            fees += in_total - tx.output_total()
+        fees = sum(chain.tx_fee(tx, self.state.utxos) for tx in txs_after_coinbase)
         coinbase = Transaction(
             self._txid(f"coinbase@{height}"), (),
             (TxOut(chain.block_subsidy(height) + fees, miner),),

@@ -145,11 +145,17 @@ def accept_offer(state: IndexState, offer: Offer, buyer: str,
         raise errors.OfferNotOpen(f"{offer.id}: inscribed outpoint spent")
     postage = entry.txout.value
 
+    if len(set(funding)) != len(funding):
+        raise errors.BadFunding("duplicated funding outpoint")
     funds = 0
     for op in funding:
         fe = state.utxos.get(op)
         if fe is None:
             raise errors.InsufficientFunds(f"funding outpoint {op} unavailable")
+        if fe.txout.recipient != buyer or fe.txout.script_kind != "plain":
+            raise errors.BadFunding(f"funding outpoint {op} is not a plain output of {buyer}")
+        if op in state.by_outpoint:
+            raise errors.BadFunding(f"funding outpoint {op} carries an inscription")
         funds += fe.txout.value
     if funds < offer.ask + fee:
         raise errors.InsufficientFunds(
@@ -174,9 +180,10 @@ def accept_offer(state: IndexState, offer: Offer, buyer: str,
 
 
 def select_funding(state: IndexState, buyer: str, amount: int) -> list[OutPoint]:
-    """Pick plain unspent outputs of the buyer totalling at least `amount`."""
+    """Pick uninscribed plain unspent outputs of the buyer totalling at least `amount`."""
     plain = [(op, entry) for op, entry in state.utxos.entries.items()
-             if entry.txout.recipient == buyer and entry.txout.script_kind == "plain"]
+             if entry.txout.recipient == buyer and entry.txout.script_kind == "plain"
+             and op not in state.by_outpoint]
     picked, total = [], 0
     for op, entry in sorted(plain):
         picked.append(op)
@@ -191,7 +198,7 @@ def _settlement_txid(offer: Offer, height: int) -> str:
 
 
 def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str,
-                         miner: str = "miner") -> chain.Transaction:
+                         miner: str = "miner") -> chain.Block:
     """Mine the finalized PSBT into the next block and settle atomically.
 
     A raced input marks the offer stale and leaves every balance untouched.
@@ -201,26 +208,21 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str,
         raise errors.OfferNotOpen(f"{offer.id}: not accepted")
     if not verify_signatures(psbt):
         raise errors.BadSignature(offer.id)
-    in_total = 0
     for pin in psbt.inputs:
-        entry = state.utxos.get(pin.outpoint)
-        if entry is None:
+        if pin.outpoint not in state.utxos:
             offer.status = "stale"
             raise errors.DoubleSpend(str(pin.outpoint))
-        in_total += entry.txout.value
-    fee = in_total - sum(o.value for o in psbt.outputs)
 
     height = state.tip_height + 1
-    txid = _settlement_txid(offer, height)
     settlement = chain.Transaction(
-        txid,
+        _settlement_txid(offer, height),
         tuple(chain.TxIn(pin.outpoint) for pin in psbt.inputs),
         tuple(psbt.outputs),
     )
-    subsidy = chain.block_subsidy(height)
+    fee = chain.tx_fee(settlement, state.utxos)
     coinbase = chain.Transaction(
         hashlib.sha256(f"coinbase|{height}|{miner}".encode()).hexdigest(),
-        (), (TxOut(subsidy + fee, miner),), is_coinbase=True)
+        (), (TxOut(chain.block_subsidy(height) + fee, miner),), is_coinbase=True)
     block = chain.Block(height, (coinbase, settlement))
 
     state.apply_block(block)  # raises (state unchanged) on any chain error

@@ -1,4 +1,3 @@
-import copy
 from fractions import Fraction
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from conftest import coinbase, spend, txid
 from ordlite import chain, errors
 from ordlite.chain import Block, OutPoint, Transaction, TxIn, TxOut, UtxoSet
+from ordlite.indexer import IndexState
 
 
 def test_subsidy_schedule():
@@ -103,58 +103,58 @@ def test_fee_rate_zero_fee():
 
 
 def test_genesis_apply(genesis):
-    utxos = UtxoSet()
-    report = chain.apply_block(genesis, utxos, 0)
-    assert len(utxos) == 1
-    assert utxos.total_value() == 5_000_000_000
-    assert report.total_fees == 0
+    assert sum(chain.validate_block(genesis, UtxoSet(), 0).values()) == 0
+    state = IndexState()
+    state.apply_block(genesis)
+    assert len(state.utxos) == 1
+    assert state.utxos.total_value() == 5_000_000_000
 
 
 def test_double_spend_rejected(genesis):
-    utxos = UtxoSet()
-    chain.apply_block(genesis, utxos, 0)
+    state = IndexState()
+    state.apply_block(genesis)
     cb = genesis.txs[0]
     prev = OutPoint(cb.txid, 0)
     t1 = spend("t1", [prev], [TxOut(1, "a")])
     t2 = spend("t2", [prev], [TxOut(1, "b")])
     block = Block(1, (coinbase(1, chain.block_subsidy(1), label="cb1x"), t1, t2))
-    before = copy.deepcopy(utxos.entries)
+    before = state.snapshot_hash()
     with pytest.raises(errors.DoubleSpend):
-        chain.apply_block(block, utxos, 1)
-    assert utxos.entries == before  # atomic
+        state.apply_block(block)
+    assert state.snapshot_hash() == before  # atomic
 
 
 def test_height_gap_rejected(genesis):
-    utxos = UtxoSet()
-    chain.apply_block(genesis, utxos, 0)
+    state = IndexState()
+    state.apply_block(genesis)
     block = Block(2, (coinbase(2, chain.block_subsidy(2)),))
     with pytest.raises(errors.NonMonotonicHeight):
-        chain.apply_block(block, utxos, 1)
+        state.apply_block(block)
 
 
 def test_coinbase_overpay_rejected():
-    utxos = UtxoSet()
+    state = IndexState()
     block = Block(0, (coinbase(0, chain.block_subsidy(0) + 1),))
     with pytest.raises(errors.CoinbaseOverpay):
-        chain.apply_block(block, utxos, 0)
+        state.apply_block(block)
 
 
 def test_coinbase_may_underclaim():
-    utxos = UtxoSet()
+    state = IndexState()
     block = Block(0, (coinbase(0, 42),))
-    chain.apply_block(block, utxos, 0)
-    assert utxos.total_value() == 42
+    state.apply_block(block)
+    assert state.utxos.total_value() == 42
 
 
 def test_value_conservation_over_chain(genesis):
-    utxos = UtxoSet()
-    chain.apply_block(genesis, utxos, 0)
+    state = IndexState()
+    state.apply_block(genesis)
     prev = OutPoint(genesis.txs[0].txid, 0)
     fee_tx = spend("pay", [prev], [TxOut(4_999_999_000, "bob")])  # fee 1000
     block = Block(1, (coinbase(1, chain.block_subsidy(1) + 1000, label="cb1"),
                       fee_tx))
-    chain.apply_block(block, utxos, 1)
-    assert utxos.total_value() == chain.block_subsidy(0) + chain.block_subsidy(1)
+    state.apply_block(block)
+    assert state.utxos.total_value() == chain.block_subsidy(0) + chain.block_subsidy(1)
 
 
 def test_jsonl_round_trip(genesis):

@@ -210,6 +210,41 @@ def next_block(state, txs, claimed_fees, label):
     return Block(height, (coinbase(height, claim, label=label),) + tuple(txs))
 
 
+def _corrupt_ranges_then_move(state, inscribed):
+    entry = state.utxos.require(inscribed)
+    start = entry.sat_ranges[0][0]
+    entry.sat_ranges = [(start, start + 1)]  # ranges no longer cover the value
+    return next_block(state, [spend("move", [inscribed], [TxOut(546, "bob")])],
+                      0, "cb move")
+
+
+BAD_BLOCKS = {
+    errors.NonMonotonicHeight: lambda state, inscribed: Block(
+        state.tip_height + 2, (coinbase(state.tip_height + 2, 0),)),
+    errors.MissingPrevout: lambda state, inscribed: next_block(
+        state, [spend("ghost", [OutPoint(txid("ghost"), 0)], [])], 0, "cb ghost"),
+    errors.DoubleSpend: lambda state, inscribed: next_block(
+        state, [spend("to bob", [inscribed], [TxOut(546, "bob")]),
+                spend("to carol", [inscribed], [TxOut(546, "carol")])], 0, "cb twice"),
+    errors.NegativeFee: lambda state, inscribed: next_block(
+        state, [spend("overdraw", [inscribed], [TxOut(547, "bob")])], 0, "cb over"),
+    errors.CoinbaseOverpay: lambda state, inscribed: next_block(
+        state, [], 1, "cb overpay"),
+    errors.RangeValueMismatch: _corrupt_ranges_then_move,
+}
+
+
+@pytest.mark.parametrize("error", list(BAD_BLOCKS), ids=lambda e: e.__name__)
+def test_chain_error_leaves_state_untouched(error):
+    state, ins_id = pending_state()
+    block = BAD_BLOCKS[error](state, state.location[ins_id].outpoint)
+    by_outpoint = {op: list(ids) for op, ids in state.by_outpoint.items()}
+    before = (state.snapshot_hash(), by_outpoint, state.tip_height)
+    with pytest.raises(error):
+        state.apply_block(block)
+    assert (state.snapshot_hash(), state.by_outpoint, state.tip_height) == before
+
+
 def test_transfer_moved_twice_in_one_block_credits_first_receiver():
     state, ins_id = pending_state()
     inscribed = state.location[ins_id].outpoint

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import coinbase, spend, txid
 from ordlite import chain, errors, ordinals
 from ordlite.chain import Block, OutPoint, TxOut, UtxoSet
+from ordlite.indexer import IndexState
 
 
 def test_supply_constants():
@@ -152,10 +153,16 @@ def test_fifo_listing_line_two():
     assert _expand(fee) == [d]
 
 
+def indexed(*blocks):
+    """UtxoSet (with sat ranges) after indexing the given blocks."""
+    state = IndexState()
+    state.index_blocks(blocks)
+    return state.utxos
+
+
 def test_fifo_coinbase_fee_tail(genesis):
     # Coinbase tx: [SUBSIDY] [d] --> [SUBSIDY d]
-    utxos = UtxoSet()
-    state_apply(genesis, utxos, 0)
+    utxos = indexed(genesis)
     prev = OutPoint(genesis.txs[0].txid, 0)
     subsidy1 = chain.block_subsidy(1)
     pay = spend("pay", [prev], [TxOut(5_000_000_000 - 1, "bob")])  # 1 sat fee
@@ -168,17 +175,8 @@ def test_fifo_coinbase_fee_tail(genesis):
     assert burned == []
 
 
-def state_apply(block, utxos, height):
-    assigned, _ = ordinals.assign_ordinals(block, utxos)
-    chain.apply_block(block, utxos, height)
-    for op, ranges in assigned.items():
-        if op in utxos.entries:
-            utxos.entries[op].sat_ranges = ranges
-
-
 def test_locate_sat(genesis):
-    utxos = UtxoSet()
-    state_apply(genesis, utxos, 0)
+    utxos = indexed(genesis)
     point = ordinals.locate_sat(0, utxos)
     assert point.outpoint == OutPoint(genesis.txs[0].txid, 0)
     assert point.offset == 0
@@ -187,12 +185,10 @@ def test_locate_sat(genesis):
 
 
 def test_fee_sat_located_in_coinbase(genesis):
-    utxos = UtxoSet()
-    state_apply(genesis, utxos, 0)
     prev = OutPoint(genesis.txs[0].txid, 0)
     pay = spend("pay", [prev], [TxOut(5_000_000_000 - 1, "bob")])
     block = Block(1, (coinbase(1, chain.block_subsidy(1) + 1, label="cb1"), pay))
-    state_apply(block, utxos, 1)
+    utxos = indexed(genesis, block)
     fee_sat = 5_000_000_000 - 1
     point = ordinals.locate_sat(fee_sat, utxos)
     assert point.outpoint == OutPoint(block.txs[0].txid, 0)
@@ -238,8 +234,7 @@ def test_range_value_mismatch():
 
 
 def test_sat_conservation_per_block(genesis):
-    utxos = UtxoSet()
-    state_apply(genesis, utxos, 0)
+    utxos = indexed(genesis)
     prev = OutPoint(genesis.txs[0].txid, 0)
     pay = spend("pay", [prev], [TxOut(3_000_000_000, "bob"),
                                 TxOut(1_999_999_000, "carol")])  # fee 1000

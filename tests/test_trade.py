@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coinbase, spend
 from ordlite import chain, errors, trade
 from ordlite.chain import OutPoint, TxOut
 from ordlite.indexer import IndexState
@@ -222,3 +223,61 @@ def test_settlement_atomicity_on_injected_failure(monkeypatch):
         trade.broadcast_and_settle(state, offer, "buyer")
     assert _hash_sans_offers(state) == before
     assert state.btc_deltas == bad_deltas
+
+
+# --- funding checks ---
+
+def _spend_mint_inscription_to_fee(state, miner):
+    """Mine a block that spends the seller's mint inscription wholly as fee,
+    so the inscribed sat lands in `miner`'s plain coinbase output."""
+    mint = next(ins for ins in state.inscriptions.values() if ins.kind == "brc20_mint")
+    point = state.location[mint.id]
+    postage = state.utxos.require(point.outpoint).txout.value
+    height = state.tip_height + 1
+    cb = coinbase(height, chain.block_subsidy(height) + postage, miner,
+                  label=f"fee cb {miner}")
+    to_fee = spend(f"to fee {miner}", [point.outpoint], [])
+    state.apply_block(chain.Block(height, (cb, to_fee)))
+    out = OutPoint(cb.txid, 0)
+    assert state.by_outpoint[out] == [mint.id]
+    return out
+
+
+def _assert_funding_rejected(state, offer, funding):
+    before = offer.psbt.to_json()
+    with pytest.raises(errors.BadFunding):
+        trade.accept_offer(state, offer, "buyer", funding, FEE)
+    assert offer.status == "open"
+    assert offer.psbt.to_json() == before
+
+
+def test_accept_rejects_duplicated_funding():
+    state, ins_id = seller_state()
+    offer = trade.create_offer(state, "seller", ins_id, ASK)
+    funding = trade.select_funding(state, "buyer", ASK + FEE)
+    _assert_funding_rejected(state, offer, funding + funding)
+
+
+def test_accept_rejects_foreign_funding():
+    state, ins_id = seller_state()
+    offer = trade.create_offer(state, "seller", ins_id, ASK)
+    theirs = trade.select_funding(state, "seller", ASK + FEE)
+    _assert_funding_rejected(state, offer, theirs)
+
+
+def test_accept_rejects_inscribed_funding():
+    state, ins_id = seller_state()
+    inscribed = _spend_mint_inscription_to_fee(state, "buyer")
+    offer = trade.create_offer(state, "seller", ins_id, ASK)
+    _assert_funding_rejected(state, offer, [inscribed])
+
+
+def test_select_funding_skips_inscribed_outpoints():
+    state, _ = seller_state()
+    _spend_mint_inscription_to_fee(state, "bob")
+    with pytest.raises(errors.InsufficientFunds):
+        trade.select_funding(state, "bob", 1)
+    height = state.tip_height + 1
+    cb = coinbase(height, chain.block_subsidy(height), "bob", label="clean cb bob")
+    state.apply_block(chain.Block(height, (cb,)))
+    assert trade.select_funding(state, "bob", ASK + FEE) == [OutPoint(cb.txid, 0)]
