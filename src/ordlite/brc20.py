@@ -137,12 +137,10 @@ class Brc20Ledger:
         return sum(p.amt for p in self.pendings.values()
                    if not p.used and p.tick == tick and p.owner == addr)
 
-    def available(self, tick: str, addr: str) -> int:
-        return self.raw_balance(tick, addr) - self.pending_outgoing(tick, addr)
-
     def query_balance(self, tick: str, addr: str) -> dict:
-        return {"available": format_amount(self.available(tick, addr)),
-                "pending": format_amount(self.pending_outgoing(tick, addr))}
+        pending = self.pending_outgoing(tick, addr)
+        return {"available": format_amount(self.raw_balance(tick, addr) - pending),
+                "pending": format_amount(pending)}
 
     def query_tick(self, tick: str) -> dict:
         state = self.ticks.get(tick)
@@ -183,9 +181,10 @@ class Brc20Ledger:
     def inscribe_transfer(self, op: Brc20Op, inscription_id: str, owner: str) -> None:
         if op.tick not in self.ticks:
             raise errors.UnknownTick(op.tick)
-        if self.available(op.tick, owner) < op.amt:
+        available = self.raw_balance(op.tick, owner) - self.pending_outgoing(op.tick, owner)
+        if available < op.amt:
             raise errors.InsufficientBalance(
-                f"{owner} has {format_amount(self.available(op.tick, owner))} "
+                f"{owner} has {format_amount(available)} "
                 f"{op.tick} available, needs {format_amount(op.amt)}")
         self.pendings[inscription_id] = PendingTransfer(
             inscription_id, op.tick, op.amt, owner)

@@ -112,13 +112,13 @@ class UtxoSet:
         return sum(e.txout.value for e in self.entries.values())
 
 
-def block_subsidy(height: int, *, initial=INITIAL_SUBSIDY, interval=HALVING_INTERVAL) -> int:
+def block_subsidy(height: int) -> int:
     if height < 0:
         raise ValueError("negative height")
-    epoch = height // interval
+    epoch = height // HALVING_INTERVAL
     if epoch >= SUBSIDY_EPOCHS:
         return 0
-    return initial >> epoch
+    return INITIAL_SUBSIDY >> epoch
 
 
 def tx_fee(tx: Transaction, utxos: UtxoSet, created=None) -> int:

@@ -135,9 +135,7 @@ def trade_offer(obj, seller, inscription_id, ask):
 @click.pass_obj
 def trade_accept(obj, offer_id, buyer, fee):
     state = load_state(obj["data_dir"])
-    offer = state.offers.get(offer_id)
-    if offer is None:
-        raise errors.TradeError(f"unknown offer {offer_id}")
+    offer = trade.get_offer(state, offer_id)
     funding = trade.select_funding(state, buyer, offer.ask + fee)
     psbt = trade.accept_offer(state, offer, buyer, funding, fee)
     save_state(obj["data_dir"], state)
@@ -149,9 +147,7 @@ def trade_accept(obj, offer_id, buyer, fee):
 @click.pass_obj
 def trade_settle(obj, offer_id):
     state = load_state(obj["data_dir"])
-    offer = state.offers.get(offer_id)
-    if offer is None:
-        raise errors.TradeError(f"unknown offer {offer_id}")
+    offer = trade.get_offer(state, offer_id)
     buyer = offer.psbt.outputs[0].recipient
     block = trade.broadcast_and_settle(state, offer, buyer)
     save_state(obj["data_dir"], state)

@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from . import brc20, chain, envelope, errors, ordinals
+from . import brc20, chain, envelope, errors, ordinals, trade
 from .chain import OutPoint
 from .ordinals import SatPoint
 
@@ -69,19 +69,9 @@ def _satpoint_at(tx: chain.Transaction, pos: int) -> SatPoint | None:
     return None
 
 
-@dataclass
-class Offer:
-    id: str
-    seller: str
-    inscription_id: str
-    ask: int
-    psbt: "object"  # trade.Psbt; typed loosely to avoid a module cycle
-    status: str  # open | accepted | settled | cancelled | stale
-
-
 class IndexState:
-    """Everything the indexer knows: chain tip, UTXOs with sat ranges,
-    inscriptions, BRC-20 ledger, offer book and trade-level BTC deltas."""
+    """The snapshot: chain tip, UTXOs with sat ranges, inscriptions and the
+    BRC-20 ledger, which blocks change, and `trade`'s offer book and BTC deltas."""
 
     def __init__(self):
         self.tip_height = -1
@@ -92,7 +82,7 @@ class IndexState:
         self.by_outpoint: dict[OutPoint, list[str]] = {}
         self.next_number = 0
         self.ledger = brc20.Brc20Ledger()
-        self.offers: dict[str, Offer] = {}
+        self.offers: dict[str, trade.Offer] = {}
         self.btc_deltas: dict[str, int] = {}  # trade settlement accounting
         self.diagnostics: list[str] = []
 
@@ -264,16 +254,7 @@ class IndexState:
                 for ins in sorted(self.inscriptions.values(), key=lambda i: i.number)
             },
             "brc20": self.ledger.to_json(),
-            "offers": {
-                o.id: {
-                    "seller": o.seller,
-                    "inscription_id": o.inscription_id,
-                    "ask": o.ask,
-                    "psbt": o.psbt.to_json(),
-                    "status": o.status,
-                }
-                for o in sorted(self.offers.values(), key=lambda o: o.id)
-            },
+            "offers": {oid: o.to_json() for oid, o in sorted(self.offers.items())},
             "btc_deltas": dict(sorted(self.btc_deltas.items())),
         }
 
@@ -285,8 +266,6 @@ class IndexState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexState":
-        from . import trade  # deferred: trade imports this module
-
         state = cls()
         state.tip_height = obj["tip_height"]
         state.next_number = obj["next_number"]
@@ -309,10 +288,8 @@ class IndexState:
                 outpoint, _, off = sp.rpartition(":")
                 state._place(ins_id, SatPoint(OutPoint.parse(outpoint), int(off)))
         state.ledger = brc20.Brc20Ledger.from_json(obj["brc20"])
-        for oid, o in obj.get("offers", {}).items():
-            state.offers[oid] = Offer(oid, o["seller"], o["inscription_id"],
-                                      o["ask"], trade.Psbt.from_json(o["psbt"]),
-                                      o["status"])
+        state.offers = {oid: trade.Offer.from_json(oid, o)
+                        for oid, o in obj.get("offers", {}).items()}
         state.btc_deltas = dict(obj.get("btc_deltas", {}))
         return state
 

@@ -133,8 +133,7 @@ class ScenarioCompiler:
                                        int(action["ask"]))
             self.offer_by_handle[action["inscription"]] = offer.id
         elif kind == "trade_accept":
-            offer_id = self.offer_by_handle[action["inscription"]]
-            offer = self.state.offers[offer_id]
+            offer = trade.get_offer(self.state, self.offer_by_handle[action["inscription"]])
             buyer = action["buyer"]
             fee = int(action.get("fee", trade.DEFAULT_FEE))
             funding = [self._funding_outpoint(buyer, offer.ask + fee)]

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import chain, errors
 from .chain import OutPoint, TxOut
-from .indexer import IndexState, Offer
+
+if TYPE_CHECKING:  # the indexer stores offers, so it imports this module
+    from .indexer import IndexState
 
 DEFAULT_FEE = 10_000  # sats, settlement tx network fee (buyer pays)
+MINER = "miner"  # recipient of the settlement block's coinbase
 
 
 @dataclass
@@ -69,6 +73,25 @@ class Psbt:
         return cls(inputs, outputs, bool(obj.get("finalized")))
 
 
+@dataclass
+class Offer:
+    id: str
+    seller: str
+    inscription_id: str
+    ask: int
+    psbt: Psbt
+    status: str  # open | accepted | settled | cancelled | stale
+
+    def to_json(self) -> dict:
+        return {"seller": self.seller, "inscription_id": self.inscription_id,
+                "ask": self.ask, "psbt": self.psbt.to_json(), "status": self.status}
+
+    @classmethod
+    def from_json(cls, oid: str, obj: dict) -> "Offer":
+        return cls(oid, obj["seller"], obj["inscription_id"], obj["ask"],
+                   Psbt.from_json(obj["psbt"]), obj["status"])
+
+
 def commitment(psbt: Psbt, signer: str) -> str:
     payload = chain.canonical_dumps(psbt.structure_json()) + "|" + signer
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -94,17 +117,22 @@ def combine_psbts(a: Psbt, b: Psbt) -> Psbt:
     """Union of signature sets over structurally identical PSBTs."""
     if chain.canonical_dumps(a.structure_json()) != chain.canonical_dumps(b.structure_json()):
         raise errors.StructureMismatch("PSBTs describe different transactions")
-    merged = Psbt(
+    return Psbt(
         [PsbtInput(ia.outpoint, ia.inscription_id, {**ia.signatures, **ib.signatures})
          for ia, ib in zip(a.inputs, b.inputs)],
         list(a.outputs),
         a.finalized or b.finalized,
     )
-    return merged
 
 
 def _offer_id(seller: str, inscription_id: str, ask: int) -> str:
     return hashlib.sha256(f"offer|{seller}|{inscription_id}|{ask}".encode()).hexdigest()[:16]
+
+
+def get_offer(state: IndexState, offer_id: str) -> Offer:
+    if offer_id not in state.offers:
+        raise errors.TradeError(f"unknown offer {offer_id}")
+    return state.offers[offer_id]
 
 
 def create_offer(state: IndexState, seller: str, inscription_id: str, ask: int) -> Offer:
@@ -193,15 +221,11 @@ def select_funding(state: IndexState, buyer: str, amount: int) -> list[OutPoint]
     raise errors.InsufficientFunds(f"{buyer} holds {total} sats, needs {amount}")
 
 
-def _settlement_txid(offer: Offer, height: int) -> str:
-    return hashlib.sha256(f"settle|{offer.id}|{height}".encode()).hexdigest()
-
-
-def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str,
-                         miner: str = "miner") -> chain.Block:
+def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.Block:
     """Mine the finalized PSBT into the next block and settle atomically.
 
-    A raced input marks the offer stale and leaves every balance untouched.
+    A raced input marks the offer stale and leaves every balance untouched;
+    an input not signed by its spent output's owner raises BadSignature.
     """
     psbt = offer.psbt
     if offer.status != "accepted" or not psbt.finalized:
@@ -209,20 +233,23 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str,
     if not verify_signatures(psbt):
         raise errors.BadSignature(offer.id)
     for pin in psbt.inputs:
-        if pin.outpoint not in state.utxos:
+        entry = state.utxos.get(pin.outpoint)
+        if entry is None:
             offer.status = "stale"
             raise errors.DoubleSpend(str(pin.outpoint))
+        if entry.txout.recipient not in pin.signatures:  # all present are verified above
+            raise errors.BadSignature(f"{offer.id}: {pin.outpoint} lacks its owner's signature")
 
     height = state.tip_height + 1
     settlement = chain.Transaction(
-        _settlement_txid(offer, height),
+        hashlib.sha256(f"settle|{offer.id}|{height}".encode()).hexdigest(),
         tuple(chain.TxIn(pin.outpoint) for pin in psbt.inputs),
         tuple(psbt.outputs),
     )
     fee = chain.tx_fee(settlement, state.utxos)
     coinbase = chain.Transaction(
-        hashlib.sha256(f"coinbase|{height}|{miner}".encode()).hexdigest(),
-        (), (TxOut(chain.block_subsidy(height) + fee, miner),), is_coinbase=True)
+        hashlib.sha256(f"coinbase|{height}|{MINER}".encode()).hexdigest(),
+        (), (TxOut(chain.block_subsidy(height) + fee, MINER),), is_coinbase=True)
     block = chain.Block(height, (coinbase, settlement))
 
     state.apply_block(block)  # raises (state unchanged) on any chain error
@@ -231,7 +258,7 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str,
     if pending is None or not pending.used:
         raise errors.TradeError(f"settlement of {offer.inscription_id} did not land")
     for addr, delta in ((offer.seller, offer.ask), (buyer, -(offer.ask + fee)),
-                        (miner, fee)):
+                        (MINER, fee)):
         state.btc_deltas[addr] = state.btc_deltas.get(addr, 0) + delta
     offer.status = "settled"
     return block

@@ -17,10 +17,6 @@ def test_subsidy_schedule():
     assert chain.block_subsidy(10_000_000) == 0
 
 
-def test_subsidy_override():
-    assert chain.block_subsidy(4, initial=16, interval=2) == 4
-
-
 @pytest.mark.parametrize("bad", [
     "A" * 64,  # uppercase
     "g" * 64,  # not hex

@@ -140,11 +140,16 @@ def test_accept_non_open_offer():
         trade.accept_offer(state, offer, "buyer", [], FEE)
 
 
+def accepted_offer(state, ins_id, ask=ASK, fee=FEE):
+    offer = trade.create_offer(state, "seller", ins_id, ask)
+    funding = trade.select_funding(state, "buyer", ask + fee)
+    trade.accept_offer(state, offer, "buyer", funding, fee)
+    return offer
+
+
 def full_trade(fee=FEE):
     state, ins_id = seller_state()
-    offer = trade.create_offer(state, "seller", ins_id, ASK)
-    funding = trade.select_funding(state, "buyer", ASK + fee)
-    trade.accept_offer(state, offer, "buyer", funding, fee)
+    offer = accepted_offer(state, ins_id, fee=fee)
     block = trade.broadcast_and_settle(state, offer, "buyer")
     return state, offer, block, ins_id
 
@@ -178,6 +183,62 @@ def test_two_inscription_touching_txs():
     assert state.location[ins_id].outpoint.txid == settle_txid
 
 
+def _assert_settle_refused(state, offer):
+    before = state.snapshot_bytes()
+    assert verify_signatures(offer.psbt)  # every signature present is valid
+    with pytest.raises(errors.BadSignature):
+        trade.broadcast_and_settle(state, offer, "buyer")
+    assert offer.status == "accepted"
+    assert state.snapshot_bytes() == before
+
+
+def test_settle_rejects_input_without_owner_signature():
+    state, ins_id = seller_state()
+    offer = accepted_offer(state, ins_id)
+    for pin in offer.psbt.inputs:
+        del pin.signatures["seller"]
+    _assert_settle_refused(state, offer)
+
+
+def test_settle_rejects_inputs_signed_by_non_owner():
+    state, ins_id = seller_state()
+    offer = accepted_offer(state, ins_id)
+    for pin in offer.psbt.inputs:
+        pin.signatures.clear()
+    sign(offer.psbt, "mallory")
+    _assert_settle_refused(state, offer)
+
+
+def test_offers_survive_snapshot_round_trip():
+    comp = ScenarioCompiler(seed=13)
+    comp.compile([
+        {"action": "deploy", "tick": "ordi", "max": "2100000", "lim": "1000",
+         "deployer": "seller"},
+        {"action": "mint", "tick": "ordi", "amt": "1000", "minter": "seller"},
+        {"action": "transfer_inscribe", "tick": "ordi", "amt": "400",
+         "owner": "seller", "id": "t1"},
+        {"action": "transfer_inscribe", "tick": "ordi", "amt": "600",
+         "owner": "seller", "id": "t2"},
+        {"action": "mine", "miner": "buyer"},
+    ])
+    state, t1, t2 = comp.state, comp.handles["t1"], comp.handles["t2"]
+    settled = accepted_offer(state, t2)
+    trade.broadcast_and_settle(state, settled, "buyer")
+    cancelled = trade.create_offer(state, "seller", t1, ASK)
+    accepted = accepted_offer(state, t1, ask=2 * ASK)
+    opened = trade.create_offer(state, "seller", t1, 3 * ASK)
+    assert [o.status for o in (settled, cancelled, accepted, opened)] == \
+        ["settled", "cancelled", "accepted", "open"]
+
+    reloaded = IndexState.from_json(json.loads(state.snapshot_bytes()))
+    assert reloaded.snapshot_bytes() == state.snapshot_bytes()
+    offer = reloaded.offers[accepted.id]
+    trade.broadcast_and_settle(reloaded, offer, "buyer")
+    assert offer.status == "settled"
+    assert reloaded.ledger.query_balance("ordi", "buyer") == \
+        {"available": "1000", "pending": "0"}
+
+
 def _hash_sans_offers(state):
     obj = {k: v for k, v in state.to_json().items() if k != "offers"}
     return hashlib.sha256(chain.canonical_dumps(obj).encode()).hexdigest()
@@ -185,9 +246,7 @@ def _hash_sans_offers(state):
 
 def test_stale_offer_leaves_state_unchanged():
     state, ins_id = seller_state()
-    offer = trade.create_offer(state, "seller", ins_id, ASK)
-    funding = trade.select_funding(state, "buyer", ASK + FEE)
-    trade.accept_offer(state, offer, "buyer", funding, FEE)
+    offer = accepted_offer(state, ins_id)
     # the seller races: spends the inscribed satpoint before broadcast
     point = state.location[ins_id]
     value = state.utxos.require(point.outpoint).txout.value
@@ -209,9 +268,7 @@ def test_stale_offer_leaves_state_unchanged():
 def test_settlement_atomicity_on_injected_failure(monkeypatch):
     # if the block cannot settle the pending, no balance may change
     state, ins_id = seller_state()
-    offer = trade.create_offer(state, "seller", ins_id, ASK)
-    funding = trade.select_funding(state, "buyer", ASK + FEE)
-    trade.accept_offer(state, offer, "buyer", funding, FEE)
+    offer = accepted_offer(state, ins_id)
     before = _hash_sans_offers(state)
     bad_deltas = dict(state.btc_deltas)
 
