@@ -12,7 +12,7 @@ holds after every event.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import errors
 

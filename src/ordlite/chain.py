@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,14 +27,16 @@ SCRIPT_KINDS = ("plain", "p2tr_inscription")
 TXID_RE = re.compile(r"[0-9a-f]{64}")
 
 
-@dataclass(frozen=True, order=True)
-class OutPoint:
-    txid: str
-    vout: int
+# The value types are tuples, so that hashing, equality and ordering (UTXO
+# keys, spent/created sets, assigned ranges) run in C.
 
-    def __post_init__(self):
-        if not TXID_RE.fullmatch(self.txid):
-            raise ValueError(f"bad txid {self.txid!r}")
+class OutPoint(namedtuple("OutPoint", "txid vout")):
+    __slots__ = ()
+
+    def __new__(cls, txid: str, vout: int):
+        if not TXID_RE.fullmatch(txid):
+            raise ValueError(f"bad txid {txid!r}")
+        return tuple.__new__(cls, (txid, vout))
 
     def __str__(self):
         return f"{self.txid}:{self.vout}"
@@ -44,40 +47,31 @@ class OutPoint:
         return cls(txid, int(vout))
 
 
-@dataclass(frozen=True)
-class TxOut:
-    value: int
-    recipient: str
-    script_kind: str = "plain"
+class TxOut(namedtuple("TxOut", "value recipient script_kind")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __new__(cls, value: int, recipient: str, script_kind: str = "plain"):
+        if value < 0:
             raise ValueError("negative output value")
-        if self.script_kind not in SCRIPT_KINDS:
-            raise ValueError(f"unknown script kind {self.script_kind!r}")
+        if script_kind not in SCRIPT_KINDS:
+            raise ValueError(f"unknown script kind {script_kind!r}")
+        return tuple.__new__(cls, (value, recipient, script_kind))
 
 
-@dataclass(frozen=True)
-class TxIn:
-    prevout: OutPoint
-    witness: tuple = ()  # tuple of bytes
+class TxIn(namedtuple("TxIn", "prevout witness", defaults=((),))):
+    __slots__ = ()  # witness is a tuple of bytes
 
 
-@dataclass(frozen=True)
-class Transaction:
-    txid: str
-    inputs: tuple
-    outputs: tuple
-    is_coinbase: bool = False
+class Transaction(namedtuple("Transaction", "txid inputs outputs is_coinbase",
+                             defaults=(False,))):
+    __slots__ = ()
 
     def output_total(self) -> int:
         return sum(o.value for o in self.outputs)
 
 
-@dataclass(frozen=True)
-class Block:
-    height: int
-    txs: tuple
+class Block(namedtuple("Block", "height txs")):
+    __slots__ = ()
 
 
 @dataclass

@@ -34,9 +34,10 @@ def load_state(data_dir) -> IndexState:
     return IndexState()
 
 
-def save_state(data_dir, state: IndexState) -> None:
+def save_state(data_dir, state: IndexState) -> str:
+    """Save the snapshot into data_dir; return its hash."""
     Path(data_dir).mkdir(parents=True, exist_ok=True)
-    state.save(snapshot_path(data_dir))
+    return state.save(snapshot_path(data_dir))
 
 
 @click.group()
@@ -55,8 +56,8 @@ def index(obj, blocks):
     state = load_state(obj["data_dir"])
     with open(blocks) as fp:
         state.index_blocks(chain.read_blocks_jsonl(fp))
-    save_state(obj["data_dir"], state)
-    emit({"tip_height": state.tip_height, "hash": state.snapshot_hash(),
+    digest = save_state(obj["data_dir"], state)
+    emit({"tip_height": state.tip_height, "hash": digest,
           "diagnostics": state.diagnostics + state.ledger.diagnostics})
 
 
@@ -183,8 +184,7 @@ def snapshot_hash(obj):
 @click.pass_obj
 def snapshot_save(obj, path):
     state = load_state(obj["data_dir"])
-    state.save(path)
-    emit({"saved": str(path), "hash": state.snapshot_hash()})
+    emit({"saved": str(path), "hash": state.save(path)})
 
 
 @snapshot.command("load")
@@ -192,8 +192,8 @@ def snapshot_save(obj, path):
 @click.pass_obj
 def snapshot_load(obj, path):
     state = IndexState.load(path)
-    save_state(obj["data_dir"], state)
-    emit({"loaded": str(path), "hash": state.snapshot_hash(),
+    digest = save_state(obj["data_dir"], state)
+    emit({"loaded": str(path), "hash": digest,
           "tip_height": state.tip_height})
 
 

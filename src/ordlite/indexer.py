@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 
 from . import brc20, chain, envelope, errors, ordinals, trade
@@ -228,6 +229,8 @@ class IndexState:
     # --- canonical snapshot ---
 
     def to_json(self) -> dict:
+        """The snapshot as plain data; its order is set by `canonical_dumps`,
+        which sorts every dict's keys."""
         return {
             "tip_height": self.tip_height,
             "next_number": self.next_number,
@@ -238,7 +241,7 @@ class IndexState:
                     "script_kind": e.txout.script_kind,
                     "sat_ranges": [list(r) for r in e.sat_ranges],
                 }
-                for op, e in sorted(self.utxos.entries.items())
+                for op, e in self.utxos.entries.items()
             },
             "inscriptions": {
                 ins.id: {
@@ -251,11 +254,11 @@ class IndexState:
                     "satpoint": str(self.location[ins.id]) if ins.id in self.location else None,
                     "height": ins.height,
                 }
-                for ins in sorted(self.inscriptions.values(), key=lambda i: i.number)
+                for ins in self.inscriptions.values()
             },
             "brc20": self.ledger.to_json(),
-            "offers": {oid: o.to_json() for oid, o in sorted(self.offers.items())},
-            "btc_deltas": dict(sorted(self.btc_deltas.items())),
+            "offers": {oid: o.to_json() for oid, o in self.offers.items()},
+            "btc_deltas": dict(self.btc_deltas),
         }
 
     def snapshot_bytes(self) -> bytes:
@@ -266,27 +269,33 @@ class IndexState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexState":
+        outpoints: dict[str, OutPoint] = {}  # each distinct string is parsed once
+
+        def outpoint(key: str) -> OutPoint:
+            op = outpoints.get(key)
+            if op is None:
+                op = outpoints[key] = OutPoint.parse(key)
+            return op
+
+        def satpoint(text: str) -> SatPoint:
+            key, _, off = text.rpartition(":")
+            return SatPoint(outpoint(key), int(off))
+
         state = cls()
         state.tip_height = obj["tip_height"]
         state.next_number = obj["next_number"]
         for key, e in obj["utxos"].items():
-            op = OutPoint.parse(key)
-            state.utxos.entries[op] = chain.UtxoEntry(
+            state.utxos.entries[outpoint(key)] = chain.UtxoEntry(
                 chain.TxOut(e["value"], e["recipient"], e["script_kind"]),
                 [tuple(r) for r in e["sat_ranges"]])
         for ins_id, i in obj["inscriptions"].items():
-            gsp = i["genesis_satpoint"]
-            outpoint, _, off = gsp.rpartition(":")
             ins = Inscription(ins_id, i["number"], i["content_type"],
                               bytes.fromhex(i["body"]), i["kind"],
-                              i["genesis_sat"],
-                              SatPoint(OutPoint.parse(outpoint), int(off)),
+                              i["genesis_sat"], satpoint(i["genesis_satpoint"]),
                               i["height"])
             state.inscriptions[ins_id] = ins
             if i.get("satpoint"):
-                sp = i["satpoint"]
-                outpoint, _, off = sp.rpartition(":")
-                state._place(ins_id, SatPoint(OutPoint.parse(outpoint), int(off)))
+                state._place(ins_id, satpoint(i["satpoint"]))
         state.ledger = brc20.Brc20Ledger.from_json(obj["brc20"])
         state.offers = {oid: trade.Offer.from_json(oid, o)
                         for oid, o in obj.get("offers", {}).items()}
@@ -298,6 +307,14 @@ class IndexState:
         with open(path) as fp:
             return cls.from_json(json.load(fp))
 
-    def save(self, path) -> None:
-        with open(path, "w") as fp:
-            fp.write(chain.canonical_dumps(self.to_json()))
+    def save(self, path) -> str:
+        """Write the snapshot to path and return its sha256 hex digest, which
+        equals `snapshot_hash()`: the bytes are serialized once, for both.
+        They go to `<path>.tmp` first, which then replaces path, so a failed
+        save leaves the old snapshot in place."""
+        data = self.snapshot_bytes()
+        tmp = f"{path}.tmp"
+        with open(tmp, "wb") as fp:
+            fp.write(data)
+        os.replace(tmp, path)
+        return hashlib.sha256(data).hexdigest()

@@ -8,7 +8,7 @@ it controls.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import chain, errors
@@ -23,10 +23,8 @@ FINAL_SUPPLY_HEIGHT = SUBSIDY_EPOCHS * HALVING_INTERVAL  # subsidy is 0 from her
 RARITIES = ("common", "uncommon", "rare", "epic", "legendary", "mythic")
 
 
-@dataclass(frozen=True)
-class SatPoint:
-    outpoint: OutPoint
-    offset: int
+class SatPoint(namedtuple("SatPoint", "outpoint offset")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.outpoint}:{self.offset}"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from . import brc20, chain, envelope, errors, trade
+from . import chain, envelope, errors, trade
 from .chain import Block, OutPoint, Transaction, TxIn, TxOut
 from .indexer import IndexState
 

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from ordlite import chain
-from ordlite.chain import Block, OutPoint, Transaction, TxIn, TxOut
+from ordlite.chain import Block, Transaction, TxIn, TxOut
 
 
 def txid(label: str) -> str:

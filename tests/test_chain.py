@@ -4,7 +4,7 @@ import pytest
 
 from conftest import coinbase, spend, txid
 from ordlite import chain, errors
-from ordlite.chain import Block, OutPoint, Transaction, TxIn, TxOut, UtxoSet
+from ordlite.chain import Block, OutPoint, TxOut, UtxoSet
 from ordlite.indexer import IndexState
 
 
@@ -30,6 +30,19 @@ def test_outpoint_rejects_malformed_txid(bad):
         OutPoint(bad, 0)
     with pytest.raises(ValueError):
         OutPoint.parse(f"{bad}:0")
+
+
+@pytest.mark.parametrize("value, kind, message", [
+    (-1, "plain", "negative output value"),
+    (1, "p2pkh", "unknown script kind"),
+])
+def test_txout_rejects_bad_values(value, kind, message):
+    with pytest.raises(ValueError, match=message):
+        TxOut(value, "alice", kind)
+    obj = {"txid": txid("bad"), "inputs": [],
+           "outputs": [{"value": value, "recipient": "alice", "script_kind": kind}]}
+    with pytest.raises(ValueError, match=message):
+        chain.tx_from_json(obj)
 
 
 def test_outpoint_accepts_lowercase_hex_txid():

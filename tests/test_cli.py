@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from ordlite import chain, cli as cli_module, errors, scenario
+from ordlite import cli as cli_module, errors
 from ordlite.cli import cli
+from ordlite.indexer import IndexState
 
 SCRIPT = [
     {"action": "deploy", "tick": "ordi", "max": "2100000", "lim": "1000",
@@ -97,6 +99,34 @@ def test_snapshot_save_load(runner, workdir, tmp_path):
     loaded = json.loads(run(runner, workdir, "snapshot", "load",
                             str(dest)).output)
     assert saved["hash"] == loaded["hash"]
+
+
+@pytest.mark.parametrize("command", ["index", "snapshot save", "snapshot load"])
+def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
+    written = workdir / "data" / cli_module.SNAPSHOT_FILE
+    saved = workdir / "saved.json"
+    if command == "index":
+        run(runner, workdir, "scenario", str(workdir / "script.json"),
+            "-o", str(workdir / "blocks.jsonl"))
+        args = ["index", str(workdir / "blocks.jsonl")]
+    else:
+        indexed(runner, workdir)
+        if command == "snapshot save":
+            args, written = ["snapshot", "save", str(saved)], saved
+        else:
+            run(runner, workdir, "snapshot", "save", str(saved))
+            args = ["snapshot", "load", str(saved)]
+    calls = []
+    to_json = IndexState.to_json
+
+    def counted(self):
+        calls.append(self)
+        return to_json(self)
+    monkeypatch.setattr(IndexState, "to_json", counted)
+    out = json.loads(run(runner, workdir, *args).output)
+    assert len(calls) == 1
+    assert out["hash"] == hashlib.sha256(written.read_bytes()).hexdigest() \
+        == IndexState.load(written).snapshot_hash()
 
 
 def test_cli_byte_identical_output(runner, workdir):

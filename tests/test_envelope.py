@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordlite import envelope, errors
+from ordlite import errors
 from ordlite.envelope import Envelope, build_envelope, encode_push, parse_envelope
 
 HELLO = ("text/plain;charset=utf-8", b"Hello, world!")

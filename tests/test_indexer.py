@@ -1,5 +1,4 @@
 import collections
-import io
 import json
 import random
 
@@ -90,6 +89,22 @@ def test_height_gap_aborts():
 
 def test_empty_chain_stable_hash():
     assert IndexState().snapshot_hash() == IndexState().snapshot_hash()
+
+
+def test_failed_save_keeps_the_old_snapshot(genesis, tmp_path, monkeypatch):
+    state = IndexState()
+    state.apply_block(genesis)
+    path = tmp_path / "snapshot.json"
+    state.save(path)
+    before = path.read_bytes()
+
+    def fail(self):
+        raise RuntimeError("serialization failed")
+    monkeypatch.setattr(IndexState, "to_json", fail)
+    with pytest.raises(RuntimeError):
+        state.save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_malformed_envelopes_skip_without_state_change(genesis):
