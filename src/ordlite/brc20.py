@@ -29,7 +29,8 @@ def parse_amount(s) -> int:
         raise errors.BadAmount(f"amount must be a string, got {type(s).__name__}")
     text = s.strip()
     intpart, dot, fracpart = text.partition(".")
-    if not intpart.isdigit() or (dot and not fracpart.isdigit()):
+    # ASCII only: isdigit alone takes any script's digits, and superscripts
+    if not (text.isascii() and intpart.isdigit() and (fracpart.isdigit() or not dot)):
         raise errors.BadAmount(repr(s))
     if len(fracpart) > AMOUNT_SCALE:
         raise errors.BadAmount(f"more than {AMOUNT_SCALE} decimals: {s!r}")
@@ -109,6 +110,15 @@ class TickState:
     deploy_inscription_id: str = ""
     deploy_height: int = -1
 
+    def to_json(self) -> dict:
+        return {
+            "max": format_amount(self.max),
+            "lim": format_amount(self.lim),
+            "minted": format_amount(self.minted),
+            "deploy_id": self.deploy_inscription_id,
+            "height": self.deploy_height,
+        }
+
 
 @dataclass
 class PendingTransfer:
@@ -146,14 +156,7 @@ class Brc20Ledger:
         state = self.ticks.get(tick)
         if state is None:
             raise errors.UnknownTick(tick)
-        return {
-            "tick": state.tick,
-            "max": format_amount(state.max),
-            "lim": format_amount(state.lim),
-            "minted": format_amount(state.minted),
-            "deploy_id": state.deploy_inscription_id,
-            "height": state.deploy_height,
-        }
+        return {"tick": state.tick, **state.to_json()}
 
     # --- state transitions (raise Brc20Error on protocol violations) ---
 
@@ -246,16 +249,7 @@ class Brc20Ledger:
 
     def to_json(self) -> dict:
         return {
-            "ticks": {
-                tick: {
-                    "max": format_amount(s.max),
-                    "lim": format_amount(s.lim),
-                    "minted": format_amount(s.minted),
-                    "deploy_id": s.deploy_inscription_id,
-                    "height": s.deploy_height,
-                }
-                for tick, s in self.ticks.items()
-            },
+            "ticks": {tick: s.to_json() for tick, s in self.ticks.items()},
             "balances": {
                 tick: {addr: format_amount(v) for addr, v in bal.items() if v}
                 for tick, bal in self.balances.items()

@@ -102,9 +102,6 @@ class UtxoSet:
             raise errors.MissingPrevout(str(outpoint))
         return entry
 
-    def total_value(self) -> int:
-        return sum(e.txout.value for e in self.entries.values())
-
 
 def block_subsidy(height: int) -> int:
     if height < 0:
@@ -179,6 +176,17 @@ def validate_block(block: Block, utxos: UtxoSet, next_height: int) -> dict:
         raise errors.CoinbaseOverpay(
             f"coinbase claims {coinbase.output_total()}, budget {budget}")
     return fees
+
+
+def mine_block(height: int, txs, utxos: UtxoSet, coinbase_txid: str,
+               miner: str) -> Block:
+    """The block at `height` holding txs, whose coinbase pays the subsidy
+    plus the txs' fees to miner. The txs spend only outputs in utxos."""
+    fees = sum(tx_fee(tx, utxos) for tx in txs)
+    coinbase = Transaction(coinbase_txid, (),
+                           (TxOut(block_subsidy(height) + fees, miner),),
+                           is_coinbase=True)
+    return Block(height, (coinbase, *txs))
 
 
 # --- JSONL codec ---

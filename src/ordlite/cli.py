@@ -65,7 +65,8 @@ def index(obj, blocks):
 @click.argument("query")
 @click.pass_obj
 def sat(obj, query):
-    """Describe a sat given any notation (integer, name, decimal, degree)."""
+    """Describe a sat given any notation (integer, name, decimal, degree,
+    percentile such as 50%)."""
     state = load_state(obj["data_dir"])
     n = ordinals.parse_sat_query(query)
     emit(state.sat_report(n))

@@ -167,10 +167,6 @@ class NotPendingTransfer(TradeError):
     pass
 
 
-class StructureMismatch(TradeError):
-    pass
-
-
 class InsufficientFunds(TradeError):
     pass
 

@@ -3,8 +3,8 @@
 For each block: validate and apply to the UTXO set, assign sat ranges (FIFO),
 extract inscriptions from witnesses, replay BRC-20 operations, and settle
 pending transfers whose inscribed sat moved. Protocol-level failures are
-recorded as diagnostics and never abort indexing; chain-level failures abort
-with the offending height and leave the state untouched.
+recorded as diagnostics and never abort indexing; a chain-level failure
+raises a ChainError (or RangeValueMismatch) before anything is committed.
 
 Inscriptions are tracked per transaction, in block order, through an
 outpoint -> inscriptions index, as ord's InscriptionUpdater does: a tx moves
@@ -29,24 +29,18 @@ from . import brc20, chain, envelope, errors, ordinals, trade
 from .chain import OutPoint
 from .ordinals import SatPoint
 
-BRC20_KINDS = {
-    brc20.DEPLOY: "brc20_deploy",
-    brc20.MINT: "brc20_mint",
-    brc20.TRANSFER: "brc20_transfer",
-}
-
-
-def classify_envelope(env: envelope.Envelope) -> str:
+def classify_envelope(env: envelope.Envelope) -> tuple[str, brc20.Brc20Op | None]:
+    """The inscription kind of an envelope, with its BRC-20 op if it is one."""
     try:
         op = brc20.parse_brc20(env.body)
-        return BRC20_KINDS[op.op]
+        return f"brc20_{op.op}", op
     except errors.Brc20Error:
         pass
     if env.content_type.startswith("text/"):
-        return "text"
+        return "text", None
     if env.content_type:
-        return "file"
-    return "other"
+        return "file", None
+    return "other", None
 
 
 @dataclass
@@ -184,18 +178,17 @@ class IndexState:
                 continue
             genesis_sat = ranges[0][0]
             satpoint = SatPoint(first_out, 0)
-            kind = classify_envelope(env)
+            kind, op = classify_envelope(env)
             ins = Inscription(ins_id, self.next_number, env.content_type,
                               env.body, kind, genesis_sat, satpoint, block.height)
             self.next_number += 1
             self.inscriptions[ins_id] = ins
             self._place(ins_id, satpoint)
-            if kind in BRC20_KINDS.values():
-                self._apply_brc20(ins, tx)
+            if op is not None:
+                # the actor owns the freshly inscribed sat
+                self._apply_brc20(ins, op, tx.outputs[0].recipient)
 
-    def _apply_brc20(self, ins: Inscription, tx: chain.Transaction) -> None:
-        op = brc20.parse_brc20(ins.body)
-        actor = tx.outputs[0].recipient  # owner of the freshly inscribed sat
+    def _apply_brc20(self, ins: Inscription, op: brc20.Brc20Op, actor: str) -> None:
         try:
             if op.op == brc20.DEPLOY:
                 self.ledger.apply_deploy(op, ins.id, ins.height)
@@ -220,11 +213,6 @@ class IndexState:
         except errors.SatNotInUtxoSet:
             pass
         return info
-
-    def btc_balance(self, addr: str) -> int:
-        """On-chain holdings: sum of unspent outputs paying the address."""
-        return sum(e.txout.value for e in self.utxos.entries.values()
-                   if e.txout.recipient == addr)
 
     # --- canonical snapshot ---
 

@@ -128,15 +128,10 @@ def report(series_list: list[PriceSeries], risk_free: float = 0.0) -> dict:
         rs = daily_returns(series)
         returns.append(rs)
         avg = average_return(rs)
-        entry = {"avg": avg, "cumulative": cumulative_return(series)}
-        try:
-            vol = volatility(rs)
-            entry["vol"] = vol
-            entry["sharpe"] = sharpe_ratio(avg, risk_free, vol) if vol > 0 else None
-        except (errors.TooFewPoints, errors.ZeroVolatility):
-            entry["vol"] = entry.get("vol")
-            entry["sharpe"] = None
-        per_symbol[series.symbol] = entry
+        vol = volatility(rs) if len(rs.returns) >= 2 else None
+        per_symbol[series.symbol] = {
+            "avg": avg, "cumulative": cumulative_return(series), "vol": vol,
+            "sharpe": sharpe_ratio(avg, risk_free, vol) if vol else None}
     correlation = {}
     if len(returns) > 1:
         matrix = correlation_matrix(returns)

@@ -70,8 +70,9 @@ def sat_from_decimal(height: int, offset: int) -> int:
     return start_sat_of_block(height) + offset
 
 
-DECIMAL_RE = re.compile(r"^(\d+)\.(\d+)$")
-DEGREE_RE = re.compile(r"^(\d+)°(\d+)′(\d+)″(\d+)‴$")
+DECIMAL_RE = re.compile(r"^([0-9]+)\.([0-9]+)$")
+DEGREE_RE = re.compile(r"^([0-9]+)°([0-9]+)′([0-9]+)″([0-9]+)‴$")
+PERCENTILE_RE = re.compile(r"[0-9]+(\.[0-9]+)?%")
 
 
 def render_decimal(n: int) -> str:
@@ -122,11 +123,9 @@ def render_percentile(n: int) -> str:
 
 
 def parse_percentile(s: str) -> int:
-    if not s.endswith("%"):
-        raise errors.OrdinalError(f"bad percentile {s!r}")
-    value = Fraction(s[:-1])
-    n = round(value * LAST_SAT / 100)
-    return check_sat(n)
+    if not PERCENTILE_RE.fullmatch(s):
+        raise errors.BadSatQuery(f"bad percentile {s!r}")
+    return check_sat(round(Fraction(s[:-1]) * LAST_SAT / 100))
 
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -174,7 +173,7 @@ def rarity(n: int) -> str:
 def parse_sat_query(s: str) -> int:
     """Accept any of the five notations."""
     s = s.strip()
-    if s.isdigit():
+    if s.isascii() and s.isdigit():
         return check_sat(int(s))
     if DEGREE_RE.match(s):
         return parse_degree(s)
@@ -204,43 +203,31 @@ def range_total(ranges) -> int:
     return sum(end - start for start, end in ranges)
 
 
-class _RangeCursor:
-    def __init__(self, ranges):
-        self.ranges = list(ranges)
-        self.i = 0
-
-    def take(self, amount: int) -> list:
-        taken = []
-        while amount > 0:
-            if self.i >= len(self.ranges):
-                raise errors.RangeValueMismatch("ran out of sats")
-            start, end = self.ranges[self.i]
-            size = end - start
-            if size <= amount:
-                taken.append((start, end))
-                amount -= size
-                self.i += 1
-            else:
-                taken.append((start, start + amount))
-                self.ranges[self.i] = (start + amount, end)
-                amount = 0
-        return taken
-
-    def rest(self) -> list:
-        out = self.ranges[self.i:]
-        self.i = len(self.ranges)
-        return out
-
-
 def slice_ranges(input_ranges, output_values):
     """FIFO split: concatenated input ranges carved into outputs in order.
 
     Returns (per-output range lists, remainder ranges). The remainder holds
     the fee sats, in order.
     """
-    cursor = _RangeCursor(input_ranges)
-    outputs = [cursor.take(v) for v in output_values]
-    return outputs, cursor.rest()
+    ranges = list(input_ranges)
+    i = 0  # ranges[i] is the first range not yet carved out
+    outputs = []
+    for amount in output_values:
+        taken = []
+        while amount > 0:
+            if i >= len(ranges):
+                raise errors.RangeValueMismatch("ran out of sats")
+            start, end = ranges[i]
+            if end - start <= amount:
+                taken.append((start, end))
+                amount -= end - start
+                i += 1
+            else:
+                taken.append((start, start + amount))
+                ranges[i] = (start + amount, end)
+                amount = 0
+        outputs.append(taken)
+    return outputs, ranges[i:]
 
 
 def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, list]:

@@ -13,6 +13,8 @@ A script is a JSON list of actions:
      "ask": 20000000}
     {"action": "trade_accept", "inscription": "t1", "buyer": "bob"}
 
+Any inscribing action may name its inscription with "id" for later actions.
+
 The compiler runs the real indexing pipeline incrementally, so funding,
 satpoints and fees are always consistent; protocol-level BRC-20 errors are
 deliberately left for index time (they are runtime, not compile-time).
@@ -23,12 +25,19 @@ from __future__ import annotations
 import hashlib
 import json
 
-from . import chain, envelope, errors, trade
+from . import brc20, chain, envelope, errors, trade
 from .chain import Block, OutPoint, Transaction, TxIn, TxOut
 from .indexer import IndexState
 
 POSTAGE = 546
 REVEAL_FEE = 1_000
+
+# script action -> (BRC-20 op, field naming the actor, amount fields)
+BRC20_ACTIONS = {
+    "deploy": (brc20.DEPLOY, "deployer", ("max", "lim")),
+    "mint": (brc20.MINT, "minter", ("amt",)),
+    "transfer_inscribe": (brc20.TRANSFER, "owner", ("amt",)),
+}
 
 
 class ScenarioCompiler:
@@ -47,21 +56,15 @@ class ScenarioCompiler:
 
     def _emit(self, txs_after_coinbase, miner="miner") -> Block:
         height = self.state.tip_height + 1
-        fees = sum(chain.tx_fee(tx, self.state.utxos) for tx in txs_after_coinbase)
-        coinbase = Transaction(
-            self._txid(f"coinbase@{height}"), (),
-            (TxOut(chain.block_subsidy(height) + fees, miner),),
-            is_coinbase=True)
-        block = Block(height, (coinbase,) + tuple(txs_after_coinbase))
+        block = chain.mine_block(height, txs_after_coinbase, self.state.utxos,
+                                 self._txid(f"coinbase@{height}"), miner)
         self.state.apply_block(block)
         self.blocks.append(block)
         return block
 
     def _funding_outpoint(self, addr: str, amount: int) -> OutPoint:
         """A single plain UTXO of addr covering amount; auto-mines if needed."""
-        eligible = [op for op, entry in self.state.utxos.entries.items()
-                    if entry.txout.recipient == addr and entry.txout.script_kind == "plain"
-                    and entry.txout.value >= amount and op not in self.state.by_outpoint]
+        eligible = [op for op, v in trade.funding_outputs(self.state, addr) if v >= amount]
         if eligible:
             return min(eligible)
         if chain.block_subsidy(self.state.tip_height + 1) < amount:
@@ -98,22 +101,12 @@ class ScenarioCompiler:
         if kind == "mine":
             for _ in range(int(action.get("count", 1))):
                 self._emit([], miner=action.get("miner", "miner"))
-        elif kind == "deploy":
-            body = chain.canonical_dumps({
-                "p": "brc-20", "op": "deploy", "tick": action["tick"],
-                "max": str(action["max"]), "lim": str(action["lim"])}).encode()
-            self._reveal(action["deployer"], body, f"deploy {action['tick']}")
-        elif kind == "mint":
-            body = chain.canonical_dumps({
-                "p": "brc-20", "op": "mint", "tick": action["tick"],
-                "amt": str(action["amt"])}).encode()
-            self._reveal(action["minter"], body, f"mint {action['tick']}")
-        elif kind == "transfer_inscribe":
-            body = chain.canonical_dumps({
-                "p": "brc-20", "op": "transfer", "tick": action["tick"],
-                "amt": str(action["amt"])}).encode()
-            ins_id = self._reveal(action["owner"], body,
-                                  f"transfer {action['tick']}")
+        elif kind in BRC20_ACTIONS:
+            op, actor, amount_fields = BRC20_ACTIONS[kind]
+            fields = {"p": "brc-20", "op": op, "tick": action["tick"]}
+            fields.update((f, str(action[f])) for f in amount_fields)
+            body = chain.canonical_dumps(fields).encode()
+            ins_id = self._reveal(action[actor], body, f"{op} {action['tick']}")
             if "id" in action:
                 self.handles[action["id"]] = ins_id
         elif kind == "transfer_send":

@@ -113,18 +113,6 @@ def verify_signatures(psbt: Psbt) -> bool:
     return True
 
 
-def combine_psbts(a: Psbt, b: Psbt) -> Psbt:
-    """Union of signature sets over structurally identical PSBTs."""
-    if chain.canonical_dumps(a.structure_json()) != chain.canonical_dumps(b.structure_json()):
-        raise errors.StructureMismatch("PSBTs describe different transactions")
-    return Psbt(
-        [PsbtInput(ia.outpoint, ia.inscription_id, {**ia.signatures, **ib.signatures})
-         for ia, ib in zip(a.inputs, b.inputs)],
-        list(a.outputs),
-        a.finalized or b.finalized,
-    )
-
-
 def _offer_id(seller: str, inscription_id: str, ask: int) -> str:
     return hashlib.sha256(f"offer|{seller}|{inscription_id}|{ask}".encode()).hexdigest()[:16]
 
@@ -207,15 +195,21 @@ def accept_offer(state: IndexState, offer: Offer, buyer: str,
     return psbt
 
 
+def funding_outputs(state: IndexState, addr: str) -> list[tuple[OutPoint, int]]:
+    """(outpoint, value) of every output that can fund a payment by addr:
+    plain, unspent, paying addr and carrying no inscription."""
+    return [(op, entry.txout.value) for op, entry in state.utxos.entries.items()
+            if entry.txout.recipient == addr and entry.txout.script_kind == "plain"
+            and op not in state.by_outpoint]
+
+
 def select_funding(state: IndexState, buyer: str, amount: int) -> list[OutPoint]:
-    """Pick uninscribed plain unspent outputs of the buyer totalling at least `amount`."""
-    plain = [(op, entry) for op, entry in state.utxos.entries.items()
-             if entry.txout.recipient == buyer and entry.txout.script_kind == "plain"
-             and op not in state.by_outpoint]
+    """The buyer's funding outputs in outpoint order, up to the first total
+    of at least `amount`."""
     picked, total = [], 0
-    for op, entry in sorted(plain):
+    for op, value in sorted(funding_outputs(state, buyer)):
         picked.append(op)
-        total += entry.txout.value
+        total += value
         if total >= amount:
             return picked
     raise errors.InsufficientFunds(f"{buyer} holds {total} sats, needs {amount}")
@@ -246,11 +240,10 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
         tuple(chain.TxIn(pin.outpoint) for pin in psbt.inputs),
         tuple(psbt.outputs),
     )
-    fee = chain.tx_fee(settlement, state.utxos)
-    coinbase = chain.Transaction(
-        hashlib.sha256(f"coinbase|{height}|{MINER}".encode()).hexdigest(),
-        (), (TxOut(chain.block_subsidy(height) + fee, MINER),), is_coinbase=True)
-    block = chain.Block(height, (coinbase, settlement))
+    block = chain.mine_block(
+        height, (settlement,), state.utxos,
+        hashlib.sha256(f"coinbase|{height}|{MINER}".encode()).hexdigest(), MINER)
+    fee = block.txs[0].output_total() - chain.block_subsidy(height)
 
     state.apply_block(block)  # raises (state unchanged) on any chain error
 

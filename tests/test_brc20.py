@@ -28,6 +28,13 @@ def test_parse_amount_exact_decimals():
         parse_amount(1000)  # must be a string
 
 
+@pytest.mark.parametrize("text", ["²", "١٠٠٠", "1.²", "1.٥", "１０"])
+def test_parse_amount_rejects_non_ascii_digits(text):
+    # str.isdigit accepts these; the unisat/OKX indexers accept only 0-9
+    with pytest.raises(errors.BadAmount):
+        parse_amount(text)
+
+
 def test_parse_deploy_listing():
     op = parse_brc20(LISTING_DEPLOY)
     assert op.op == "deploy"

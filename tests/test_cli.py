@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -57,7 +58,7 @@ def test_sat_query_all_notations(runner, workdir):
     assert out["degree"] == "3°111094′214″16797‴"
     assert out["percentile"] == "99.99971949060254%"
     # any notation resolves the same sat
-    for query in (out["decimal"], out["degree"], out["name"]):
+    for query in (out["decimal"], out["degree"], out["percentile"], out["name"]):
         assert json.loads(run(runner, workdir, "sat", query).output)["n"] == \
             2099994106992659
 
@@ -195,3 +196,11 @@ def test_main_exit_codes(monkeypatch, capsys, exc, code):
     assert info.value.code == code
     assert json.loads(capsys.readouterr().err)["error"] == \
         ("InvariantViolation" if code == 2 else type(exc).__name__)
+
+
+def test_sat_query_with_non_ascii_digit_is_a_json_error(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "argv", ["ordlite", "--data-dir", str(tmp_path), "sat", "²"])
+    with pytest.raises(SystemExit) as info:
+        cli_module.main()
+    assert info.value.code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "BadSatQuery"

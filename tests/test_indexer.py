@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import coinbase, spend, txid
-from ordlite import chain, envelope, errors, ordinals, scenario
+from ordlite import brc20, chain, envelope, errors, ordinals, scenario
 from ordlite.chain import Block, OutPoint, TxOut
 from ordlite.indexer import IndexState, classify_envelope
 from ordlite.ordinals import SatPoint
@@ -28,13 +28,15 @@ def test_classify_kinds():
     deploy = envelope.Envelope("text/plain;charset=utf-8",
                                b'{"p":"brc-20","op":"deploy","tick":"ordi",'
                                b'"max":"21000000","lim":"1000"}')
-    assert classify_envelope(deploy) == "brc20_deploy"
-    assert classify_envelope(
-        envelope.Envelope("text/plain;charset=utf-8", b"Hello, world!")) == "text"
-    assert classify_envelope(
-        envelope.Envelope("text/plain", b'{"p":"brc-20","op":"burn"}')) == "text"
-    assert classify_envelope(envelope.Envelope("image/png", b"\x89PNG")) == "file"
-    assert classify_envelope(envelope.Envelope("", b"")) == "other"
+    kind, op = classify_envelope(deploy)
+    assert kind == "brc20_deploy"
+    assert op == brc20.parse_brc20(deploy.body)
+    for content_type, body, kind in (
+            ("text/plain;charset=utf-8", b"Hello, world!", "text"),
+            ("text/plain", b'{"p":"brc-20","op":"burn"}', "text"),
+            ("image/png", b"\x89PNG", "file"),
+            ("", b"", "other")):
+        assert classify_envelope(envelope.Envelope(content_type, body)) == (kind, None)
 
 
 def test_listing_fixture_balances():
@@ -44,6 +46,20 @@ def test_listing_fixture_balances():
         {"available": "900", "pending": "0"}
     assert state.ledger.query_balance("ordi", "bob") == \
         {"available": "100", "pending": "0"}
+    assert state.ledger.ticks["ordi"].minted == 1000 * 10**18
+
+
+def test_mint_with_non_ascii_digit_amount_is_plain_text():
+    script = LISTINGS_SCRIPT[:2] + [
+        {"action": "mint", "tick": "ordi", "amt": "²", "minter": "alice"}]
+    blocks = compile_blocks(script)
+    state = IndexState()
+    state.index_blocks(blocks)
+    last = max(state.inscriptions.values(), key=lambda i: i.number)
+    assert last.kind == "text"
+    assert state.tip_height == blocks[-1].height
+    assert state.ledger.query_balance("ordi", "alice") == \
+        {"available": "1000", "pending": "0"}
     assert state.ledger.ticks["ordi"].minted == 1000 * 10**18
 
 
@@ -197,13 +213,6 @@ def test_sat_report_includes_location(genesis):
     assert report["satpoint"].startswith(genesis.txs[0].txid)
     beyond = state.sat_report(chain.block_subsidy(0))
     assert "satpoint" not in beyond
-
-
-def test_btc_balance_from_utxos():
-    state = IndexState()
-    state.index_blocks(compile_blocks())
-    total = sum(state.btc_balance(a) for a in ("alice", "bob", "miner"))
-    assert total == state.utxos.total_value()
 
 
 # --- inscription tracking: per-tx moves, fee and burn rules, oracle ---

@@ -137,6 +137,14 @@ def test_report_shape(tmp_path):
         sharpe_ratio(entry["avg"], 0.0, entry["vol"]))
 
 
+def test_report_without_volatility_or_sharpe():
+    two_prices = series("two", [100, 110])  # one return: no sample deviation
+    flat = series("flat", [7, 7, 7])  # zero volatility: no Sharpe ratio
+    for s, vol in ((two_prices, None), (flat, 0.0)):
+        entry = metrics.report([s])["per_symbol"][s.symbol]
+        assert (entry["vol"], entry["sharpe"]) == (vol, None)
+
+
 def test_load_csv_bad_header(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("day,close\n2023-05-01,100\n")

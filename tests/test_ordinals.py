@@ -79,6 +79,16 @@ def test_name_errors():
         ordinals.parse_name(m)
 
 
+@pytest.mark.parametrize("query", ["²", "١٠٠٠", "1.١", "١°0′0″0‴", "١%", "²%",
+                                   "abc%", "1/3%", "1e3%"])
+def test_sat_query_rejects_non_ascii_digits_and_bad_percentiles(query):
+    with pytest.raises(errors.BadSatQuery):
+        ordinals.parse_sat_query(query)
+    if query.endswith("%"):
+        with pytest.raises(errors.BadSatQuery):
+            ordinals.parse_percentile(query)
+
+
 def test_rarity_examples():
     assert ordinals.rarity(0) == "mythic"
     assert ordinals.rarity(ordinals.start_sat_of_block(2016)) == "rare"
@@ -221,6 +231,74 @@ def test_fifo_random_vs_per_sat_oracle():
             assert _expand(got) == flat[pos:pos + v]
             pos += v
         assert _expand(fee) == flat[pos:]
+
+
+# A height whose subsidy is 1 sat, so that every sat of a block can be listed.
+ONE_SAT_HEIGHT = 6_720_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_assign_ordinals_matches_per_sat_oracle(data):
+    """assign_ordinals against a naive indexer that moves each sat
+    individually: in-block chaining, zero-value outputs, fee tails from
+    several txs and a coinbase that may underclaim (burn)."""
+    assert chain.block_subsidy(ONE_SAT_HEIGHT) == 1
+    draw = data.draw
+    utxos = UtxoSet()
+    sats_of = {}  # the oracle's state: outpoint -> its sats, in order
+    next_sat = 0
+    for k in range(draw(st.integers(1, 4))):
+        ranges = []
+        for _ in range(draw(st.integers(0, 3))):
+            next_sat += draw(st.integers(0, 2))  # gap to the previous range
+            size = draw(st.integers(1, 4))
+            ranges.append((next_sat, next_sat + size))
+            next_sat += size
+        op = OutPoint(txid(f"utxo{k}"), 0)
+        utxos.entries[op] = chain.UtxoEntry(
+            TxOut(ordinals.range_total(ranges), "alice"), ranges)
+        sats_of[op] = _expand(ranges)
+
+    unspent = list(sats_of)
+    txs, fee_sats = [], []
+    for t in range(draw(st.integers(0, 4))):
+        if not unspent:
+            break
+        inputs = draw(st.lists(st.sampled_from(unspent), min_size=1,
+                               max_size=3, unique=True))
+        pool = [sat for op in inputs for sat in sats_of[op]]
+        values = []
+        for _ in range(draw(st.integers(0, 3))):
+            values.append(draw(st.integers(0, len(pool) - sum(values))))
+        tx = spend(f"tx{t}", inputs, [TxOut(v, "bob") for v in values])
+        for i, v in enumerate(values):
+            sats_of[OutPoint(tx.txid, i)], pool = pool[:v], pool[v:]
+        fee_sats += pool
+        unspent = [op for op in unspent if op not in inputs]
+        unspent += [OutPoint(tx.txid, i) for i in range(len(values))]
+        txs.append(tx)
+
+    pool = [ordinals.start_sat_of_block(ONE_SAT_HEIGHT)] + fee_sats
+    values = []
+    for _ in range(draw(st.integers(1, 2))):
+        values.append(draw(st.integers(0, len(pool) - sum(values))))
+    cb = chain.Transaction(txid("cb"), (), tuple(TxOut(v, "miner") for v in values),
+                           is_coinbase=True)
+    for i, v in enumerate(values):
+        sats_of[OutPoint(cb.txid, i)], pool = pool[:v], pool[v:]
+    block = Block(ONE_SAT_HEIGHT, (cb, *txs))
+    fees = chain.validate_block(block, utxos, ONE_SAT_HEIGHT)
+    assert sum(fees.values()) == len(fee_sats)
+
+    assigned, burned = ordinals.assign_ordinals(block, utxos)
+    created = {op for op in sats_of if op.txid in fees or op.txid == cb.txid}
+    assert set(assigned) == created
+    for op in created:
+        assert _expand(assigned[op]) == sats_of[op], op
+    assert _expand(burned) == pool
+    assert all(start < end for ranges in (*assigned.values(), burned)
+               for start, end in ranges)
 
 
 def test_range_value_mismatch():

@@ -2,15 +2,13 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import coinbase, spend
 from ordlite import chain, errors, trade
 from ordlite.chain import OutPoint, TxOut
 from ordlite.indexer import IndexState
 from ordlite.scenario import ScenarioCompiler
-from ordlite.trade import Psbt, PsbtInput, combine_psbts, sign, verify_signatures
+from ordlite.trade import sign, verify_signatures
 
 ASK = 20_000_000  # 0.2 BTC
 FEE = trade.DEFAULT_FEE
@@ -68,49 +66,6 @@ def test_offer_on_settled_pending_rejected():
     ])
     with pytest.raises(errors.AlreadyUsed):
         trade.create_offer(comp.state, "seller", comp.handles["t1"], ASK)
-
-
-def _psbt(tag="x"):
-    op = OutPoint(hashlib.sha256(tag.encode()).hexdigest(), 0)
-    return Psbt([PsbtInput(op)], [TxOut(5, "a")])
-
-
-def test_combine_idempotent_commutative_associative():
-    a = _psbt()
-    sign(a, "alice")
-    b = _psbt()
-    sign(b, "bob")
-    c = _psbt()
-    sign(c, "carol")
-    assert combine_psbts(a, a).to_json() == a.to_json()
-    ab = combine_psbts(a, b)
-    assert set(ab.inputs[0].signatures) == {"alice", "bob"}
-    assert combine_psbts(a, b).to_json() == combine_psbts(b, a).to_json()
-    assert combine_psbts(combine_psbts(a, b), c).to_json() == \
-        combine_psbts(a, combine_psbts(b, c)).to_json()
-
-
-def test_combine_structure_mismatch():
-    a = _psbt("x")
-    b = Psbt(a.inputs, [TxOut(6, "a")])
-    with pytest.raises(errors.StructureMismatch):
-        combine_psbts(a, b)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(["alice", "bob", "carol", "dave"]),
-                min_size=1, max_size=4))
-def test_combine_merge_property(signers):
-    parts = []
-    for s in signers:
-        p = _psbt("prop")
-        sign(p, s)
-        parts.append(p)
-    merged = parts[0]
-    for p in parts[1:]:
-        merged = combine_psbts(merged, p)
-    assert set(merged.inputs[0].signatures) == set(signers)
-    assert verify_signatures(merged)
 
 
 def test_tamper_invalidates_signature():
