@@ -1,6 +1,11 @@
 """BRC-20 operation parsing and the off-chain balance ledger.
 
 Amounts are exact decimal fixed-point: stored as integers scaled by 10**18.
+An amount string is ASCII digits 0-9, optionally followed by one `.` and more
+such digits, and nothing else: no sign, exponent or surrounding whitespace.
+Whether the unisat and OKX indexers accept a padded amount such as " 10 "
+could not be checked offline; this ledger treats it as invalid.
+
 The ledger keeps raw per-address balances; the *available* balance subtracts
 amounts earmarked by unused pending transfer inscriptions, so that per tick
 
@@ -27,10 +32,9 @@ def parse_amount(s) -> int:
     """Decimal string -> integer units at scale 18. Rejects zero/negative."""
     if not isinstance(s, str):
         raise errors.BadAmount(f"amount must be a string, got {type(s).__name__}")
-    text = s.strip()
-    intpart, dot, fracpart = text.partition(".")
+    intpart, dot, fracpart = s.partition(".")
     # ASCII only: isdigit alone takes any script's digits, and superscripts
-    if not (text.isascii() and intpart.isdigit() and (fracpart.isdigit() or not dot)):
+    if not (s.isascii() and intpart.isdigit() and (fracpart.isdigit() or not dot)):
         raise errors.BadAmount(repr(s))
     if len(fracpart) > AMOUNT_SCALE:
         raise errors.BadAmount(f"more than {AMOUNT_SCALE} decimals: {s!r}")

@@ -8,14 +8,13 @@ raises a ChainError (or RangeValueMismatch) before anything is committed.
 
 Inscriptions are tracked per transaction, in block order, through an
 outpoint -> inscriptions index, as ord's InscriptionUpdater does: a tx moves
-exactly the inscriptions on the outpoints it spends. An inscribed sat at
-`offset` in input i sits at position (values of inputs before i) + offset of
-the tx's input stream; FIFO puts it in the output that spans that position.
-A position past the outputs is fee: the sat lands in the coinbase's range
-pool after the subsidy and the fees of earlier txs, and is burned if that is
-past the coinbase's outputs. A pending BRC-20 transfer settles to the
-recipient of the first output its sat lands in, so a transfer inscription
-that moves twice in one block credits its first receiver.
+exactly the inscriptions on the outpoints it spends. An inscription stays on
+its genesis sat, so it goes where `ordinals.assign_ordinals`, the only FIFO
+and fee-placement rule, put that sat: one of the tx's outputs, else one of
+the coinbase's (the sat was spent as fee), else nowhere (burned, and the
+inscription is lost). A pending BRC-20 transfer settles to the recipient of
+the first output its sat lands in, so a transfer inscription that moves
+twice in one block credits its first receiver.
 """
 
 from __future__ import annotations
@@ -55,12 +54,15 @@ class Inscription:
     height: int
 
 
-def _satpoint_at(tx: chain.Transaction, pos: int) -> SatPoint | None:
-    """Where FIFO puts the sat at position pos of tx's output stream, if any."""
-    for k, txout in enumerate(tx.outputs):
-        if pos < txout.value:
-            return SatPoint(OutPoint(tx.txid, k), pos)
-        pos -= txout.value
+def _sat_in_outputs(sat: int, tx: chain.Transaction, assigned: dict) -> SatPoint | None:
+    """Where `assigned` puts sat among tx's outputs, if it does."""
+    for k in range(len(tx.outputs)):
+        outpoint = OutPoint(tx.txid, k)
+        offset = 0
+        for start, end in assigned[outpoint]:
+            if start <= sat < end:
+                return SatPoint(outpoint, offset + sat - start)
+            offset += end - start
     return None
 
 
@@ -86,15 +88,12 @@ class IndexState:
     def apply_block(self, block: chain.Block) -> None:
         """Validate and commit the next block; the only code that commits one.
         A chain error raises before anything is changed."""
-        fees = chain.validate_block(block, self.utxos, self.tip_height + 1)
+        chain.validate_block(block, self.utxos, self.tip_height + 1)
         assigned, burned = ordinals.assign_ordinals(block, self.utxos)
 
-        # commit chain state; input values are kept per tx because outputs
-        # created and spent within this block are gone from the set afterwards
-        input_values = []
         for tx in block.txs:
-            input_values.append([self.utxos.entries.pop(tin.prevout).txout.value
-                                 for tin in tx.inputs])
+            for tin in tx.inputs:
+                del self.utxos.entries[tin.prevout]
             for i, txout in enumerate(tx.outputs):
                 op = OutPoint(tx.txid, i)
                 self.utxos.entries[op] = chain.UtxoEntry(txout, assigned[op])
@@ -106,11 +105,9 @@ class IndexState:
 
         # per tx, in order: settle moved inscriptions, then process reveals
         coinbase = block.txs[0]
-        fee_start = chain.block_subsidy(block.height)  # coinbase pool: subsidy, then fees
-        for tx, values in zip(block.txs, input_values):
+        for tx in block.txs:
             if not tx.is_coinbase:
-                self._track_moved_inscriptions(tx, values, coinbase, fee_start)
-                fee_start += fees[tx.txid]
+                self._track_moved_inscriptions(tx, coinbase, assigned)
             self._extract_reveals(tx, block, assigned)
 
         self.ledger.check_invariants()
@@ -119,30 +116,24 @@ class IndexState:
         self.location[ins_id] = satpoint
         self.by_outpoint.setdefault(satpoint.outpoint, []).append(ins_id)
 
-    def _track_moved_inscriptions(self, tx: chain.Transaction, input_values: list,
-                                  coinbase: chain.Transaction, fee_start: int) -> None:
-        moved = []
-        pos = 0  # position of the current input's first sat in the input stream
-        for tin, value in zip(tx.inputs, input_values):
-            for ins_id in self.by_outpoint.pop(tin.prevout, ()):
-                moved.append((self.inscriptions[ins_id].number, ins_id,
-                              pos + self.location[ins_id].offset))
-            pos += value
-        for _, ins_id, sat_pos in sorted(moved):
+    def _track_moved_inscriptions(self, tx: chain.Transaction,
+                                  coinbase: chain.Transaction, assigned: dict) -> None:
+        moved = [ins_id for tin in tx.inputs
+                 for ins_id in self.by_outpoint.pop(tin.prevout, ())]
+        for ins_id in sorted(moved, key=lambda i: self.inscriptions[i].number):
+            sat = self.inscriptions[ins_id].genesis_sat
             holder = tx
-            new_point = _satpoint_at(tx, sat_pos)
+            new_point = _sat_in_outputs(sat, tx, assigned)
             if new_point is None:
                 holder = coinbase
-                new_point = _satpoint_at(coinbase,
-                                         fee_start + sat_pos - tx.output_total())
-            pending = self.ledger.pendings.get(ins_id)
+                new_point = _sat_in_outputs(sat, coinbase, assigned)
             if new_point is None:
                 del self.location[ins_id]
                 self.diagnostics.append(f"inscription {ins_id} lost (sat burned)")
-                if pending is not None and not pending.used:
-                    self.ledger.cancel_pending(ins_id, "inscribed sat burned")
+                self.ledger.cancel_pending(ins_id, "inscribed sat burned")
                 continue
             self._place(ins_id, new_point)
+            pending = self.ledger.pendings.get(ins_id)
             if pending is None or pending.used:
                 continue
             receiver = holder.outputs[new_point.outpoint.vout].recipient

@@ -2,7 +2,10 @@
 
 A sat is identified by its mining order, 0 .. LAST_SAT. Ranges are half-open
 (start, end) tuples; every unspent output carries the ordered list of ranges
-it controls.
+it controls. `assign_ordinals` is the one FIFO rule: it gives every output a
+block creates its ranges, fee sats included. `locate_sat` scans the whole
+UTXO set for one sat; it answers `sat` queries and is the oracle the tests
+check inscription locations against.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ def sat_from_decimal(height: int, offset: int) -> int:
     return start_sat_of_block(height) + offset
 
 
-DECIMAL_RE = re.compile(r"^([0-9]+)\.([0-9]+)$")
-DEGREE_RE = re.compile(r"^([0-9]+)°([0-9]+)′([0-9]+)″([0-9]+)‴$")
+DECIMAL_RE = re.compile(r"([0-9]+)\.([0-9]+)")
+DEGREE_RE = re.compile(r"([0-9]+)°([0-9]+)′([0-9]+)″([0-9]+)‴")
 PERCENTILE_RE = re.compile(r"[0-9]+(\.[0-9]+)?%")
 
 
@@ -81,7 +84,7 @@ def render_decimal(n: int) -> str:
 
 
 def parse_decimal(s: str) -> int:
-    m = DECIMAL_RE.match(s)
+    m = DECIMAL_RE.fullmatch(s)
     if not m:
         raise errors.OrdinalError(f"bad decimal notation {s!r}")
     return sat_from_decimal(int(m.group(1)), int(m.group(2)))
@@ -96,7 +99,7 @@ def render_degree(n: int) -> str:
 
 
 def parse_degree(s: str) -> int:
-    m = DEGREE_RE.match(s)
+    m = DEGREE_RE.fullmatch(s)
     if not m:
         raise errors.OrdinalError(f"bad degree notation {s!r}")
     a, b, c, d = (int(g) for g in m.groups())
@@ -175,9 +178,9 @@ def parse_sat_query(s: str) -> int:
     s = s.strip()
     if s.isascii() and s.isdigit():
         return check_sat(int(s))
-    if DEGREE_RE.match(s):
+    if DEGREE_RE.fullmatch(s):
         return parse_degree(s)
-    if DECIMAL_RE.match(s):
+    if DECIMAL_RE.fullmatch(s):
         return parse_decimal(s)
     if s.endswith("%"):
         return parse_percentile(s)

@@ -113,7 +113,7 @@ class ScenarioCompiler:
             ins_id = self.handles.get(action["inscription"], action["inscription"])
             satpoint = self.state.location.get(ins_id)
             if satpoint is None:
-                raise errors.ActionInvalid(-1, f"unknown inscription {action['inscription']}")
+                raise errors.OrdliteError(f"unknown inscription {action['inscription']}")
             value = self.state.utxos.require(satpoint.outpoint).txout.value
             tx = Transaction(
                 self._txid(f"send {ins_id}"),
@@ -134,7 +134,7 @@ class ScenarioCompiler:
             block = trade.broadcast_and_settle(self.state, offer, buyer)
             self.blocks.append(block)
         else:
-            raise errors.ActionInvalid(-1, f"unknown action {kind!r}")
+            raise errors.OrdliteError(f"unknown action {kind!r}")
 
 
 def compile_scenario(script: list[dict], seed: int = 0) -> list[Block]:

@@ -28,9 +28,9 @@ def test_parse_amount_exact_decimals():
         parse_amount(1000)  # must be a string
 
 
-@pytest.mark.parametrize("text", ["²", "١٠٠٠", "1.²", "1.٥", "１０"])
+@pytest.mark.parametrize("text", ["²", "١٠٠٠", "1.²", "1.٥", "１０", " 10 ", "10\n"])
 def test_parse_amount_rejects_non_ascii_digits(text):
-    # str.isdigit accepts these; the unisat/OKX indexers accept only 0-9
+    # str.isdigit accepts the first five, int() the padded ones; only 0-9 is valid
     with pytest.raises(errors.BadAmount):
         parse_amount(text)
 

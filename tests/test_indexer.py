@@ -50,17 +50,30 @@ def test_listing_fixture_balances():
 
 
 def test_mint_with_non_ascii_digit_amount_is_plain_text():
-    script = LISTINGS_SCRIPT[:2] + [
-        {"action": "mint", "tick": "ordi", "amt": "²", "minter": "alice"}]
-    blocks = compile_blocks(script)
-    state = IndexState()
-    state.index_blocks(blocks)
-    last = max(state.inscriptions.values(), key=lambda i: i.number)
-    assert last.kind == "text"
-    assert state.tip_height == blocks[-1].height
-    assert state.ledger.query_balance("ordi", "alice") == \
-        {"available": "1000", "pending": "0"}
-    assert state.ledger.ticks["ordi"].minted == 1000 * 10**18
+    for amt in ("²", " 10 ", "10\n"):
+        script = LISTINGS_SCRIPT[:2] + [
+            {"action": "mint", "tick": "ordi", "amt": amt, "minter": "alice"}]
+        blocks = compile_blocks(script)
+        state = IndexState()
+        state.index_blocks(blocks)
+        last = max(state.inscriptions.values(), key=lambda i: i.number)
+        assert last.kind == "text", amt
+        assert state.tip_height == blocks[-1].height
+        assert state.ledger.query_balance("ordi", "alice") == \
+            {"available": "1000", "pending": "0"}
+        assert state.ledger.ticks["ordi"].minted == 1000 * 10**18
+
+
+@pytest.mark.parametrize("action, message", [
+    ({"action": "nope"}, "unknown action 'nope'"),
+    ({"action": "transfer_send", "inscription": "t9", "to": "bob"}, "unknown inscription t9"),
+], ids=["unknown_action", "unknown_inscription"])
+def test_scenario_error_names_its_action_once(action, message):
+    idx = len(LISTINGS_SCRIPT)
+    with pytest.raises(errors.ActionInvalid) as exc:
+        compile_blocks(LISTINGS_SCRIPT + [action])
+    assert exc.value.index == idx
+    assert str(exc.value) == f"action {idx}: {message}"
 
 
 def test_inscription_numbering_and_binding():
@@ -395,10 +408,13 @@ def test_inscription_locations_match_naive_oracle(seed):
             assert state.location.get(ins_id) == want, ins_id
             seen["lost" if want is None else
                  "in_coinbase" if want.outpoint.txid in coinbases else "in_tx"] += 1
+            if want is not None:
+                start, end = state.utxos.entries[want.outpoint].sat_ranges[0]
+                seen["past_first_range"] += want.offset >= end - start
     reloaded = IndexState.from_json(json.loads(state.snapshot_bytes()))
     assert {op: sorted(ids) for op, ids in reloaded.by_outpoint.items()} == \
         {op: sorted(ids) for op, ids in state.by_outpoint.items()}
     # every case the tracker distinguishes occurs in each generated chain
     for case in ("chained", "inscribed_to_fee", "zero_value", "multi_envelope",
-                 "underclaim", "lost", "in_coinbase", "in_tx"):
+                 "underclaim", "lost", "in_coinbase", "in_tx", "past_first_range"):
         assert seen[case] > 0, case

@@ -80,13 +80,21 @@ def test_name_errors():
 
 
 @pytest.mark.parametrize("query", ["²", "١٠٠٠", "1.١", "١°0′0″0‴", "١%", "²%",
-                                   "abc%", "1/3%", "1e3%"])
+                                   "abc%", "1/3%", "1e3%", "0.0\n", "0°0′0″0‴\n"])
 def test_sat_query_rejects_non_ascii_digits_and_bad_percentiles(query):
-    with pytest.raises(errors.BadSatQuery):
-        ordinals.parse_sat_query(query)
+    # parse_sat_query strips its input; the notation parsers take it as given
+    if query == query.strip():
+        with pytest.raises(errors.BadSatQuery):
+            ordinals.parse_sat_query(query)
     if query.endswith("%"):
         with pytest.raises(errors.BadSatQuery):
             ordinals.parse_percentile(query)
+    elif "°" in query:
+        with pytest.raises(errors.OrdinalError):
+            ordinals.parse_degree(query)
+    elif "." in query:
+        with pytest.raises(errors.OrdinalError):
+            ordinals.parse_decimal(query)
 
 
 def test_rarity_examples():
