@@ -1,8 +1,8 @@
 """Blocks, transactions, the UTXO set, fees and the supply schedule.
 
 The ledger is a linear chain of JSONL-encoded blocks applied to a UTXO set.
-Sat-range bookkeeping lives in :mod:`ordlite.ordinals`; entries here just
-carry the ranges alongside each unspent output.
+`validate_block` checks a block's structure only; :mod:`ordlite.ordinals`
+checks its values as it assigns the sat ranges each entry here carries.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class TxOut(namedtuple("TxOut", "value recipient script_kind")):
     __slots__ = ()
 
     def __new__(cls, value: int, recipient: str, script_kind: str = "plain"):
+        if type(value) is not int:  # exactly int: a bool is an int too
+            raise ValueError(f"output value {value!r} is not an integer")
         if value < 0:
             raise ValueError("negative output value")
         if script_kind not in SCRIPT_KINDS:
@@ -112,13 +114,12 @@ def block_subsidy(height: int) -> int:
     return INITIAL_SUBSIDY >> epoch
 
 
-def tx_fee(tx: Transaction, utxos: UtxoSet, created=None) -> int:
-    """Input value minus output value of a non-coinbase tx. An input may spend
-    an output in `created` (OutPoint -> TxOut): those made earlier in its block."""
+def tx_fee(tx: Transaction, utxos: UtxoSet) -> int:
+    """Input value minus output value of a non-coinbase tx whose inputs are all
+    in utxos, to build blocks and price txs; indexing checks fees in `ordinals`."""
     if tx.is_coinbase:
         raise ValueError("coinbase has no fee")
-    created = created or {}
-    fee = sum((created.get(tin.prevout) or utxos.require(tin.prevout).txout).value
+    fee = sum(utxos.require(tin.prevout).txout.value
               for tin in tx.inputs) - tx.output_total()
     if fee < 0:
         raise errors.NegativeFee(f"{tx.txid}: inputs short by {-fee} sats")
@@ -143,39 +144,26 @@ def fee_rate(tx: Transaction, utxos: UtxoSet) -> Fraction:
     return Fraction(tx_fee(tx, utxos), tx_vsize(tx))
 
 
-def validate_block(block: Block, utxos: UtxoSet, next_height: int) -> dict:
-    """Check a block against the UTXO set without mutating anything; return
-    the fee of each non-coinbase tx (txid -> sats).
-
-    Within-block chaining is allowed: a tx may spend outputs created earlier
-    in the same block.
+def validate_block(block: Block, next_height: int) -> None:
+    """Check a block's structure, reading no UTXO entry: it is at next_height,
+    its first tx and only that one is a coinbase, the coinbase spends nothing,
+    and no outpoint is spent twice. `ordinals.assign_ordinals` checks values.
     """
     if block.height != next_height:
         raise errors.NonMonotonicHeight(
             f"got height {block.height}, expected {next_height}")
     if not block.txs or not block.txs[0].is_coinbase:
         raise errors.ChainError("block must start with a coinbase")
+    if block.txs[0].inputs:
+        raise errors.ChainError("coinbase may not spend inputs")
     if any(tx.is_coinbase for tx in block.txs[1:]):
         raise errors.ChainError("only the first tx may be coinbase")
-
     spent: set[OutPoint] = set()
-    created: dict[OutPoint, TxOut] = {}
-    fees = {}
     for tx in block.txs[1:]:
         for tin in tx.inputs:
             if tin.prevout in spent:
                 raise errors.DoubleSpend(str(tin.prevout))
             spent.add(tin.prevout)
-        fees[tx.txid] = tx_fee(tx, utxos, created)
-        for i, txout in enumerate(tx.outputs):
-            created[OutPoint(tx.txid, i)] = txout
-
-    coinbase = block.txs[0]
-    budget = block_subsidy(block.height) + sum(fees.values())
-    if coinbase.output_total() > budget:
-        raise errors.CoinbaseOverpay(
-            f"coinbase claims {coinbase.output_total()}, budget {budget}")
-    return fees
 
 
 def mine_block(height: int, txs, utxos: UtxoSet, coinbase_txid: str,
@@ -215,6 +203,8 @@ def tx_to_json(tx: Transaction, include_witness=True) -> dict:
 
 
 def tx_from_json(obj: dict) -> Transaction:
+    if not TXID_RE.fullmatch(obj["txid"]):
+        raise ValueError(f"bad txid {obj['txid']!r}")
     inputs = tuple(
         TxIn(OutPoint(i["txid"], i["vout"]),
              tuple(bytes.fromhex(w) for w in i.get("witness", [])))
@@ -232,6 +222,8 @@ def block_to_json(block: Block) -> dict:
 
 
 def block_from_json(obj: dict) -> Block:
+    if type(obj["height"]) is not int:
+        raise ValueError(f"height {obj['height']!r} is not an integer")
     return Block(obj["height"], tuple(tx_from_json(t) for t in obj["txs"]))
 
 
@@ -241,7 +233,14 @@ def write_blocks_jsonl(blocks, fp) -> None:
 
 
 def read_blocks_jsonl(fp):
-    for line in fp:
+    """The blocks of a JSONL file, one per non-blank line; a line that is not a
+    well-formed block raises ChainError naming its line number."""
+    for n, line in enumerate(fp, 1):
         line = line.strip()
-        if line:
-            yield block_from_json(json.loads(line))
+        if not line:
+            continue
+        try:
+            block = block_from_json(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise errors.ChainError(f"line {n}: {type(exc).__name__}: {exc}") from exc
+        yield block

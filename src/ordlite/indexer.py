@@ -1,10 +1,10 @@
 """The indexing pipeline and persistent snapshot.
 
-For each block: validate and apply to the UTXO set, assign sat ranges (FIFO),
-extract inscriptions from witnesses, replay BRC-20 operations, and settle
-pending transfers whose inscribed sat moved. Protocol-level failures are
-recorded as diagnostics and never abort indexing; a chain-level failure
-raises a ChainError (or RangeValueMismatch) before anything is committed.
+For each block: check its structure, assign sat ranges (FIFO) and check its
+values, apply it to the UTXO set, extract inscriptions from witnesses, replay
+BRC-20 operations, and settle pending transfers whose inscribed sat moved.
+Protocol-level failures are recorded as diagnostics and never abort indexing;
+a chain-level failure raises ChainError or RangeValueMismatch before any commit.
 
 Inscriptions are tracked per transaction, in block order, through an
 outpoint -> inscriptions index, as ord's InscriptionUpdater does: a tx moves
@@ -88,7 +88,7 @@ class IndexState:
     def apply_block(self, block: chain.Block) -> None:
         """Validate and commit the next block; the only code that commits one.
         A chain error raises before anything is changed."""
-        chain.validate_block(block, self.utxos, self.tip_height + 1)
+        chain.validate_block(block, self.tip_height + 1)
         assigned, burned = ordinals.assign_ordinals(block, self.utxos)
 
         for tx in block.txs:
@@ -147,8 +147,6 @@ class IndexState:
 
     def _extract_reveals(self, tx: chain.Transaction, block: chain.Block,
                          assigned: dict) -> None:
-        if not tx.outputs:
-            return
         k = 0
         for tin in tx.inputs:
             try:
@@ -165,7 +163,8 @@ class IndexState:
             ranges = assigned.get(first_out)
             if not ranges:
                 self.diagnostics.append(
-                    f"inscription {ins_id} bound to a zero-sat output; skipped")
+                    f"inscription {ins_id} has no sat to bind to (no first "
+                    f"output, or a zero-sat one); skipped")
                 continue
             genesis_sat = ranges[0][0]
             satpoint = SatPoint(first_out, 0)

@@ -2,8 +2,10 @@
 
 A sat is identified by its mining order, 0 .. LAST_SAT. Ranges are half-open
 (start, end) tuples; every unspent output carries the ordered list of ranges
-it controls. `assign_ordinals` is the one FIFO rule: it gives every output a
-block creates its ranges, fee sats included. `locate_sat` scans the whole
+it controls. `assign_ordinals` is the one FIFO rule and the one value check:
+it gives every output a block creates its ranges, fee sats included, and
+checks that every tx's inputs cover its outputs and that the coinbase claims
+at most subsidy + fees. `locate_sat` scans the whole
 UTXO set for one sat; it answers `sat` queries and is the oracle the tests
 check inscription locations against.
 """
@@ -234,7 +236,7 @@ def slice_ranges(input_ranges, output_values):
 
 
 def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, list]:
-    """Compute sat ranges for every output a block creates.
+    """Check a block's values and compute sat ranges for every output it creates.
 
     Non-coinbase txs are processed in block order; each tx's fee remainder is
     appended, in order, after the freshly minted subsidy range in the
@@ -244,23 +246,35 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
     subsidy = block_subsidy(block.height)
     assigned: dict[OutPoint, list] = {}
     fee_tail: list = []
+    fees = 0
     for tx in block.txs[1:]:
-        pool = []
+        pool, value = [], 0
         for tin in tx.inputs:
-            if tin.prevout in assigned:
-                # within-block chaining: the earlier output's ranges are here
-                pool.extend(assigned[tin.prevout])
+            # made earlier in the block? (a zero-value output's ranges are [])
+            ranges = assigned.get(tin.prevout)
+            if ranges is not None:
+                value += range_total(ranges)
             else:
                 entry = utxos.require(tin.prevout)
-                if range_total(entry.sat_ranges) != entry.txout.value:
+                ranges = entry.sat_ranges
+                if range_total(ranges) != entry.txout.value:
                     raise errors.RangeValueMismatch(str(tin.prevout))
-                pool.extend(entry.sat_ranges)
+                value += entry.txout.value
+            pool.extend(ranges)
+        fee = value - tx.output_total()
+        if fee < 0:
+            raise errors.NegativeFee(f"{tx.txid}: inputs short by {-fee} sats")
+        fees += fee
         out_ranges, remainder = slice_ranges(pool, [o.value for o in tx.outputs])
         for i, ranges in enumerate(out_ranges):
             assigned[OutPoint(tx.txid, i)] = ranges
         fee_tail.extend(remainder)
 
     coinbase = block.txs[0]
+    budget = subsidy + fees
+    if coinbase.output_total() > budget:
+        raise errors.CoinbaseOverpay(
+            f"coinbase claims {coinbase.output_total()}, budget {budget}")
     start = start_sat_of_block(block.height)
     pool = ([(start, start + subsidy)] if subsidy > 0 else []) + fee_tail
     out_ranges, burned = slice_ranges(pool, [o.value for o in coinbase.outputs])

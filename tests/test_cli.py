@@ -204,3 +204,45 @@ def test_sat_query_with_non_ascii_digit_is_a_json_error(monkeypatch, capsys, tmp
         cli_module.main()
     assert info.value.code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "BadSatQuery"
+
+
+def block_line(height, **tx):
+    return json.dumps({"height": height, "txs": [{"coinbase": True, **tx}]})
+
+
+GOOD_TXID = "ab" * 32
+ONE_SAT = [{"value": 1, "recipient": "miner"}]
+
+
+@pytest.mark.parametrize("bad_line", [
+    lambda h: "{not json",
+    lambda h: "[]",
+    lambda h: block_line(float(h), txid=GOOD_TXID, outputs=ONE_SAT),
+    lambda h: block_line(h, txid="XYZ", outputs=ONE_SAT),
+    lambda h: block_line(h, txid=GOOD_TXID, inputs=[{"txid": "XYZ", "vout": 0}],
+                         outputs=[]),
+    lambda h: block_line(h, txid=GOOD_TXID),
+], ids=["not_json", "not_an_object", "float_height", "bad_txid", "bad_input_txid",
+        "no_outputs"])
+def test_malformed_block_line_is_a_json_error(runner, workdir, monkeypatch, capsys,
+                                              bad_line):
+    run(runner, workdir, "scenario", str(workdir / "script.json"),
+        "-o", str(workdir / "blocks.jsonl"))
+    lines = (workdir / "blocks.jsonl").read_text().splitlines()
+    (workdir / "head.jsonl").write_text("\n".join(lines[:-1]) + "\n")
+    run(runner, workdir, "index", str(workdir / "head.jsonl"))
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    before = snapshot.read_bytes()
+    # the last good block comes first: it is applied in memory, never saved;
+    # the bad line is at the height after it, so only parsing can reject it
+    height = json.loads(lines[-1])["height"] + 1
+    (workdir / "bad.jsonl").write_text(f"{lines[-1]}\n{bad_line(height)}\n")
+    monkeypatch.setattr(sys, "argv", ["ordlite", "--data-dir", str(workdir / "data"),
+                                      "index", str(workdir / "bad.jsonl")])
+    with pytest.raises(SystemExit) as info:
+        cli_module.main()
+    assert info.value.code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ChainError"
+    assert err["message"].startswith("line 2: ")
+    assert snapshot.read_bytes() == before

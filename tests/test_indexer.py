@@ -255,7 +255,16 @@ def _corrupt_ranges_then_move(state, inscribed):
                       0, "cb move")
 
 
+def _coinbase_spends(state, inscribed):
+    height = state.tip_height + 1
+    cb = chain.Transaction(txid("cb spends"), (chain.TxIn(inscribed),),
+                           (TxOut(chain.block_subsidy(height), "miner"),),
+                           is_coinbase=True)
+    return Block(height, (cb,))
+
+
 BAD_BLOCKS = {
+    errors.ChainError: _coinbase_spends,
     errors.NonMonotonicHeight: lambda state, inscribed: Block(
         state.tip_height + 2, (coinbase(state.tip_height + 2, 0),)),
     errors.MissingPrevout: lambda state, inscribed: next_block(
@@ -277,9 +286,47 @@ def test_chain_error_leaves_state_untouched(error):
     block = BAD_BLOCKS[error](state, state.location[ins_id].outpoint)
     by_outpoint = {op: list(ids) for op, ids in state.by_outpoint.items()}
     before = (state.snapshot_hash(), by_outpoint, state.tip_height)
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         state.apply_block(block)
+    assert info.type is error
     assert (state.snapshot_hash(), state.by_outpoint, state.tip_height) == before
+
+
+def test_coinbase_may_claim_its_block_fees_and_not_one_sat_more():
+    state, ins_id = pending_state()
+    pay = spend("pay", [state.location[ins_id].outpoint], [TxOut(500, "bob")])
+    fee = 546 - 500
+    with pytest.raises(errors.CoinbaseOverpay):
+        state.apply_block(next_block(state, [pay], fee + 1, "cb fee + 1"))
+    state.apply_block(next_block(state, [pay], fee, "cb fee"))
+
+
+def test_chained_input_counts_its_value_once():
+    state, ins_id = pending_state()
+    to_bob = spend("to bob", [state.location[ins_id].outpoint], [TxOut(546, "bob")])
+    overdraw = spend("overdraw", [OutPoint(to_bob.txid, 0)], [TxOut(547, "carol")])
+    with pytest.raises(errors.NegativeFee):
+        state.apply_block(next_block(state, [to_bob, overdraw], 0, "cb chained"))
+
+
+def test_structural_errors_come_before_value_errors():
+    state, ins_id = pending_state()
+    inscribed = state.location[ins_id].outpoint
+    overdraw = spend("overdraw", [inscribed], [TxOut(547, "bob")])
+    again = spend("again", [inscribed], [TxOut(546, "carol")])
+    with pytest.raises(errors.DoubleSpend):
+        state.apply_block(next_block(state, [overdraw, again], 0, "cb both"))
+
+
+def test_reveal_in_output_less_tx_is_skipped_with_a_diagnostic():
+    state, ins_id = pending_state()
+    reveal = spend("no outputs", [state.location[ins_id].outpoint], [],
+                   witness=tuple(envelope.build_envelope("text/plain", b"hi")))
+    before = set(state.inscriptions)
+    state.apply_block(next_block(state, [reveal], 546, "cb no outputs"))
+    assert set(state.inscriptions) == before
+    assert f"inscription {reveal.txid}i0 has no sat to bind to (no first output, " \
+        "or a zero-sat one); skipped" in state.diagnostics
 
 
 def test_transfer_moved_twice_in_one_block_credits_first_receiver():
