@@ -57,6 +57,8 @@ class TxOut(namedtuple("TxOut", "value recipient script_kind")):
             raise ValueError("negative output value")
         if script_kind not in SCRIPT_KINDS:
             raise ValueError(f"unknown script kind {script_kind!r}")
+        if not isinstance(recipient, str):
+            raise ValueError(f"recipient {recipient!r} is not a string")
         return tuple.__new__(cls, (value, recipient, script_kind))
 
 
@@ -147,7 +149,9 @@ def fee_rate(tx: Transaction, utxos: UtxoSet) -> Fraction:
 def validate_block(block: Block, next_height: int) -> None:
     """Check a block's structure, reading no UTXO entry: it is at next_height,
     its first tx and only that one is a coinbase, the coinbase spends nothing,
-    and no outpoint is spent twice. `ordinals.assign_ordinals` checks values.
+    no txid occurs twice and no outpoint is spent twice.
+    `ordinals.assign_ordinals` checks values and that no output overwrites an
+    unspent one (BIP30).
     """
     if block.height != next_height:
         raise errors.NonMonotonicHeight(
@@ -158,8 +162,12 @@ def validate_block(block: Block, next_height: int) -> None:
         raise errors.ChainError("coinbase may not spend inputs")
     if any(tx.is_coinbase for tx in block.txs[1:]):
         raise errors.ChainError("only the first tx may be coinbase")
+    txids: set[str] = set()
     spent: set[OutPoint] = set()
-    for tx in block.txs[1:]:
+    for tx in block.txs:
+        if tx.txid in txids:
+            raise errors.ChainError(f"txid {tx.txid} repeated in block")
+        txids.add(tx.txid)
         for tin in tx.inputs:
             if tin.prevout in spent:
                 raise errors.DoubleSpend(str(tin.prevout))

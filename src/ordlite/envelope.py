@@ -1,12 +1,10 @@
-"""Taproot-style inscription envelope codec.
+"""Taproot-style inscription envelope codec, over witness items as bytes.
 
-Witness token encoding (bit-exact, one token per witness item):
-  0x00                      OP_FALSE
-  0x63                      OP_IF
-  0x68                      OP_ENDIF
-  0x51                      OP_1
-  0x4c || len(2 LE) || data PUSH(data)
-OP_0 is carried as a PUSH of length 0 inside the envelope context.
+An envelope is the item sequence
+  OP_FALSE OP_IF PUSH("ord") OP_1 PUSH(content type) PUSH("") PUSH(body)... OP_ENDIF
+where each opcode is a one-byte item (0x00, 0x63, 0x51, 0x68) and a push is
+0x4c || len(2 LE) || data. `push_data` reads one item; `parse_envelope`
+matches the pattern against the items themselves.
 """
 
 from __future__ import annotations
@@ -15,16 +13,15 @@ from dataclasses import dataclass
 
 from . import errors
 
-OP_FALSE = "OP_FALSE"
-OP_IF = "OP_IF"
-OP_ENDIF = "OP_ENDIF"
-OP_1 = "OP_1"
+OP_FALSE = b"\x00"
+OP_IF = b"\x63"
+OP_ENDIF = b"\x68"
+OP_1 = b"\x51"
+OPCODES = (OP_FALSE, OP_IF, OP_ENDIF, OP_1)
 
 ORD_TAG = b"ord"
 MAX_PUSH = 520  # per-push limit when building; parsing accepts any length
 MAX_ENVELOPE_BYTES = 4_000_000  # block weight cap
-
-_ORD_PUSH = b"\x4c" + len(ORD_TAG).to_bytes(2, "little") + ORD_TAG
 
 
 @dataclass(frozen=True)
@@ -39,22 +36,18 @@ def encode_push(data: bytes) -> bytes:
     return b"\x4c" + len(data).to_bytes(2, "little") + data
 
 
-def decode_token(item: bytes):
-    """One witness item -> opcode string or ('push', bytes)."""
-    if item == b"\x00":
-        return OP_FALSE
-    if item == b"\x63":
-        return OP_IF
-    if item == b"\x68":
-        return OP_ENDIF
-    if item == b"\x51":
-        return OP_1
+_ORD_PUSH = encode_push(ORD_TAG)
+
+
+def push_data(item: bytes) -> bytes | None:
+    """The data of a push item, or None if the item is one of OPCODES."""
+    if item in OPCODES:
+        return None
     if len(item) >= 3 and item[0] == 0x4C:
-        length = int.from_bytes(item[1:3], "little")
         data = item[3:]
-        if len(data) != length:
+        if len(data) != int.from_bytes(item[1:3], "little"):
             raise errors.MalformedEnvelope("push length mismatch")
-        return ("push", data)
+        return data
     raise errors.MalformedEnvelope(f"undecodable witness item {item[:8].hex()}")
 
 
@@ -63,11 +56,11 @@ def build_envelope(content_type: str, body: bytes) -> list[bytes]:
     overhead = 4 + 3 + len(ORD_TAG) + 3 + len(ct) + 3  # opcodes + push headers
     if overhead + len(body) + 3 * (len(body) // MAX_PUSH + 1) > MAX_ENVELOPE_BYTES:
         raise errors.BodyTooLarge(f"{len(body)} byte body")
-    items = [b"\x00", b"\x63", encode_push(ORD_TAG), b"\x51",
+    items = [OP_FALSE, OP_IF, _ORD_PUSH, OP_1,
              encode_push(ct), encode_push(b"")]
     for i in range(0, len(body), MAX_PUSH):
         items.append(encode_push(body[i:i + MAX_PUSH]))
-    items.append(b"\x68")
+    items.append(OP_ENDIF)
     return items
 
 
@@ -77,46 +70,36 @@ def parse_envelope(witness) -> Envelope | None:
     Returns None when the "ord" tag is absent; raises MalformedEnvelope (or
     UnbalancedIf) when the tag is present but the pattern is violated.
     """
-    has_tag = any(item == _ORD_PUSH for item in witness)
-    try:
-        tokens = [decode_token(item) for item in witness]
-    except errors.MalformedEnvelope:
-        if has_tag:
-            raise
+    if _ORD_PUSH not in witness:
         return None
-    if not has_tag:
-        return None
-
-    if OP_IF in tokens and OP_ENDIF not in tokens:
+    data = [push_data(item) for item in witness]
+    if OP_IF in witness and OP_ENDIF not in witness:
         raise errors.UnbalancedIf("OP_IF without OP_ENDIF")
 
     def fail(msg):
         raise errors.MalformedEnvelope(msg)
 
-    if len(tokens) < 7:
+    if len(witness) < 7:
         fail("envelope too short")
-    if tokens[0] != OP_FALSE or tokens[1] != OP_IF:
+    if witness[0] != OP_FALSE or witness[1] != OP_IF:
         fail("envelope must open with OP_FALSE OP_IF")
-    if tokens[2] != ("push", ORD_TAG):
+    if data[2] != ORD_TAG:
         fail("missing ord tag push")
-    if tokens[3] != OP_1:
+    if witness[3] != OP_1:
         fail("missing OP_1 before content type")
-    if not (isinstance(tokens[4], tuple) and tokens[4][0] == "push"):
+    if data[4] is None:
         fail("missing content-type push")
-    content_type = tokens[4][1]
-    if tokens[5] != ("push", b""):
+    if data[5] != b"":
         fail("missing OP_0 separator")
-    if tokens[-1] != OP_ENDIF:
+    if witness[-1] != OP_ENDIF:
         fail("envelope must close with OP_ENDIF")
-    body = b""
-    for tok in tokens[6:-1]:
-        if not (isinstance(tok, tuple) and tok[0] == "push"):
-            fail("body may contain only pushes")
-        body += tok[1]
+    body = data[6:-1]
+    if None in body:
+        fail("body may contain only pushes")
     try:
-        ct = content_type.decode("ascii")
+        ct = data[4].decode("ascii")
     except UnicodeDecodeError:
         fail("content type must be printable ASCII")
     if any(not 0x20 <= ord(c) < 0x7F for c in ct):
         fail("content type must be printable ASCII")
-    return Envelope(ct, body)
+    return Envelope(ct, b"".join(body))

@@ -10,11 +10,12 @@ Inscriptions are tracked per transaction, in block order, through an
 outpoint -> inscriptions index, as ord's InscriptionUpdater does: a tx moves
 exactly the inscriptions on the outpoints it spends. An inscription stays on
 its genesis sat, so it goes where `ordinals.assign_ordinals`, the only FIFO
-and fee-placement rule, put that sat: one of the tx's outputs, else one of
-the coinbase's (the sat was spent as fee), else nowhere (burned, and the
-inscription is lost). A pending BRC-20 transfer settles to the recipient of
-the first output its sat lands in, so a transfer inscription that moves
-twice in one block credits its first receiver.
+and fee-placement rule, put that sat. One `ordinals.find_sat` walk, the one
+`sat` queries use, searches the tx's outputs and then the coinbase's (the sat
+was spent as fee); if neither holds it, it was burned and the inscription is
+lost. A pending BRC-20 transfer settles to the recipient of the output found,
+so a transfer inscription that moves twice in one block credits its first
+receiver, even when a later tx in the block spends it as fee.
 """
 
 from __future__ import annotations
@@ -54,16 +55,12 @@ class Inscription:
     height: int
 
 
-def _sat_in_outputs(sat: int, tx: chain.Transaction, assigned: dict) -> SatPoint | None:
-    """Where `assigned` puts sat among tx's outputs, if it does."""
-    for k in range(len(tx.outputs)):
-        outpoint = OutPoint(tx.txid, k)
-        offset = 0
-        for start, end in assigned[outpoint]:
-            if start <= sat < end:
-                return SatPoint(outpoint, offset + sat - start)
-            offset += end - start
-    return None
+def _created_outputs(txs, assigned: dict):
+    """(outpoint, ranges) of every output of txs, in order, made as walked."""
+    for tx in txs:
+        for k in range(len(tx.outputs)):
+            outpoint = OutPoint(tx.txid, k)
+            yield outpoint, assigned[outpoint]
 
 
 class IndexState:
@@ -121,12 +118,8 @@ class IndexState:
         moved = [ins_id for tin in tx.inputs
                  for ins_id in self.by_outpoint.pop(tin.prevout, ())]
         for ins_id in sorted(moved, key=lambda i: self.inscriptions[i].number):
-            sat = self.inscriptions[ins_id].genesis_sat
-            holder = tx
-            new_point = _sat_in_outputs(sat, tx, assigned)
-            if new_point is None:
-                holder = coinbase
-                new_point = _sat_in_outputs(sat, coinbase, assigned)
+            new_point = ordinals.find_sat(self.inscriptions[ins_id].genesis_sat,
+                                          _created_outputs((tx, coinbase), assigned))
             if new_point is None:
                 del self.location[ins_id]
                 self.diagnostics.append(f"inscription {ins_id} lost (sat burned)")
@@ -136,6 +129,7 @@ class IndexState:
             pending = self.ledger.pendings.get(ins_id)
             if pending is None or pending.used:
                 continue
+            holder = tx if new_point.outpoint.txid == tx.txid else coinbase
             receiver = holder.outputs[new_point.outpoint.vout].recipient
             if holder is coinbase:
                 self.diagnostics.append(

@@ -5,9 +5,9 @@ A sat is identified by its mining order, 0 .. LAST_SAT. Ranges are half-open
 it controls. `assign_ordinals` is the one FIFO rule and the one value check:
 it gives every output a block creates its ranges, fee sats included, and
 checks that every tx's inputs cover its outputs and that the coinbase claims
-at most subsidy + fees. `locate_sat` scans the whole
-UTXO set for one sat; it answers `sat` queries and is the oracle the tests
-check inscription locations against.
+at most subsidy + fees. `find_sat` is the one walk that finds a sat among
+outputs' ranges: `locate_sat` runs it over the whole UTXO set to answer `sat`
+queries, and inscription tracking runs it over the outputs a block creates.
 """
 
 from __future__ import annotations
@@ -242,9 +242,18 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
     appended, in order, after the freshly minted subsidy range in the
     coinbase's range pool. Returns (OutPoint -> range list, burned ranges).
     Burned ranges arise when the coinbase claims less than subsidy + fees.
+    An output whose outpoint is already unspent raises ChainError (BIP30).
     """
     subsidy = block_subsidy(block.height)
     assigned: dict[OutPoint, list] = {}
+
+    def create(tx, out_ranges):
+        for i, ranges in enumerate(out_ranges):
+            outpoint = OutPoint(tx.txid, i)
+            if outpoint in utxos.entries:
+                raise errors.ChainError(f"output {outpoint} would overwrite an unspent one")
+            assigned[outpoint] = ranges
+
     fee_tail: list = []
     fees = 0
     for tx in block.txs[1:]:
@@ -266,8 +275,7 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
             raise errors.NegativeFee(f"{tx.txid}: inputs short by {-fee} sats")
         fees += fee
         out_ranges, remainder = slice_ranges(pool, [o.value for o in tx.outputs])
-        for i, ranges in enumerate(out_ranges):
-            assigned[OutPoint(tx.txid, i)] = ranges
+        create(tx, out_ranges)
         fee_tail.extend(remainder)
 
     coinbase = block.txs[0]
@@ -278,17 +286,24 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
     start = start_sat_of_block(block.height)
     pool = ([(start, start + subsidy)] if subsidy > 0 else []) + fee_tail
     out_ranges, burned = slice_ranges(pool, [o.value for o in coinbase.outputs])
-    for i, ranges in enumerate(out_ranges):
-        assigned[OutPoint(coinbase.txid, i)] = ranges
+    create(coinbase, out_ranges)
     return assigned, burned
+
+
+def find_sat(n: int, outputs) -> SatPoint | None:
+    """Where sat n is among (outpoint, ranges) pairs, searched in order."""
+    for outpoint, ranges in outputs:
+        offset = 0
+        for start, end in ranges:
+            if start <= n < end:
+                return SatPoint(outpoint, offset + n - start)
+            offset += end - start
+    return None
 
 
 def locate_sat(n: int, utxos: chain.UtxoSet) -> SatPoint:
     check_sat(n)
-    for outpoint, entry in utxos.entries.items():
-        offset = 0
-        for start, end in entry.sat_ranges:
-            if start <= n < end:
-                return SatPoint(outpoint, offset + (n - start))
-            offset += end - start
-    raise errors.SatNotInUtxoSet(str(n))
+    point = find_sat(n, ((op, e.sat_ranges) for op, e in utxos.entries.items()))
+    if point is None:
+        raise errors.SatNotInUtxoSet(str(n))
+    return point

@@ -103,9 +103,12 @@ def sign(psbt: Psbt, signer: str) -> None:
         pin.signatures[signer] = sig
 
 
-def verify_signatures(psbt: Psbt) -> bool:
+def verify_signatures(psbt: Psbt, utxos: chain.UtxoSet) -> bool:
+    """True when every input is signed by the recipient of the output in utxos
+    that it spends, and every signature present is valid."""
     for pin in psbt.inputs:
-        if not pin.signatures:
+        entry = utxos.get(pin.outpoint)
+        if entry is None or entry.txout.recipient not in pin.signatures:
             return False
         for signer, sig in pin.signatures.items():
             if sig != commitment(psbt, signer):
@@ -219,20 +222,17 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
     """Mine the finalized PSBT into the next block and settle atomically.
 
     A raced input marks the offer stale and leaves every balance untouched;
-    an input not signed by its spent output's owner raises BadSignature.
+    a PSBT that fails `verify_signatures` raises BadSignature.
     """
     psbt = offer.psbt
     if offer.status != "accepted" or not psbt.finalized:
         raise errors.OfferNotOpen(f"{offer.id}: not accepted")
-    if not verify_signatures(psbt):
-        raise errors.BadSignature(offer.id)
     for pin in psbt.inputs:
-        entry = state.utxos.get(pin.outpoint)
-        if entry is None:
+        if pin.outpoint not in state.utxos:
             offer.status = "stale"
             raise errors.DoubleSpend(str(pin.outpoint))
-        if entry.txout.recipient not in pin.signatures:  # all present are verified above
-            raise errors.BadSignature(f"{offer.id}: {pin.outpoint} lacks its owner's signature")
+    if not verify_signatures(psbt, state.utxos):
+        raise errors.BadSignature(offer.id)
 
     height = state.tip_height + 1
     settlement = chain.Transaction(

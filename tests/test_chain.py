@@ -32,17 +32,21 @@ def test_outpoint_rejects_malformed_txid(bad):
         OutPoint.parse(f"{bad}:0")
 
 
-@pytest.mark.parametrize("value, kind, message", [
-    (-1, "plain", "negative output value"),
-    (1, "p2pkh", "unknown script kind"),
-    (1.5, "plain", "is not an integer"),
-    (True, "plain", "is not an integer"),
-])
-def test_txout_rejects_bad_values(value, kind, message):
+@pytest.mark.parametrize("value, kind, message, recipient", [
+    (-1, "plain", "negative output value", "alice"),
+    (1, "p2pkh", "unknown script kind", "alice"),
+    (1.5, "plain", "is not an integer", "alice"),
+    (True, "plain", "is not an integer", "alice"),
+    (1, "plain", "recipient 5 is not a string", 5),
+    (1, "plain", "recipient None is not a string", None),
+], ids=["-1-plain-negative output value", "1-p2pkh-unknown script kind",
+        "1.5-plain-is not an integer", "True-plain-is not an integer",
+        "recipient-5", "recipient-None"])
+def test_txout_rejects_bad_values(value, kind, message, recipient):
     with pytest.raises(ValueError, match=message):
-        TxOut(value, "alice", kind)
+        TxOut(value, recipient, kind)
     obj = {"txid": txid("bad"), "inputs": [],
-           "outputs": [{"value": value, "recipient": "alice", "script_kind": kind}]}
+           "outputs": [{"value": value, "recipient": recipient, "script_kind": kind}]}
     with pytest.raises(ValueError, match=message):
         chain.tx_from_json(obj)
 

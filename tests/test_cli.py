@@ -222,8 +222,9 @@ ONE_SAT = [{"value": 1, "recipient": "miner"}]
     lambda h: block_line(h, txid=GOOD_TXID, inputs=[{"txid": "XYZ", "vout": 0}],
                          outputs=[]),
     lambda h: block_line(h, txid=GOOD_TXID),
+    lambda h: block_line(h, txid=GOOD_TXID, outputs=[{"value": 1, "recipient": 5}]),
 ], ids=["not_json", "not_an_object", "float_height", "bad_txid", "bad_input_txid",
-        "no_outputs"])
+        "no_outputs", "int_recipient"])
 def test_malformed_block_line_is_a_json_error(runner, workdir, monkeypatch, capsys,
                                               bad_line):
     run(runner, workdir, "scenario", str(workdir / "script.json"),

@@ -263,27 +263,45 @@ def _coinbase_spends(state, inscribed):
     return Block(height, (cb,))
 
 
-BAD_BLOCKS = {
-    errors.ChainError: _coinbase_spends,
-    errors.NonMonotonicHeight: lambda state, inscribed: Block(
-        state.tip_height + 2, (coinbase(state.tip_height + 2, 0),)),
-    errors.MissingPrevout: lambda state, inscribed: next_block(
-        state, [spend("ghost", [OutPoint(txid("ghost"), 0)], [])], 0, "cb ghost"),
-    errors.DoubleSpend: lambda state, inscribed: next_block(
+def _repeats_coinbase_txid(state, inscribed):
+    block = next_block(state, [], 0, "cb repeated")
+    again = chain.Transaction(block.txs[0].txid, (chain.TxIn(inscribed),),
+                              (TxOut(546, "bob"),))
+    return block._replace(txs=block.txs + (again,))
+
+
+def _reuses_unspent_txid(state, inscribed):
+    """A coinbase with the txid of the tx that made `inscribed`, still unspent."""
+    height = state.tip_height + 1
+    cb = chain.Transaction(inscribed.txid, (),
+                           (TxOut(chain.block_subsidy(height), "miner"),),
+                           is_coinbase=True)
+    return Block(height, (cb,))
+
+
+BAD_BLOCKS = {  # test id -> (the error apply_block raises, a block that raises it)
+    "ChainError": (errors.ChainError, _coinbase_spends),
+    "ChainError-txid_repeated_in_block": (errors.ChainError, _repeats_coinbase_txid),
+    "ChainError-txid_of_unspent_output": (errors.ChainError, _reuses_unspent_txid),
+    "NonMonotonicHeight": (errors.NonMonotonicHeight, lambda state, inscribed: Block(
+        state.tip_height + 2, (coinbase(state.tip_height + 2, 0),))),
+    "MissingPrevout": (errors.MissingPrevout, lambda state, inscribed: next_block(
+        state, [spend("ghost", [OutPoint(txid("ghost"), 0)], [])], 0, "cb ghost")),
+    "DoubleSpend": (errors.DoubleSpend, lambda state, inscribed: next_block(
         state, [spend("to bob", [inscribed], [TxOut(546, "bob")]),
-                spend("to carol", [inscribed], [TxOut(546, "carol")])], 0, "cb twice"),
-    errors.NegativeFee: lambda state, inscribed: next_block(
-        state, [spend("overdraw", [inscribed], [TxOut(547, "bob")])], 0, "cb over"),
-    errors.CoinbaseOverpay: lambda state, inscribed: next_block(
-        state, [], 1, "cb overpay"),
-    errors.RangeValueMismatch: _corrupt_ranges_then_move,
+                spend("to carol", [inscribed], [TxOut(546, "carol")])], 0, "cb twice")),
+    "NegativeFee": (errors.NegativeFee, lambda state, inscribed: next_block(
+        state, [spend("overdraw", [inscribed], [TxOut(547, "bob")])], 0, "cb over")),
+    "CoinbaseOverpay": (errors.CoinbaseOverpay, lambda state, inscribed: next_block(
+        state, [], 1, "cb overpay")),
+    "RangeValueMismatch": (errors.RangeValueMismatch, _corrupt_ranges_then_move),
 }
 
 
-@pytest.mark.parametrize("error", list(BAD_BLOCKS), ids=lambda e: e.__name__)
-def test_chain_error_leaves_state_untouched(error):
+@pytest.mark.parametrize("error, make_block", list(BAD_BLOCKS.values()), ids=list(BAD_BLOCKS))
+def test_chain_error_leaves_state_untouched(error, make_block):
     state, ins_id = pending_state()
-    block = BAD_BLOCKS[error](state, state.location[ins_id].outpoint)
+    block = make_block(state, state.location[ins_id].outpoint)
     by_outpoint = {op: list(ids) for op, ids in state.by_outpoint.items()}
     before = (state.snapshot_hash(), by_outpoint, state.tip_height)
     with pytest.raises(error) as info:
@@ -357,6 +375,27 @@ def test_pending_transfer_spent_to_fee_settles_to_coinbase_recipient():
         OutPoint(block.txs[0].txid, 0), chain.block_subsidy(block.height))
     assert f"pending {ins_id} spent to fee; settled to sat holder miner" in \
         state.diagnostics
+
+
+def test_transfer_sent_then_spent_to_fee_in_one_block_credits_its_receiver():
+    """tx1 sends the transfer to bob and tx2 spends bob's output wholly as fee,
+    so the sat is in tx1's outputs and in the coinbase's: tx1's are searched first."""
+    compiler = scenario.ScenarioCompiler()
+    compiler.compile(LISTINGS_SCRIPT[:2] + [
+        {"action": "transfer_inscribe", "tick": "ordi", "amt": "40",
+         "owner": "alice", "id": "t1"}])
+    state, ins_id = compiler.state, compiler.handles["t1"]
+    to_bob = spend("to bob", [state.location[ins_id].outpoint],
+                   [TxOut(546, "bob", "p2tr_inscription")])
+    to_fee = spend("bob to fee", [OutPoint(to_bob.txid, 0)], [])
+    block = next_block(state, [to_bob, to_fee], 546, "cb bob's fee")
+    state.apply_block(block)
+    assert state.ledger.query_balance("ordi", "bob") == \
+        {"available": "40", "pending": "0"}
+    assert state.ledger.query_balance("ordi", "miner") == \
+        {"available": "0", "pending": "0"}
+    assert state.location[ins_id] == SatPoint(
+        OutPoint(block.txs[0].txid, 0), chain.block_subsidy(block.height))
 
 
 def test_pending_transfer_whose_sat_is_burned_is_voided():

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coinbase, spend, txid
-from ordlite import chain, errors, ordinals
+from ordlite import chain, envelope, errors, ordinals
 from ordlite.chain import Block, OutPoint, TxOut, UtxoSet
 from ordlite.indexer import IndexState
+from ordlite.ordinals import SatPoint
 
 
 def test_supply_constants():
@@ -245,6 +247,66 @@ def test_fifo_random_vs_per_sat_oracle():
 ONE_SAT_HEIGHT = 6_720_000
 
 
+def seed_utxos(pick):
+    """1-4 outputs of 0-3 ranges each, with gaps between the ranges, drawn with
+    pick(lo, hi): the UtxoSet, and the oracle's state, outpoint -> its sats in order."""
+    utxos, sats_of, next_sat = UtxoSet(), {}, 0
+    for k in range(pick(1, 4)):
+        ranges = []
+        for _ in range(pick(0, 3)):
+            next_sat += pick(0, 2)  # gap to the previous range
+            size = pick(1, 4)
+            ranges.append((next_sat, next_sat + size))
+            next_sat += size
+        op = OutPoint(txid(f"utxo{k}"), 0)
+        utxos.entries[op] = chain.UtxoEntry(
+            TxOut(ordinals.range_total(ranges), "alice"), ranges)
+        sats_of[op] = _expand(ranges)
+    return utxos, sats_of
+
+
+def oracle_block(pick, height, sats_of, unspent, label, envelopes=False):
+    """A valid block at height, whose subsidy is 1 sat, spending from the
+    outpoints in unspent, drawn with pick(lo, hi): in-block chaining,
+    zero-value outputs, fee tails from several txs and a coinbase that may
+    underclaim. It moves each sat as a naive indexer would: sats_of gains every
+    created output's sats and unspent is updated in place. With envelopes,
+    each input carries an inscription envelope half the time. Returns the
+    block and its burned sats."""
+    txs, fee_sats = [], []
+    for t in range(pick(0, 4)):
+        if not unspent:
+            break
+        free = list(unspent)
+        inputs = [free.pop(pick(0, len(free) - 1)) for _ in range(min(pick(1, 3), len(free)))]
+        pool = [sat for op in inputs for sat in sats_of[op]]
+        values = []
+        for _ in range(pick(0, 3)):
+            values.append(pick(0, len(pool) - sum(values)))
+        witnesses = [tuple(envelope.build_envelope("text/plain", f"{label}.{t}.{i}".encode()))
+                     if envelopes and pick(0, 1) else () for i in range(len(inputs))]
+        tx = chain.Transaction(txid(f"{label}tx{t}"),
+                               tuple(chain.TxIn(op, w) for op, w in zip(inputs, witnesses)),
+                               tuple(TxOut(v, "bob") for v in values))
+        for i, v in enumerate(values):
+            sats_of[OutPoint(tx.txid, i)], pool = pool[:v], pool[v:]
+        fee_sats += pool
+        unspent[:] = [op for op in unspent if op not in inputs]
+        unspent += [OutPoint(tx.txid, i) for i in range(len(values))]
+        txs.append(tx)
+
+    pool = [ordinals.start_sat_of_block(height)] + fee_sats
+    values = []
+    for _ in range(pick(1, 2)):
+        values.append(pick(0, len(pool) - sum(values)))
+    cb = chain.Transaction(txid(f"{label}cb"), (), tuple(TxOut(v, "miner") for v in values),
+                           is_coinbase=True)
+    for i, v in enumerate(values):
+        sats_of[OutPoint(cb.txid, i)], pool = pool[:v], pool[v:]
+    unspent += [OutPoint(cb.txid, i) for i in range(len(values))]
+    return Block(height, (cb, *txs)), pool
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_assign_ordinals_matches_per_sat_oracle(data):
@@ -252,50 +314,12 @@ def test_assign_ordinals_matches_per_sat_oracle(data):
     individually: in-block chaining, zero-value outputs, fee tails from
     several txs and a coinbase that may underclaim (burn)."""
     assert chain.block_subsidy(ONE_SAT_HEIGHT) == 1
-    draw = data.draw
-    utxos = UtxoSet()
-    sats_of = {}  # the oracle's state: outpoint -> its sats, in order
-    next_sat = 0
-    for k in range(draw(st.integers(1, 4))):
-        ranges = []
-        for _ in range(draw(st.integers(0, 3))):
-            next_sat += draw(st.integers(0, 2))  # gap to the previous range
-            size = draw(st.integers(1, 4))
-            ranges.append((next_sat, next_sat + size))
-            next_sat += size
-        op = OutPoint(txid(f"utxo{k}"), 0)
-        utxos.entries[op] = chain.UtxoEntry(
-            TxOut(ordinals.range_total(ranges), "alice"), ranges)
-        sats_of[op] = _expand(ranges)
 
-    unspent = list(sats_of)
-    txs, fee_sats = [], []
-    for t in range(draw(st.integers(0, 4))):
-        if not unspent:
-            break
-        inputs = draw(st.lists(st.sampled_from(unspent), min_size=1,
-                               max_size=3, unique=True))
-        pool = [sat for op in inputs for sat in sats_of[op]]
-        values = []
-        for _ in range(draw(st.integers(0, 3))):
-            values.append(draw(st.integers(0, len(pool) - sum(values))))
-        tx = spend(f"tx{t}", inputs, [TxOut(v, "bob") for v in values])
-        for i, v in enumerate(values):
-            sats_of[OutPoint(tx.txid, i)], pool = pool[:v], pool[v:]
-        fee_sats += pool
-        unspent = [op for op in unspent if op not in inputs]
-        unspent += [OutPoint(tx.txid, i) for i in range(len(values))]
-        txs.append(tx)
+    def pick(lo, hi):
+        return data.draw(st.integers(lo, hi))
 
-    pool = [ordinals.start_sat_of_block(ONE_SAT_HEIGHT)] + fee_sats
-    values = []
-    for _ in range(draw(st.integers(1, 2))):
-        values.append(draw(st.integers(0, len(pool) - sum(values))))
-    cb = chain.Transaction(txid("cb"), (), tuple(TxOut(v, "miner") for v in values),
-                           is_coinbase=True)
-    for i, v in enumerate(values):
-        sats_of[OutPoint(cb.txid, i)], pool = pool[:v], pool[v:]
-    block = Block(ONE_SAT_HEIGHT, (cb, *txs))
+    utxos, sats_of = seed_utxos(pick)
+    block, burned_sats = oracle_block(pick, ONE_SAT_HEIGHT, sats_of, list(sats_of), "")
     chain.validate_block(block, ONE_SAT_HEIGHT)
 
     assigned, burned = ordinals.assign_ordinals(block, utxos)
@@ -304,9 +328,52 @@ def test_assign_ordinals_matches_per_sat_oracle(data):
     assert set(assigned) == created
     for op in created:
         assert _expand(assigned[op]) == sats_of[op], op
-    assert _expand(burned) == pool
+    assert _expand(burned) == burned_sats
     assert all(start < end for ranges in (*assigned.values(), burned)
                for start, end in ranges)
+
+
+def test_inscription_locations_match_per_sat_oracle():
+    """Reveals and moves over chains of 1-sat-subsidy blocks. After every
+    block, each inscription sits where the oracle's per-sat lists put its
+    genesis sat, or is gone with it; neither locate_sat nor find_sat is asked."""
+    seen = collections.Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        state = IndexState()
+        state.utxos, sats_of = seed_utxos(rng.randint)
+        state.tip_height = ONE_SAT_HEIGHT - 1
+        unspent = list(sats_of)
+        genesis = {}  # the oracle's inscriptions: id -> genesis sat
+        for height in range(ONE_SAT_HEIGHT, ONE_SAT_HEIGHT + 6):
+            block, burned = oracle_block(rng.randint, height, sats_of, unspent,
+                                         f"{seed}|{height}", envelopes=True)
+            live_before = {genesis[i] for i in state.location}
+            for tx in block.txs[1:]:
+                first = sats_of.get(OutPoint(tx.txid, 0))
+                revealed = sum(bool(tin.witness) for tin in tx.inputs) if first else 0
+                genesis.update((f"{tx.txid}i{k}", first[0]) for k in range(revealed))
+                seen["multi_envelope"] += revealed > 1
+            state.apply_block(block)
+
+            where = {sat: SatPoint(op, i) for op in unspent
+                     for i, sat in enumerate(sats_of[op])}
+            assert state.inscriptions.keys() == genesis.keys()
+            for ins_id, sat in genesis.items():
+                assert state.inscriptions[ins_id].genesis_sat == sat, ins_id
+                assert state.location.get(ins_id) == where.get(sat), ins_id
+            passed_on = {sat for tx in block.txs[1:] for i in range(len(tx.outputs))
+                         for sat in sats_of[OutPoint(tx.txid, i)]}
+            to_fee = set(burned).union(*(sats_of[OutPoint(block.txs[0].txid, i)]
+                                         for i in range(len(block.txs[0].outputs))))
+            seen["moved_then_spent_to_fee"] += len(live_before & passed_on & to_fee)
+            seen["lost_to_underclaim"] += len(live_before & set(burned))
+            for point in state.location.values():
+                start, end = state.utxos.entries[point.outpoint].sat_ranges[0]
+                seen["past_first_range"] += point.offset >= end - start
+    for case in ("multi_envelope", "moved_then_spent_to_fee", "lost_to_underclaim",
+                 "past_first_range"):
+        assert seen[case] > 0, case
 
 
 def test_range_value_mismatch():

@@ -33,7 +33,7 @@ def test_create_offer():
     assert offer.status == "open"
     assert offer.psbt.outputs == [TxOut(ASK, "seller")]
     assert offer.psbt.inputs[0].inscription_id == ins_id
-    assert verify_signatures(offer.psbt)
+    assert verify_signatures(offer.psbt, state.utxos)
 
 
 def test_create_offer_errors():
@@ -73,9 +73,9 @@ def test_tamper_invalidates_signature():
     offer = trade.create_offer(state, "seller", ins_id, ASK)
     funding = trade.select_funding(state, "buyer", ASK + FEE)
     psbt = trade.accept_offer(state, offer, "buyer", funding, FEE)
-    assert verify_signatures(psbt)
+    assert verify_signatures(psbt, state.utxos)
     psbt.outputs[1] = TxOut(1, "mallory")  # redirect the ask
-    assert not verify_signatures(psbt)
+    assert not verify_signatures(psbt, state.utxos)
     with pytest.raises(errors.BadSignature):
         trade.broadcast_and_settle(state, offer, "buyer")
 
@@ -140,7 +140,7 @@ def test_two_inscription_touching_txs():
 
 def _assert_settle_refused(state, offer):
     before = state.snapshot_bytes()
-    assert verify_signatures(offer.psbt)  # every signature present is valid
+    assert not verify_signatures(offer.psbt, state.utxos)
     with pytest.raises(errors.BadSignature):
         trade.broadcast_and_settle(state, offer, "buyer")
     assert offer.status == "accepted"
