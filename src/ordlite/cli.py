@@ -3,17 +3,27 @@
 All commands print JSON on stdout with sorted keys so identical inputs give
 byte-identical output. Exit codes: 0 success, 1 user/protocol error,
 2 internal invariant violation.
+
+Only ordlite writes the data dir's snapshot: `index`, `trade` and
+`snapshot load`, which validates the file it takes in. Write commands load
+the whole state. Read commands trust the data dir and decode only the
+snapshot sections they need (`indexer.read_sections`): `brc20` decodes
+"brc20", `inscriptions` stops after "inscriptions", `snapshot hash` after
+"tip_height", and `sat` needs "utxos", the last one. With no snapshot, every
+command answers from an empty index.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 import click
 
-from . import chain, errors, metrics, ordinals, scenario, trade
+from . import chain, errors, indexer, metrics, ordinals, scenario, trade
+from .brc20 import Brc20Ledger
 from .indexer import IndexState
 
 SNAPSHOT_FILE = "snapshot.json"
@@ -32,6 +42,17 @@ def load_state(data_dir) -> IndexState:
     if path.exists():
         return IndexState.load(path)
     return IndexState()
+
+
+def read_snapshot(data_dir) -> bytes:
+    """The data dir's snapshot bytes, or an empty index's."""
+    path = snapshot_path(data_dir)
+    return path.read_bytes() if path.exists() else IndexState().snapshot_bytes()
+
+
+def read_ledger(data_dir) -> Brc20Ledger:
+    sections = indexer.read_sections(read_snapshot(data_dir), "brc20")
+    return Brc20Ledger.from_json(sections["brc20"])
 
 
 def save_state(data_dir, state: IndexState) -> str:
@@ -67,9 +88,9 @@ def index(obj, blocks):
 def sat(obj, query):
     """Describe a sat given any notation (integer, name, decimal, degree,
     percentile such as 50%)."""
-    state = load_state(obj["data_dir"])
+    utxos = indexer.read_sections(read_snapshot(obj["data_dir"]), "utxos")["utxos"]
     n = ordinals.parse_sat_query(query)
-    emit(state.sat_report(n))
+    emit(indexer.sat_report(n, ((key, e["sat_ranges"]) for key, e in utxos.items())))
 
 
 @cli.command()
@@ -77,17 +98,13 @@ def sat(obj, query):
 @click.pass_obj
 def inscriptions(obj, height):
     """List inscriptions, optionally filtered by reveal height."""
-    state = load_state(obj["data_dir"])
-    out = []
-    for ins in sorted(state.inscriptions.values(), key=lambda i: i.number):
-        if height is not None and ins.height != height:
-            continue
-        out.append({"id": ins.id, "number": ins.number, "kind": ins.kind,
-                    "content_type": ins.content_type, "height": ins.height,
-                    "genesis_sat": ins.genesis_sat,
-                    "satpoint": str(state.location[ins.id])
-                    if ins.id in state.location else None})
-    emit(out)
+    data = read_snapshot(obj["data_dir"])
+    listed = indexer.read_sections(data, "inscriptions")["inscriptions"]
+    emit([{"id": ins_id, "number": i["number"], "kind": i["kind"],
+           "content_type": i["content_type"], "height": i["height"],
+           "genesis_sat": i["genesis_sat"], "satpoint": i["satpoint"]}
+          for ins_id, i in sorted(listed.items(), key=lambda item: item[1]["number"])
+          if height is None or i["height"] == height])
 
 
 @cli.group()
@@ -99,8 +116,7 @@ def brc20():
 @click.argument("tick")
 @click.pass_obj
 def brc20_tick(obj, tick):
-    state = load_state(obj["data_dir"])
-    emit(state.ledger.query_tick(tick.lower()))
+    emit(read_ledger(obj["data_dir"]).query_tick(tick.lower()))
 
 
 @brc20.command("balance")
@@ -108,8 +124,7 @@ def brc20_tick(obj, tick):
 @click.argument("address")
 @click.pass_obj
 def brc20_balance(obj, tick, address):
-    state = load_state(obj["data_dir"])
-    emit(state.ledger.query_balance(tick.lower(), address))
+    emit(read_ledger(obj["data_dir"]).query_balance(tick.lower(), address))
 
 
 @cli.group(name="trade")
@@ -176,8 +191,9 @@ def snapshot():
 @snapshot.command("hash")
 @click.pass_obj
 def snapshot_hash(obj):
-    state = load_state(obj["data_dir"])
-    emit({"hash": state.snapshot_hash(), "tip_height": state.tip_height})
+    data = read_snapshot(obj["data_dir"])
+    emit({"hash": hashlib.sha256(data).hexdigest(),
+          "tip_height": indexer.read_sections(data, "tip_height")["tip_height"]})
 
 
 @snapshot.command("save")
@@ -192,8 +208,11 @@ def snapshot_save(obj, path):
 @click.argument("path", type=click.Path(exists=True))
 @click.pass_obj
 def snapshot_load(obj, path):
-    state = IndexState.load(path)
-    digest = save_state(obj["data_dir"], state)
+    """Validate a snapshot file and make it the data dir's snapshot."""
+    data = Path(path).read_bytes()
+    state = IndexState.from_untrusted(data)
+    Path(obj["data_dir"]).mkdir(parents=True, exist_ok=True)
+    digest = indexer.write_snapshot(snapshot_path(obj["data_dir"]), data)
     emit({"loaded": str(path), "hash": digest,
           "tip_height": state.tip_height})
 

@@ -13,6 +13,10 @@ class InvariantViolation(OrdliteError):
     """State broke an invariant that must always hold: a bug, not bad input."""
 
 
+class CorruptSnapshot(OrdliteError):
+    """Snapshot bytes that ordlite could not have written."""
+
+
 # --- chain model ---
 
 class ChainError(OrdliteError):

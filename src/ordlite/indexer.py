@@ -16,10 +16,18 @@ was spent as fee); if neither holds it, it was burned and the inscription is
 lost. A pending BRC-20 transfer settles to the recipient of the output found,
 so a transfer inscription that moves twice in one block credits its first
 receiver, even when a later tx in the block spends it as fee.
+
+The snapshot is canonical JSON: `chain.canonical_dumps` sorts every key, so
+its top-level sections always come in SECTIONS order. Bytes from outside the
+data dir enter only through `IndexState.from_untrusted`, which validates
+them. The data dir then holds only bytes ordlite wrote, so a read that needs
+a few sections decodes just those, in order, with `read_sections`, which
+checks their layout and nothing more.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -28,6 +36,54 @@ from dataclasses import dataclass
 from . import brc20, chain, envelope, errors, ordinals, trade
 from .chain import OutPoint
 from .ordinals import SatPoint
+
+# The snapshot's top-level keys, in the order `canonical_dumps` writes them.
+SECTIONS = ("brc20", "btc_deltas", "inscriptions", "next_number", "offers",
+            "tip_height", "utxos")
+_DECODER = json.JSONDecoder()
+
+
+def read_sections(data: bytes, last: str) -> dict:
+    """Decode a snapshot ordlite wrote, section by section, up to and
+    including `last`. A layout that is not SECTIONS in canonical form raises
+    CorruptSnapshot; the decoded values are trusted as they are."""
+    sections: dict = {}
+    pos = 0
+    try:
+        text = data.decode()
+        for key in SECTIONS:
+            head = ("," if sections else "{") + f'"{key}":'
+            if not text.startswith(head, pos):
+                raise errors.CorruptSnapshot(f"expected {head!r} at offset {pos}")
+            sections[key], pos = _DECODER.raw_decode(text, pos + len(head))
+            if key == last:
+                break
+    except ValueError as exc:  # not UTF-8, or not JSON where a value should be
+        raise errors.CorruptSnapshot(str(exc)) from exc
+    if key == SECTIONS[-1] and text[pos:] != "}":
+        raise errors.CorruptSnapshot(f"expected the closing brace at offset {pos}")
+    return sections
+
+
+def write_snapshot(path, data: bytes) -> str:
+    """Write snapshot bytes to path and return their sha256 hex digest. They
+    go to `<path>.tmp` first, which then replaces path, so a failed write
+    leaves the old snapshot in place."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fp:
+        fp.write(data)
+    os.replace(tmp, path)
+    return hashlib.sha256(data).hexdigest()
+
+
+def sat_report(n: int, outputs) -> dict:
+    """What `ordlite sat` prints for sat n among (outpoint, ranges) pairs."""
+    info = ordinals.sat_info(n)
+    point = ordinals.find_sat(n, outputs)
+    if point is not None:
+        info["satpoint"] = str(point)
+    return info
+
 
 def classify_envelope(env: envelope.Envelope) -> tuple[str, brc20.Brc20Op | None]:
     """The inscription kind of an envelope, with its BRC-20 op if it is one."""
@@ -155,10 +211,14 @@ class IndexState:
             k += 1
             first_out = OutPoint(tx.txid, 0)
             ranges = assigned.get(first_out)
-            if not ranges:
-                self.diagnostics.append(
-                    f"inscription {ins_id} has no sat to bind to (no first "
-                    f"output, or a zero-sat one); skipped")
+            if ins_id in self.inscriptions:  # the txid of a tx whose outputs are spent
+                reason = "reuses the id of an earlier inscription"
+            elif not ranges:
+                reason = "has no sat to bind to (no first output, or a zero-sat one)"
+            else:
+                reason = None
+            if reason is not None:
+                self.diagnostics.append(f"inscription {ins_id} {reason}; skipped")
                 continue
             genesis_sat = ranges[0][0]
             satpoint = SatPoint(first_out, 0)
@@ -191,12 +251,7 @@ class IndexState:
     # --- queries ---
 
     def sat_report(self, n: int) -> dict:
-        info = ordinals.sat_info(n)
-        try:
-            info["satpoint"] = str(ordinals.locate_sat(n, self.utxos))
-        except errors.SatNotInUtxoSet:
-            pass
-        return info
+        return sat_report(n, ((op, e.sat_ranges) for op, e in self.utxos.entries.items()))
 
     # --- canonical snapshot ---
 
@@ -276,17 +331,70 @@ class IndexState:
 
     @classmethod
     def load(cls, path) -> "IndexState":
-        with open(path) as fp:
-            return cls.from_json(json.load(fp))
+        # Decoding allocates the whole state and frees none of it, so cyclic
+        # collections during it find nothing; the objects they promote would
+        # only bring the next full collection, over the caller's whole heap,
+        # sooner. Pause the collector for the decode.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with open(path) as fp:
+                return cls.from_json(json.load(fp))
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def from_untrusted(cls, data: bytes) -> "IndexState":
+        """The state in snapshot bytes from outside the data dir, validated.
+        Bytes of the wrong shape, which `from_json` or `validate` trip over,
+        raise CorruptSnapshot too."""
+        try:
+            state = cls.from_json(json.loads(data))
+            state.validate(data)
+        except errors.CorruptSnapshot:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError, errors.OrdliteError) as exc:
+            raise errors.CorruptSnapshot(f"{type(exc).__name__}: {exc}") from exc
+        return state
+
+    def validate(self, data: bytes) -> None:
+        """Raise CorruptSnapshot unless this state, decoded from `data`, is one
+        indexing could have produced: every UTXO's ranges are non-empty, total
+        its value and share no sat with another's; every located inscription
+        is on its genesis sat, in an unspent output; the ledger's invariants
+        hold; and `data` is this state's canonical bytes."""
+        spans = []
+        for op, entry in self.utxos.entries.items():
+            for r in entry.sat_ranges:
+                if len(r) != 2 or not all(type(x) is int for x in r) or r[0] >= r[1]:
+                    raise errors.CorruptSnapshot(f"{op}: bad sat range {list(r)}")
+                spans.append((*r, op))
+            if ordinals.range_total(entry.sat_ranges) != entry.txout.value:
+                raise errors.CorruptSnapshot(
+                    f"{op}: sat ranges do not total its value {entry.txout.value}")
+        spans.sort()
+        for (_, end, op), (start, _, other) in zip(spans, spans[1:]):
+            if start < end:
+                raise errors.CorruptSnapshot(f"{op} and {other} share sat {start}")
+        for ins_id, point in self.location.items():
+            entry = self.utxos.get(point.outpoint)
+            if entry is None:
+                raise errors.CorruptSnapshot(
+                    f"inscription {ins_id} is on {point.outpoint}, which is not unspent")
+            genesis_sat = self.inscriptions[ins_id].genesis_sat
+            if ordinals.find_sat(genesis_sat, ((point.outpoint, entry.sat_ranges),)) != point:
+                raise errors.CorruptSnapshot(
+                    f"inscription {ins_id} at {point} is not on its genesis sat")
+        try:
+            self.ledger.check_invariants()
+        except errors.InvariantViolation as exc:
+            raise errors.CorruptSnapshot(f"ledger: {exc}") from exc
+        if self.snapshot_bytes() != data:
+            raise errors.CorruptSnapshot("not in canonical form")
 
     def save(self, path) -> str:
-        """Write the snapshot to path and return its sha256 hex digest, which
-        equals `snapshot_hash()`: the bytes are serialized once, for both.
-        They go to `<path>.tmp` first, which then replaces path, so a failed
-        save leaves the old snapshot in place."""
-        data = self.snapshot_bytes()
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fp:
-            fp.write(data)
-        os.replace(tmp, path)
-        return hashlib.sha256(data).hexdigest()
+        """Write the snapshot to path (see `write_snapshot`) and return its
+        sha256 hex digest, which equals `snapshot_hash()`: the bytes are
+        serialized once, for both."""
+        return write_snapshot(path, self.snapshot_bytes())

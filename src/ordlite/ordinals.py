@@ -6,8 +6,8 @@ it controls. `assign_ordinals` is the one FIFO rule and the one value check:
 it gives every output a block creates its ranges, fee sats included, and
 checks that every tx's inputs cover its outputs and that the coinbase claims
 at most subsidy + fees. `find_sat` is the one walk that finds a sat among
-outputs' ranges: `locate_sat` runs it over the whole UTXO set to answer `sat`
-queries, and inscription tracking runs it over the outputs a block creates.
+outputs' ranges: `sat` queries run it over a snapshot's UTXOs (`locate_sat`
+over a `UtxoSet`), and inscription tracking over the outputs a block creates.
 """
 
 from __future__ import annotations

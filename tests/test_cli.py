@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from ordlite import cli as cli_module, errors
+from ordlite import chain, cli as cli_module, errors
 from ordlite.cli import cli
 from ordlite.indexer import IndexState
 
@@ -186,6 +186,7 @@ def test_metrics_cli(runner, tmp_path):
 @pytest.mark.parametrize("exc, code", [
     (errors.InvariantViolation("ordi: minted > max"), 2),
     (errors.UnknownTick("ordi"), 1),
+    (errors.CorruptSnapshot("not in canonical form"), 1),
 ])
 def test_main_exit_codes(monkeypatch, capsys, exc, code):
     def fail(**kwargs):
@@ -247,3 +248,121 @@ def test_malformed_block_line_is_a_json_error(runner, workdir, monkeypatch, caps
     assert err["error"] == "ChainError"
     assert err["message"].startswith("line 2: ")
     assert snapshot.read_bytes() == before
+
+
+# --- the trust boundary: `snapshot load` validates, reads trust the data dir ---
+
+def _inscribed(obj):
+    """An inscription's snapshot record and its UTXO's outpoint."""
+    ins = next(i for i in obj["inscriptions"].values() if i["satpoint"])
+    return ins, ins["satpoint"].rpartition(":")[0]
+
+
+def _value_off_by_one(obj):
+    obj["utxos"][min(obj["utxos"])]["value"] += 1
+
+
+def _shared_sat(obj):
+    first, second = sorted(obj["utxos"])[:2]
+    for field in ("value", "sat_ranges"):
+        obj["utxos"][second][field] = obj["utxos"][first][field]
+
+
+def _on_missing_outpoint(obj):
+    _inscribed(obj)[0]["satpoint"] = f"{'00' * 32}:0:0"
+
+
+def _past_its_value(obj):
+    ins, outpoint = _inscribed(obj)
+    ins["satpoint"] = f"{outpoint}:{obj['utxos'][outpoint]['value']}"
+
+
+def _minted_mismatch(obj):
+    obj["brc20"]["ticks"]["ordi"]["minted"] = "999"
+
+
+CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
+    "range_total_off_by_one": (_value_off_by_one, None, "do not total"),
+    "two_utxos_share_a_sat": (_shared_sat, None, "share sat"),
+    "inscription_on_missing_outpoint": (_on_missing_outpoint, None, "not unspent"),
+    "inscription_past_output_value": (_past_its_value, None, "not on its genesis sat"),
+    "minted_does_not_match_balances": (_minted_mismatch, None, "balances sum to"),
+    "re_indented": (lambda obj: None, lambda obj: json.dumps(obj, indent=1, sort_keys=True),
+                    "not in canonical form"),
+    "not_json": (lambda obj: None, lambda obj: "{not json", "JSONDecodeError"),
+    "not_an_object": (lambda obj: None, lambda obj: "[]", "TypeError"),
+}
+
+
+def main_exits(monkeypatch, capsys, data_dir, *args):
+    """Run `ordlite` through main; return its exit code and stderr JSON."""
+    monkeypatch.setattr(sys, "argv", ["ordlite", "--data-dir", str(data_dir), *args])
+    with pytest.raises(SystemExit) as info:
+        cli_module.main()
+    return info.value.code, json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_snapshot_load_rejects_corrupt_snapshot(runner, workdir, monkeypatch, capsys,
+                                                corruption):
+    edit, dumps, message = CORRUPTIONS[corruption]
+    indexed(runner, workdir)
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    before = snapshot.read_bytes()
+    obj = json.loads(before)
+    edit(obj)
+    foreign = workdir / "foreign.json"
+    foreign.write_text((dumps or chain.canonical_dumps)(obj))
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", "snapshot", "load",
+                           str(foreign))
+    assert code == 1
+    assert err["error"] == "CorruptSnapshot"
+    assert message in err["message"]
+    assert snapshot.read_bytes() == before
+
+
+READS = (("sat", "0"), ("inscriptions",), ("brc20", "tick", "ordi"),
+         ("brc20", "balance", "ordi", "alice"), ("snapshot", "hash"))
+
+
+def forbid_full_load(monkeypatch):
+    """Make loading the whole state fail, as no read command may do it."""
+    def refuse(*args):
+        raise AssertionError("a read command loaded the whole state")
+    monkeypatch.setattr(IndexState, "from_json", refuse)
+    monkeypatch.setattr(cli_module, "load_state", refuse)
+
+
+@pytest.mark.parametrize("args", READS, ids=" ".join)
+def test_read_of_out_of_order_sections_is_corrupt(runner, workdir, monkeypatch, capsys,
+                                                  args):
+    indexed(runner, workdir)
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    obj = json.loads(snapshot.read_bytes())
+    snapshot.write_text(json.dumps(dict(reversed(obj.items())), separators=(",", ":")))
+    forbid_full_load(monkeypatch)  # a layout mismatch never falls back to a full load
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", *args)
+    assert code == 1
+    assert err["error"] == "CorruptSnapshot"
+
+
+@pytest.mark.parametrize("args", READS, ids=" ".join)
+def test_read_commands_never_load_the_whole_state(runner, workdir, monkeypatch, args):
+    indexed(runner, workdir)
+    forbid_full_load(monkeypatch)
+    for data_dir in ("data", "empty"):
+        result = runner.invoke(cli, ["--data-dir", str(workdir / data_dir), *args])
+        if data_dir == "empty" and args[:2] == ("brc20", "tick"):
+            assert isinstance(result.exception, errors.UnknownTick)
+        else:
+            assert result.exit_code == 0, result.exception
+
+
+def test_sat_read_of_bytes_after_the_last_section_is_corrupt(runner, workdir, monkeypatch,
+                                                              capsys):
+    indexed(runner, workdir)
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    snapshot.write_bytes(snapshot.read_bytes() + b"{}")
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", "sat", "0")
+    assert code == 1
+    assert err["error"] == "CorruptSnapshot"

@@ -1,4 +1,5 @@
 import collections
+import gc
 import json
 import random
 
@@ -134,6 +135,25 @@ def test_failed_save_keeps_the_old_snapshot(genesis, tmp_path, monkeypatch):
         state.save(path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_garbage_collector_as_it_found_it(genesis, tmp_path, enabled):
+    state = IndexState()
+    state.apply_block(genesis)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    state.save(good)
+    bad.write_text("{not json")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert IndexState.load(good).snapshot_hash() == state.snapshot_hash()
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError):
+            IndexState.load(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_malformed_envelopes_skip_without_state_change(genesis):
@@ -345,6 +365,37 @@ def test_reveal_in_output_less_tx_is_skipped_with_a_diagnostic():
     assert set(state.inscriptions) == before
     assert f"inscription {reveal.txid}i0 has no sat to bind to (no first output, " \
         "or a zero-sat one); skipped" in state.diagnostics
+
+
+def test_reveal_reusing_a_spent_txid_keeps_the_earlier_inscription(genesis):
+    """BIP30 lets a tx reuse the txid of one whose outputs are all spent; a
+    reveal under it would get the id of the earlier inscription."""
+    state = IndexState()
+    state.apply_block(genesis)
+
+    def reveal(prevout, body, owner):
+        return spend("reveal", [prevout], [TxOut(546, owner, "p2tr_inscription"),
+                                           TxOut(state.utxos.require(prevout).txout.value
+                                                 - 546, owner)],
+                     witness=tuple(envelope.build_envelope("text/plain", body)))
+    first = reveal(OutPoint(genesis.txs[0].txid, 0), b"first", "alice")
+    state.apply_block(next_block(state, [first], 0, "cb reveal"))
+    ins_id = f"{first.txid}i0"
+    both = [OutPoint(first.txid, 0), OutPoint(first.txid, 1)]
+    state.apply_block(next_block(state, [spend("to bob", both, [
+        TxOut(546, "bob", "p2tr_inscription"),
+        TxOut(sum(state.utxos.require(op).txout.value for op in both) - 546, "bob")])],
+        0, "cb to bob"))
+    again = reveal(OutPoint(txid("cb reveal"), 0), b"second", "carol")
+    assert again.txid == first.txid
+    state.apply_block(next_block(state, [again], 0, "cb reuse"))
+    assert list(state.inscriptions) == [ins_id]
+    assert state.inscriptions[ins_id].body == b"first"
+    assert state.inscriptions[ins_id].height == 1
+    assert state.next_number == 1
+    assert [i for ids in state.by_outpoint.values() for i in ids] == [ins_id]
+    assert f"inscription {ins_id} reuses the id of an earlier inscription; skipped" \
+        in state.diagnostics
 
 
 def test_transfer_moved_twice_in_one_block_credits_first_receiver():
