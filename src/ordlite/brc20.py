@@ -12,6 +12,14 @@ amounts earmarked by unused pending transfer inscriptions, so that per tick
     sum(available) + sum(unused pending) == minted <= max
 
 holds after every event.
+
+Two structures are derived from that state and never serialized: `unused`,
+the unused pendings grouped by (tick, owner), which `pending_outgoing` sums,
+and `touched`, the ticks and holders changed since the last check. Indexing
+runs `check_touched` after each block, which checks only what the block
+changed; `check_invariants` checks the whole ledger, `unused` included, and
+runs when a snapshot is loaded from outside the data dir. Both apply the same
+rules, one function per rule.
 """
 
 from __future__ import annotations
@@ -141,6 +149,11 @@ class Brc20Ledger:
         self.balances: dict[str, dict[str, int]] = {}  # tick -> addr -> raw units
         self.pendings: dict[str, PendingTransfer] = {}
         self.diagnostics: list[str] = []
+        # derived from `pendings`, never serialized: (tick, owner) -> the
+        # owner's unused pendings of tick, by inscription id
+        self.unused: dict[tuple[str, str], dict[str, PendingTransfer]] = {}
+        # tick -> holders changed since the last `check_touched`
+        self.touched: dict[str, set[str]] = {}
 
     # --- queries ---
 
@@ -148,8 +161,7 @@ class Brc20Ledger:
         return self.balances.get(tick, {}).get(addr, 0)
 
     def pending_outgoing(self, tick: str, addr: str) -> int:
-        return sum(p.amt for p in self.pendings.values()
-                   if not p.used and p.tick == tick and p.owner == addr)
+        return sum(p.amt for p in self.unused.get((tick, addr), {}).values())
 
     def query_balance(self, tick: str, addr: str) -> dict:
         pending = self.pending_outgoing(tick, addr)
@@ -171,6 +183,7 @@ class Brc20Ledger:
                                         deploy_inscription_id=inscription_id,
                                         deploy_height=height)
         self.balances.setdefault(op.tick, {})
+        self._touch(op.tick)
 
     def apply_mint(self, op: Brc20Op, minter: str) -> None:
         state = self.ticks.get(op.tick)
@@ -184,6 +197,7 @@ class Brc20Ledger:
         state.minted += op.amt
         bal = self.balances.setdefault(op.tick, {})
         bal[minter] = bal.get(minter, 0) + op.amt
+        self._touch(op.tick, minter)
 
     def inscribe_transfer(self, op: Brc20Op, inscription_id: str, owner: str) -> None:
         if op.tick not in self.ticks:
@@ -193,8 +207,10 @@ class Brc20Ledger:
             raise errors.InsufficientBalance(
                 f"{owner} has {format_amount(available)} "
                 f"{op.tick} available, needs {format_amount(op.amt)}")
-        self.pendings[inscription_id] = PendingTransfer(
+        pending = self.pendings[inscription_id] = PendingTransfer(
             inscription_id, op.tick, op.amt, owner)
+        self.unused.setdefault((op.tick, owner), {})[inscription_id] = pending
+        self._touch(op.tick, owner)
 
     def settle_transfer(self, inscription_id: str, sender: str, receiver: str) -> None:
         pending = self.pendings.get(inscription_id)
@@ -207,49 +223,89 @@ class Brc20Ledger:
         # earmarking guarantees this, but settlement re-verifies funds
         if self.raw_balance(pending.tick, sender) < pending.amt:
             raise errors.InsufficientBalance(inscription_id)
-        pending.used = True
+        self._use(pending)
         bal = self.balances[pending.tick]
         bal[sender] -= pending.amt
         if bal[sender] == 0:
             del bal[sender]
         bal[receiver] = bal.get(receiver, 0) + pending.amt
+        self._touch(pending.tick, receiver)
 
     def cancel_pending(self, inscription_id: str, reason: str) -> None:
         pending = self.pendings.get(inscription_id)
         if pending is not None and not pending.used:
-            pending.used = True
+            self._use(pending)
             self.diagnostics.append(f"pending {inscription_id} voided: {reason}")
+
+    def _use(self, pending: PendingTransfer) -> None:
+        """Mark an unused pending used and drop it from `unused`."""
+        pending.used = True
+        key = (pending.tick, pending.owner)
+        records = self.unused[key]
+        del records[pending.inscription_id]
+        if not records:
+            del self.unused[key]
+        self._touch(*key)
+
+    def _touch(self, tick: str, *addrs: str) -> None:
+        self.touched.setdefault(tick, set()).update(addrs)
 
     # --- invariants / serialization ---
 
     def check_invariants(self) -> None:
         """Raise InvariantViolation unless every tick's supply and every
-        holder's earmarks are consistent. Recomputes the unused-pending totals
-        from `pendings` in one pass rather than trusting any running total."""
-        earmarked: dict[tuple[str, str], int] = {}
+        holder's earmarks are consistent, and `unused` holds exactly the
+        unused pendings. Regroups the unused pendings from `pendings` rather
+        than trusting `unused` or any running total."""
+        grouped: dict[tuple[str, str], dict[str, PendingTransfer]] = {}
         for pending in self.pendings.values():
             if not pending.used:
-                key = (pending.tick, pending.owner)
-                earmarked[key] = earmarked.get(key, 0) + pending.amt
-                if self.raw_balance(pending.tick, pending.owner) < pending.amt:
-                    raise errors.InvariantViolation(
-                        f"pending {pending.inscription_id} exceeds its owner's balance")
-        for tick, state in self.ticks.items():
-            if state.minted > state.max:
-                raise errors.InvariantViolation(f"{tick}: minted > max")
-            if state.lim > state.max:
-                raise errors.InvariantViolation(f"{tick}: lim > max")
-            bal = self.balances.get(tick, {})
-            if not all(v > 0 for v in bal.values()):
-                raise errors.InvariantViolation(f"{tick}: non-positive balance")
-            total = sum(bal.values())
-            if total != state.minted:
+                grouped.setdefault((pending.tick, pending.owner), {})[
+                    pending.inscription_id] = pending
+        for tick in self.ticks:
+            self._check_tick(tick)
+        for (tick, addr), records in grouped.items():
+            self._check_holder(tick, addr, records)
+        if grouped != self.unused:
+            raise errors.InvariantViolation("unused pendings differ from their index")
+
+    def check_touched(self) -> None:
+        """Check, as `check_invariants` does, only the ticks and holders
+        changed since the last call, then forget them. A holder's earmarks are
+        re-summed from its records in `unused`, not from any running total."""
+        touched, self.touched = self.touched, {}
+        for tick, addrs in touched.items():
+            self._check_tick(tick)
+            for addr in addrs:
+                self._check_holder(tick, addr, self.unused.get((tick, addr), {}))
+
+    def _check_tick(self, tick: str) -> None:
+        """Supply: minted and lim within max, and the holders' positive
+        balances sum to minted."""
+        state = self.ticks[tick]
+        if state.minted > state.max:
+            raise errors.InvariantViolation(f"{tick}: minted > max")
+        if state.lim > state.max:
+            raise errors.InvariantViolation(f"{tick}: lim > max")
+        bal = self.balances.get(tick, {}).values()
+        if min(bal, default=1) <= 0:
+            raise errors.InvariantViolation(f"{tick}: non-positive balance")
+        total = sum(bal)
+        if total != state.minted:
+            raise errors.InvariantViolation(
+                f"{tick}: balances sum to {total}, minted {state.minted}")
+
+    def _check_holder(self, tick: str, addr: str, records: dict) -> None:
+        """Earmarks: each of addr's unused pendings of tick, and their sum,
+        within its raw balance."""
+        raw = self.raw_balance(tick, addr)
+        for pending in records.values():
+            if raw < pending.amt:
                 raise errors.InvariantViolation(
-                    f"{tick}: balances sum to {total}, minted {state.minted}")
-            for addr, raw in bal.items():
-                if raw < earmarked.get((tick, addr), 0):
-                    raise errors.InvariantViolation(
-                        f"{tick}: {addr} has a negative available balance")
+                    f"pending {pending.inscription_id} exceeds its owner's balance")
+        if raw < sum(p.amt for p in records.values()):
+            raise errors.InvariantViolation(
+                f"{tick}: {addr} has a negative available balance")
 
     def to_json(self) -> dict:
         return {
@@ -276,6 +332,8 @@ class Brc20Ledger:
         for tick, bal in obj.get("balances", {}).items():
             ledger.balances[tick] = {a: parse_amount(v) for a, v in bal.items()}
         for p in obj.get("pendings", []):
-            ledger.pendings[p["id"]] = PendingTransfer(
+            pending = ledger.pendings[p["id"]] = PendingTransfer(
                 p["id"], p["tick"], parse_amount(p["amt"]), p["owner"], p["used"])
+            if not pending.used:
+                ledger.unused.setdefault((pending.tick, pending.owner), {})[p["id"]] = pending
         return ledger

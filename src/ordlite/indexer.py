@@ -5,6 +5,10 @@ values, apply it to the UTXO set, extract inscriptions from witnesses, replay
 BRC-20 operations, and settle pending transfers whose inscribed sat moved.
 Protocol-level failures are recorded as diagnostics and never abort indexing;
 a chain-level failure raises ChainError or RangeValueMismatch before any commit.
+Each block ends with the ledger's `check_touched`, which checks the BRC-20
+invariants of only the ticks and holders the block changed, so its cost grows
+with the holders of those ticks, not with the transfers ever inscribed; the
+full `check_invariants` runs in `validate`, when a snapshot is loaded.
 
 Inscriptions are tracked per transaction, in block order, through an
 outpoint -> inscriptions index, as ord's InscriptionUpdater does: a tx moves
@@ -163,7 +167,7 @@ class IndexState:
                 self._track_moved_inscriptions(tx, coinbase, assigned)
             self._extract_reveals(tx, block, assigned)
 
-        self.ledger.check_invariants()
+        self.ledger.check_touched()
 
     def _place(self, ins_id: str, satpoint: SatPoint) -> None:
         self.location[ins_id] = satpoint
@@ -363,7 +367,8 @@ class IndexState:
         indexing could have produced: every UTXO's ranges are non-empty, total
         its value and share no sat with another's; every located inscription
         is on its genesis sat, in an unspent output; the ledger's invariants
-        hold; and `data` is this state's canonical bytes."""
+        hold in full, its index of unused pendings included; and `data` is
+        this state's canonical bytes."""
         spans = []
         for op, entry in self.utxos.entries.items():
             for r in entry.sat_ranges:

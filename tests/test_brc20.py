@@ -1,3 +1,5 @@
+import copy
+import importlib
 import json
 import os
 import random
@@ -8,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from ordlite import brc20, errors
+from ordlite import brc20, chain, errors
 from ordlite.brc20 import Brc20Ledger, format_amount, parse_amount, parse_brc20
+from ordlite.indexer import IndexState
 
 LISTING_DEPLOY = b'{"p":"brc-20","op":"deploy","tick":"ordi","max":"2100000","lim":"1000"}'
 
@@ -112,33 +115,53 @@ def test_mint_unknown_tick():
         ledger.apply_mint(mint, "alice")
 
 
-def _overminted():
-    ledger = _funded()
-    excess = ledger.ticks["ordi"].max + 1
-    ledger.ticks["ordi"].minted = ledger.balances["ordi"]["alice"] = excess
+# Each corruption breaks one rule at (tick, addr) and returns the ledger.
+
+def _overmint(ledger, tick, addr):
+    state = ledger.ticks[tick]
+    excess = state.max + 1 - state.minted
+    state.minted += excess
+    ledger.balances[tick][addr] = ledger.raw_balance(tick, addr) + excess
     return ledger
+
+
+def _earmark(ledger, ins_id, tick, amt, owner):
+    """Record an unused pending, skipping the availability check."""
+    pending = ledger.pendings[ins_id] = brc20.PendingTransfer(ins_id, tick, amt, owner)
+    ledger.unused.setdefault((tick, owner), {})[ins_id] = pending
+
+
+def _overearmark(ledger, tick, addr):
+    # each pending fits addr's balance on its own; together they exceed it
+    for ins_id in ("t1", "t2"):
+        _earmark(ledger, ins_id, tick, ledger.raw_balance(tick, addr), addr)
+    return ledger
+
+
+def _overpend(ledger, tick, addr):
+    _earmark(ledger, "t1", tick, ledger.raw_balance(tick, addr) + 1, addr)
+    return ledger
+
+
+def _unbalance(ledger, tick, addr):
+    ledger.balances[tick][addr] = ledger.raw_balance(tick, addr) + 1
+    return ledger
+
+
+def _overminted():
+    return _overmint(_funded(), "ordi", "alice")
 
 
 def _overearmarked():
-    # each pending fits alice's 1000 on its own; together they exceed it
-    ledger = _funded()
-    for ins_id in ("t1", "t2"):
-        ledger.pendings[ins_id] = brc20.PendingTransfer(
-            ins_id, "ordi", parse_amount("600"), "alice")
-    return ledger
+    return _overearmark(_funded(), "ordi", "alice")
 
 
 def _overpending():
-    ledger = _funded()
-    ledger.pendings["t1"] = brc20.PendingTransfer(
-        "t1", "ordi", parse_amount("1001"), "alice")
-    return ledger
+    return _overpend(_funded(), "ordi", "alice")
 
 
 def _unbalanced():
-    ledger = _funded()
-    ledger.balances["ordi"]["bob"] = parse_amount("1")
-    return ledger
+    return _unbalance(_funded(), "ordi", "bob")
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -170,6 +193,48 @@ def test_check_invariants_holds_under_optimize(tmp_path):
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_per_block_check_holds_under_optimize(tmp_path):
+    """`check_touched` raises, not asserts, so `python -O` cannot strip it."""
+    code = (
+        "import sys, test_brc20\n"
+        "from ordlite import errors\n"
+        "assert False, 'assert statements must be stripped under -O'\n"
+        "try:\n"
+        "    test_brc20._overminted().check_touched()\n"
+        "except errors.InvariantViolation:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    src = Path(brc20.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _drop_from_index(ledger):
+    del ledger.unused[("ordi", "alice")]["t1"]
+
+
+def _used_left_in_index(ledger):
+    ledger.pendings["t1"].used = True
+
+
+def _missing_from_index(ledger):
+    ledger.pendings["t2"] = brc20.PendingTransfer("t2", "ordi", parse_amount("1"), "alice")
+
+
+@pytest.mark.parametrize("drift", [_drop_from_index, _used_left_in_index,
+                                   _missing_from_index])
+def test_check_invariants_rejects_a_drifted_pending_index(drift):
+    ledger = _funded()
+    ledger.inscribe_transfer(_transfer_op("100"), "t1", "alice")
+    ledger.check_invariants()
+    drift(ledger)
+    with pytest.raises(errors.InvariantViolation, match="differ from their index"):
+        ledger.check_invariants()
 
 
 def _funded(amount="1000"):
@@ -416,3 +481,98 @@ def test_prefix_property():
                 apply_to_ledger(prefix, e)
             assert json.dumps(prefix.to_json(), sort_keys=True) == \
                 json.dumps(full.to_json(), sort_keys=True)
+
+
+TICK_FAULTS = [(_overmint, "minted > max"), (_unbalance, "balances sum to")]
+HOLDER_FAULTS = [(_overearmark, "negative available balance"),
+                 (_overpend, "exceeds its owner's balance")]
+
+
+def _holders(ledger) -> dict:
+    """(tick, addr) -> its raw balance and unused pending ids, for every key
+    that has either."""
+    keys = {(t, a) for t, bal in ledger.balances.items() for a in bal}
+    return {k: (ledger.raw_balance(*k), sorted(ledger.unused.get(k, ())))
+            for k in keys | ledger.unused.keys()}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_per_block_check_agrees_with_full_check(seed):
+    """Each event touches every tick and holder it changes. After it both
+    checks pass, and each corruption of a tick or holder it touched makes both
+    raise. A tick fault goes to a holder the event did not touch: the supply
+    check covers all of a touched tick."""
+    ledger = Brc20Ledger()
+    injected = set()
+    for ev in random_events(random.Random(seed), 80):
+        ticks, holders = copy.deepcopy(ledger.ticks), _holders(ledger)
+        apply_to_ledger(ledger, ev)
+        after = _holders(ledger)
+        touched = {(t, a) for t, addrs in ledger.touched.items() for a in addrs}
+        assert {k for k in holders.keys() | after.keys()
+                if holders.get(k) != after.get(k)} <= touched
+        assert {t for t in ledger.ticks if ticks.get(t) != ledger.ticks[t]} \
+            <= ledger.touched.keys()
+        for tick, addrs in ledger.touched.items():
+            faults = [(corrupt, message, "untouched") for corrupt, message in TICK_FAULTS]
+            faults += [(corrupt, message, addr) for addr in sorted(addrs)
+                       for corrupt, message in HOLDER_FAULTS
+                       if corrupt is _overpend or ledger.raw_balance(tick, addr)]
+            for corrupt, message, addr in faults:
+                for check in (Brc20Ledger.check_touched, Brc20Ledger.check_invariants):
+                    with pytest.raises(errors.InvariantViolation, match=message):
+                        check(corrupt(copy.deepcopy(ledger), tick, addr))
+                injected.add(corrupt)
+        ledger.check_touched()
+        assert ledger.touched == {}
+        ledger.check_invariants()
+    assert injected == {corrupt for corrupt, _ in TICK_FAULTS + HOLDER_FAULTS}
+
+
+def test_per_block_check_reads_only_the_touched_holder():
+    """With hundreds of used and unused pendings of other holders, one mint's
+    check and the minter's pending total read only the minter's records."""
+    ledger = _deployed()
+    mint = parse_brc20(b'{"p":"brc-20","op":"mint","tick":"ordi","amt":"1000"}')
+    for h in range(40):
+        holder = f"holder{h}"
+        ledger.apply_mint(mint, holder)
+        for t in range(10):
+            ledger.inscribe_transfer(_transfer_op("10"), f"{holder}t{t}", holder)
+        for t in range(5):
+            ledger.settle_transfer(f"{holder}t{t}", holder, "sink")
+    ledger.apply_mint(mint, "alice")
+    ledger.inscribe_transfer(_transfer_op("10"), "alicet0", "alice")
+    ledger.check_touched()
+    read_owners = set()
+
+    class CountedPending(brc20.PendingTransfer):
+        def __getattribute__(self, name):
+            read_owners.add(object.__getattribute__(self, "owner"))
+            return object.__getattribute__(self, name)
+
+    for pending in ledger.pendings.values():
+        pending.__class__ = CountedPending
+    assert len(ledger.pendings) == 401 and len(ledger.unused) == 41
+    ledger.apply_mint(mint, "alice")
+    ledger.check_touched()
+    assert ledger.pending_outgoing("ordi", "alice") == parse_amount("10")
+    assert read_owners == {"alice"}
+
+
+@pytest.mark.parametrize("workload", ["cli_mix", "transfer_web"])
+def test_ledger_round_trip_rebuilds_the_pending_index(workload, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    session = importlib.import_module("session")
+    for k in range(session.CHAINS[workload]):
+        inputs = session.setup_chain(workload, 101, k, tmp_path / f"chain{k}")
+        state = IndexState()
+        with open(inputs.blocks_path) as fp:
+            state.index_blocks(chain.read_blocks_jsonl(fp))
+        ledger = state.ledger
+        rebuilt = Brc20Ledger.from_json(ledger.to_json())
+        assert ledger.unused and rebuilt.unused == ledger.unused
+        rebuilt.check_invariants()
+        for tick, bal in ledger.balances.items():
+            for addr in bal.keys() | {owner for _, owner in ledger.unused}:
+                assert rebuilt.query_balance(tick, addr) == ledger.query_balance(tick, addr)
