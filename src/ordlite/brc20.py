@@ -32,6 +32,7 @@ from . import errors
 AMOUNT_SCALE = 18
 AMOUNT_UNIT = 10 ** AMOUNT_SCALE
 MAX_MANTISSA = 2 ** 128
+_MANTISSA_DIGITS = len(str(MAX_MANTISSA))
 
 DEPLOY, MINT, TRANSFER = "deploy", "mint", "transfer"
 
@@ -46,7 +47,9 @@ def parse_amount(s) -> int:
         raise errors.BadAmount(repr(s))
     if len(fracpart) > AMOUNT_SCALE:
         raise errors.BadAmount(f"more than {AMOUNT_SCALE} decimals: {s!r}")
-    mantissa = int(intpart + fracpart)
+    # by value: leading zeros do not count, and int() refuses over 4300 digits
+    digits = (intpart + fracpart).lstrip("0") or "0"
+    mantissa = int(digits) if len(digits) <= _MANTISSA_DIGITS else MAX_MANTISSA
     if mantissa >= MAX_MANTISSA:
         raise errors.BadAmount(f"amount too large: {s!r}")
     units = mantissa * 10 ** (AMOUNT_SCALE - len(fracpart))
@@ -66,9 +69,12 @@ def normalize_tick(tick) -> str:
     if not isinstance(tick, str):
         raise errors.BadTick(repr(tick))
     t = tick.lower()
-    if len(t.encode()) != 4:
-        raise errors.BadTick(f"tick must be 4 bytes: {tick!r}")
-    return t
+    try:
+        if len(t.encode()) == 4:
+            return t
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 bytes
+        pass
+    raise errors.BadTick(f"tick must be 4 UTF-8 bytes: {tick!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class Brc20Op:
 def parse_brc20(body: bytes) -> Brc20Op:
     try:
         obj = json.loads(body)
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         raise errors.NotJson("body is not JSON")
     if not isinstance(obj, dict):
         raise errors.NotJson("body is not a JSON object")
@@ -114,13 +120,12 @@ def parse_brc20(body: bytes) -> Brc20Op:
 
 
 @dataclass
-class TickState:
-    tick: str
+class TickState:  # keyed by its tick in `Brc20Ledger.ticks`
     max: int
     lim: int
-    minted: int = 0
-    deploy_inscription_id: str = ""
-    deploy_height: int = -1
+    minted: int
+    deploy_inscription_id: str
+    deploy_height: int
 
     def to_json(self) -> dict:
         return {
@@ -172,16 +177,14 @@ class Brc20Ledger:
         state = self.ticks.get(tick)
         if state is None:
             raise errors.UnknownTick(tick)
-        return {"tick": state.tick, **state.to_json()}
+        return {"tick": tick, **state.to_json()}
 
     # --- state transitions (raise Brc20Error on protocol violations) ---
 
     def apply_deploy(self, op: Brc20Op, inscription_id: str, height: int) -> None:
         if op.tick in self.ticks:
             raise errors.TickExists(op.tick)
-        self.ticks[op.tick] = TickState(op.tick, op.max, op.lim,
-                                        deploy_inscription_id=inscription_id,
-                                        deploy_height=height)
+        self.ticks[op.tick] = TickState(op.max, op.lim, 0, inscription_id, height)
         self.balances.setdefault(op.tick, {})
         self._touch(op.tick)
 
@@ -324,14 +327,14 @@ class Brc20Ledger:
     @classmethod
     def from_json(cls, obj: dict) -> "Brc20Ledger":
         ledger = cls()
-        for tick, s in obj.get("ticks", {}).items():
+        for tick, s in obj["ticks"].items():
             ledger.ticks[tick] = TickState(
-                tick, parse_amount(s["max"]), parse_amount(s["lim"]),
+                parse_amount(s["max"]), parse_amount(s["lim"]),
                 parse_amount(s["minted"]) if s["minted"] != "0" else 0,
                 s["deploy_id"], s["height"])
-        for tick, bal in obj.get("balances", {}).items():
+        for tick, bal in obj["balances"].items():
             ledger.balances[tick] = {a: parse_amount(v) for a, v in bal.items()}
-        for p in obj.get("pendings", []):
+        for p in obj["pendings"]:
             pending = ledger.pendings[p["id"]] = PendingTransfer(
                 p["id"], p["tick"], parse_amount(p["amt"]), p["owner"], p["used"])
             if not pending.used:

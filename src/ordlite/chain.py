@@ -249,6 +249,6 @@ def read_blocks_jsonl(fp):
             continue
         try:
             block = block_from_json(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise errors.ChainError(f"line {n}: {type(exc).__name__}: {exc}") from exc
         yield block

@@ -5,12 +5,13 @@ byte-identical output. Exit codes: 0 success, 1 user/protocol error,
 2 internal invariant violation.
 
 Only ordlite writes the data dir's snapshot: `index`, `trade` and
-`snapshot load`, which validates the file it takes in. Write commands load
-the whole state. Read commands trust the data dir and decode only the
-snapshot sections they need (`indexer.read_sections`): `brc20` decodes
-"brc20", `inscriptions` stops after "inscriptions", `snapshot hash` after
-"tip_height", and `sat` needs "utxos", the last one. With no snapshot, every
-command answers from an empty index.
+`snapshot load`, which validates the file it takes in. All other commands
+trust the data dir and decode it with `indexer.read_sections`, which raises
+CorruptSnapshot (exit 1) on any other layout. Writes decode every section;
+`snapshot save` copies the bytes. Reads decode only the sections they need:
+`brc20` decodes "brc20", `inscriptions` stops after "inscriptions", `snapshot
+hash` after "tip_height", and `sat` needs "utxos", the last one. With no
+snapshot, every command answers from an empty index.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ def snapshot_hash(obj):
 @click.argument("path", type=click.Path())
 @click.pass_obj
 def snapshot_save(obj, path):
-    state = load_state(obj["data_dir"])
-    emit({"saved": str(path), "hash": state.save(path)})
+    digest = indexer.write_snapshot(path, read_snapshot(obj["data_dir"]))
+    emit({"saved": str(path), "hash": digest})
 
 
 @snapshot.command("load")

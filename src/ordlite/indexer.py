@@ -24,9 +24,10 @@ receiver, even when a later tx in the block spends it as fee.
 The snapshot is canonical JSON: `chain.canonical_dumps` sorts every key, so
 its top-level sections always come in SECTIONS order. Bytes from outside the
 data dir enter only through `IndexState.from_untrusted`, which validates
-them. The data dir then holds only bytes ordlite wrote, so a read that needs
-a few sections decodes just those, in order, with `read_sections`, which
-checks their layout and nothing more.
+them. The data dir then holds only bytes ordlite wrote, so `read_sections`,
+which checks their layout and nothing more, is its one decoder: reads decode
+the sections they need, `IndexState.load` all of them. `next_number` and each
+`genesis_satpoint` are written from the state, which does not keep them.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def read_sections(data: bytes, last: str) -> dict:
             sections[key], pos = _DECODER.raw_decode(text, pos + len(head))
             if key == last:
                 break
-    except ValueError as exc:  # not UTF-8, or not JSON where a value should be
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise errors.CorruptSnapshot(str(exc)) from exc
     if key == SECTIONS[-1] and text[pos:] != "}":
         raise errors.CorruptSnapshot(f"expected the closing brace at offset {pos}")
@@ -111,7 +112,6 @@ class Inscription:
     body: bytes
     kind: str
     genesis_sat: int
-    genesis_satpoint: SatPoint
     height: int
 
 
@@ -134,7 +134,6 @@ class IndexState:
         self.location: dict[str, SatPoint] = {}  # inscription id -> current satpoint
         # derived from `location`, never serialized: outpoint -> ids located on it
         self.by_outpoint: dict[OutPoint, list[str]] = {}
-        self.next_number = 0
         self.ledger = brc20.Brc20Ledger()
         self.offers: dict[str, trade.Offer] = {}
         self.btc_deltas: dict[str, int] = {}  # trade settlement accounting
@@ -224,14 +223,12 @@ class IndexState:
             if reason is not None:
                 self.diagnostics.append(f"inscription {ins_id} {reason}; skipped")
                 continue
-            genesis_sat = ranges[0][0]
-            satpoint = SatPoint(first_out, 0)
             kind, op = classify_envelope(env)
-            ins = Inscription(ins_id, self.next_number, env.content_type,
-                              env.body, kind, genesis_sat, satpoint, block.height)
-            self.next_number += 1
+            # no inscription is ever removed, so the count is the next number
+            ins = Inscription(ins_id, len(self.inscriptions), env.content_type,
+                              env.body, kind, ranges[0][0], block.height)
             self.inscriptions[ins_id] = ins
-            self._place(ins_id, satpoint)
+            self._place(ins_id, SatPoint(first_out, 0))
             if op is not None:
                 # the actor owns the freshly inscribed sat
                 self._apply_brc20(ins, op, tx.outputs[0].recipient)
@@ -264,7 +261,7 @@ class IndexState:
         which sorts every dict's keys."""
         return {
             "tip_height": self.tip_height,
-            "next_number": self.next_number,
+            "next_number": len(self.inscriptions),
             "utxos": {
                 str(op): {
                     "value": e.txout.value,
@@ -281,7 +278,8 @@ class IndexState:
                     "body": ins.body.hex(),
                     "kind": ins.kind,
                     "genesis_sat": ins.genesis_sat,
-                    "genesis_satpoint": str(ins.genesis_satpoint),
+                    # a reveal binds to the first sat of its tx's first output
+                    "genesis_satpoint": f"{ins.id.rpartition('i')[0]}:0:0",
                     "satpoint": str(self.location[ins.id]) if ins.id in self.location else None,
                     "height": ins.height,
                 }
@@ -300,41 +298,31 @@ class IndexState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexState":
-        outpoints: dict[str, OutPoint] = {}  # each distinct string is parsed once
-
-        def outpoint(key: str) -> OutPoint:
-            op = outpoints.get(key)
-            if op is None:
-                op = outpoints[key] = OutPoint.parse(key)
-            return op
-
-        def satpoint(text: str) -> SatPoint:
-            key, _, off = text.rpartition(":")
-            return SatPoint(outpoint(key), int(off))
-
         state = cls()
         state.tip_height = obj["tip_height"]
-        state.next_number = obj["next_number"]
+        outpoints: dict[str, OutPoint] = {}  # a location shares its UTXO's key
         for key, e in obj["utxos"].items():
-            state.utxos.entries[outpoint(key)] = chain.UtxoEntry(
+            op = outpoints[key] = OutPoint.parse(key)
+            state.utxos.entries[op] = chain.UtxoEntry(
                 chain.TxOut(e["value"], e["recipient"], e["script_kind"]),
                 [tuple(r) for r in e["sat_ranges"]])
         for ins_id, i in obj["inscriptions"].items():
-            ins = Inscription(ins_id, i["number"], i["content_type"],
-                              bytes.fromhex(i["body"]), i["kind"],
-                              i["genesis_sat"], satpoint(i["genesis_satpoint"]),
-                              i["height"])
-            state.inscriptions[ins_id] = ins
-            if i.get("satpoint"):
-                state._place(ins_id, satpoint(i["satpoint"]))
+            state.inscriptions[ins_id] = Inscription(
+                ins_id, i["number"], i["content_type"], bytes.fromhex(i["body"]),
+                i["kind"], i["genesis_sat"], i["height"])
+            if i["satpoint"]:
+                key, _, offset = i["satpoint"].rpartition(":")
+                state._place(ins_id, SatPoint(outpoints.get(key) or OutPoint.parse(key),
+                                              int(offset)))
         state.ledger = brc20.Brc20Ledger.from_json(obj["brc20"])
         state.offers = {oid: trade.Offer.from_json(oid, o)
-                        for oid, o in obj.get("offers", {}).items()}
-        state.btc_deltas = dict(obj.get("btc_deltas", {}))
+                        for oid, o in obj["offers"].items()}
+        state.btc_deltas = dict(obj["btc_deltas"])
         return state
 
     @classmethod
     def load(cls, path) -> "IndexState":
+        """The data dir's snapshot at path, decoded by `read_sections` as reads are."""
         # Decoding allocates the whole state and frees none of it, so cyclic
         # collections during it find nothing; the objects they promote would
         # only bring the next full collection, over the caller's whole heap,
@@ -342,8 +330,8 @@ class IndexState:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            with open(path) as fp:
-                return cls.from_json(json.load(fp))
+            with open(path, "rb") as fp:
+                return cls.from_json(read_sections(fp.read(), SECTIONS[-1]))
         finally:
             if enabled:
                 gc.enable()
@@ -358,17 +346,19 @@ class IndexState:
             state.validate(data)
         except errors.CorruptSnapshot:
             raise
-        except (ValueError, KeyError, TypeError, AttributeError, errors.OrdliteError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError, AttributeError,
+                errors.OrdliteError) as exc:
             raise errors.CorruptSnapshot(f"{type(exc).__name__}: {exc}") from exc
         return state
 
     def validate(self, data: bytes) -> None:
         """Raise CorruptSnapshot unless this state, decoded from `data`, is one
         indexing could have produced: every UTXO's ranges are non-empty, total
-        its value and share no sat with another's; every located inscription
-        is on its genesis sat, in an unspent output; the ledger's invariants
-        hold in full, its index of unused pendings included; and `data` is
-        this state's canonical bytes."""
+        its value and share no sat with another's; the inscriptions are
+        numbered 0..n-1 and every located one is on its genesis sat, in an
+        unspent output; the ledger's invariants hold in full, its index of
+        unused pendings included; and `data` is this state's canonical bytes,
+        so no stored value disagrees with what the state derives."""
         spans = []
         for op, entry in self.utxos.entries.items():
             for r in entry.sat_ranges:
@@ -382,6 +372,9 @@ class IndexState:
         for (_, end, op), (start, _, other) in zip(spans, spans[1:]):
             if start < end:
                 raise errors.CorruptSnapshot(f"{op} and {other} share sat {start}")
+        numbers = sorted(ins.number for ins in self.inscriptions.values())
+        if numbers != list(range(len(numbers))) or any(type(n) is not int for n in numbers):
+            raise errors.CorruptSnapshot("inscription numbers are not 0..n-1")
         for ins_id, point in self.location.items():
             entry = self.utxos.get(point.outpoint)
             if entry is None:

@@ -43,8 +43,14 @@ def load_price_csv(path) -> PriceSeries:
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["date", "price"]:
             raise errors.MetricsError(f"{path}: expected 'date,price' header")
         for row in reader:
+            try:  # float(None) raises TypeError: the row has no price field
+                prices.append(float(row["price"]))
+            except (TypeError, ValueError):
+                prices.append(math.nan)
+            if not math.isfinite(prices[-1]):
+                raise errors.MetricsError(f"{path}: line {reader.line_num}: "
+                                          f"price {row['price']!r} is not a finite number")
             dates.append(row["date"].strip())
-            prices.append(float(row["price"]))
     return PriceSeries(path.stem, tuple(dates), tuple(prices))
 
 

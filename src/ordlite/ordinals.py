@@ -45,13 +45,9 @@ def start_sat_of_block(height: int) -> int:
     """Cumulative subsidy of blocks [0, height)."""
     if height < 0 or height > FINAL_SUPPLY_HEIGHT:
         raise errors.HeightBeyondSupply(str(height))
-    total = 0
     epoch = height // HALVING_INTERVAL
-    for e in range(epoch):
-        total += HALVING_INTERVAL * (INITIAL_SUBSIDY >> e)
-    total += (height % HALVING_INTERVAL) * (INITIAL_SUBSIDY >> epoch
-                                            if epoch < SUBSIDY_EPOCHS else 0)
-    return total
+    return (sum(HALVING_INTERVAL * (INITIAL_SUBSIDY >> e) for e in range(epoch))
+            + height % HALVING_INTERVAL * block_subsidy(height))
 
 
 def sat_to_decimal(n: int) -> tuple[int, int]:

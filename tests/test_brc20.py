@@ -22,6 +22,8 @@ def test_parse_amount_exact_decimals():
     assert parse_amount("0.5") == 5 * 10**17
     assert parse_amount("2100000") == 2_100_000 * 10**18
     assert format_amount(parse_amount("1.50")) == "1.5"
+    # an amount's size is its value's: leading zeros never make it too large
+    assert parse_amount("0001") == parse_amount("0" * 5000 + "1") == 10**18
     for bad in ("0", "-1", "1e3", "", ".", "1.", "0." + "0" * 19 + "1", "abc"):
         with pytest.raises(errors.BadAmount):
             parse_amount(bad)
@@ -63,6 +65,12 @@ def test_parse_errors():
         parse_brc20(b'{"p":"brc-20","op":"mint","tick":"toolong","amt":"1"}')
     with pytest.raises(errors.LimExceedsMax):
         parse_brc20(b'{"p":"brc-20","op":"deploy","tick":"ordi","max":"10","lim":"11"}')
+    with pytest.raises(errors.NotJson):  # nested past the recursion limit
+        parse_brc20(b"[" * 100_000)
+    with pytest.raises(errors.BadTick):  # a lone surrogate has no UTF-8 encoding
+        parse_brc20(b'{"p":"brc-20","op":"mint","tick":"\\ud800abc","amt":"1"}')
+    with pytest.raises(errors.BadAmount):  # more digits than int() converts
+        parse_brc20(b'{"p":"brc-20","op":"mint","tick":"ordi","amt":"' + b"1" * 5000 + b'"}')
 
 
 def test_tick_normalization():

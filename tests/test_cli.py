@@ -125,7 +125,11 @@ def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
         return to_json(self)
     monkeypatch.setattr(IndexState, "to_json", counted)
     out = json.loads(run(runner, workdir, *args).output)
-    assert len(calls) == 1
+    if command == "snapshot save":  # a copy of the data dir's bytes
+        assert calls == []
+        assert written.read_bytes() == (workdir / "data" / cli_module.SNAPSHOT_FILE).read_bytes()
+    else:
+        assert len(calls) == 1
     assert out["hash"] == hashlib.sha256(written.read_bytes()).hexdigest() \
         == IndexState.load(written).snapshot_hash()
 
@@ -224,8 +228,9 @@ ONE_SAT = [{"value": 1, "recipient": "miner"}]
                          outputs=[]),
     lambda h: block_line(h, txid=GOOD_TXID),
     lambda h: block_line(h, txid=GOOD_TXID, outputs=[{"value": 1, "recipient": 5}]),
+    lambda h: "[" * 100_000,
 ], ids=["not_json", "not_an_object", "float_height", "bad_txid", "bad_input_txid",
-        "no_outputs", "int_recipient"])
+        "no_outputs", "int_recipient", "nested_too_deep"])
 def test_malformed_block_line_is_a_json_error(runner, workdir, monkeypatch, capsys,
                                               bad_line):
     run(runner, workdir, "scenario", str(workdir / "script.json"),
@@ -281,16 +286,34 @@ def _minted_mismatch(obj):
     obj["brc20"]["ticks"]["ordi"]["minted"] = "999"
 
 
+def _next_number_off_by_one(obj):
+    obj["next_number"] += 1
+
+
+def _genesis_satpoint_moved(obj):
+    ins = _inscribed(obj)[0]
+    ins["genesis_satpoint"] = ins["genesis_satpoint"][:-1] + "1"
+
+
+def _number_repeated(obj):
+    first, second = sorted(obj["inscriptions"].values(), key=lambda i: i["number"])[:2]
+    second["number"] = first["number"]
+
+
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
     "range_total_off_by_one": (_value_off_by_one, None, "do not total"),
     "two_utxos_share_a_sat": (_shared_sat, None, "share sat"),
     "inscription_on_missing_outpoint": (_on_missing_outpoint, None, "not unspent"),
     "inscription_past_output_value": (_past_its_value, None, "not on its genesis sat"),
     "minted_does_not_match_balances": (_minted_mismatch, None, "balances sum to"),
+    "next_number_is_not_the_count": (_next_number_off_by_one, None, "not in canonical form"),
+    "genesis_satpoint_moved": (_genesis_satpoint_moved, None, "not in canonical form"),
+    "two_inscriptions_share_a_number": (_number_repeated, None, "numbers are not 0..n-1"),
     "re_indented": (lambda obj: None, lambda obj: json.dumps(obj, indent=1, sort_keys=True),
                     "not in canonical form"),
     "not_json": (lambda obj: None, lambda obj: "{not json", "JSONDecodeError"),
     "not_an_object": (lambda obj: None, lambda obj: "[]", "TypeError"),
+    "nested_too_deep": (lambda obj: None, lambda obj: "[" * 100_000, "RecursionError"),
 }
 
 
@@ -319,6 +342,23 @@ def test_snapshot_load_rejects_corrupt_snapshot(runner, workdir, monkeypatch, ca
     assert err["error"] == "CorruptSnapshot"
     assert message in err["message"]
     assert snapshot.read_bytes() == before
+
+
+@pytest.mark.parametrize("content", ["{not json", "[" * 100_000],
+                         ids=["not_json", "nested_too_deep"])
+@pytest.mark.parametrize("args", [("index", "empty.jsonl"), ("trade", "offer", "alice", "t1", "1"),
+                                  ("trade", "accept", "o1", "bob"), ("trade", "settle", "o1")],
+                         ids=" ".join)
+def test_write_on_a_corrupt_data_dir_is_corrupt(workdir, monkeypatch, capsys, content, args):
+    """Writes decode the data dir as reads do, and change nothing it holds."""
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    snapshot.parent.mkdir()
+    snapshot.write_text(content)
+    (workdir / "empty.jsonl").write_text("")
+    args = [str(workdir / a) if a.endswith(".jsonl") else a for a in args]
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", *args)
+    assert (code, err["error"]) == (1, "CorruptSnapshot")
+    assert snapshot.read_bytes() == content.encode()
 
 
 READS = (("sat", "0"), ("inscriptions",), ("brc20", "tick", "ordi"),

@@ -1,10 +1,13 @@
-"""Every module-level import in the package and its tests is used, and no
-regex literal in the package ends in an unescaped `$`.
+"""Every module-level import in the package and its tests is used, no
+regex literal in the package ends in an unescaped `$`, and JSON is decoded
+only where bytes enter the package.
 
 No linter is a dependency of this project, so these are stdlib `ast` scans.
 An imported name counts as used if it appears anywhere in the module as a
 name (an attribute chain's root included). A pattern ending in `$` also
-matches before a trailing newline; `fullmatch` does not.
+matches before a trailing newline; `fullmatch` does not. The data dir's
+snapshot has one decoder, `indexer.read_sections`; a second one could read it
+differently from the first.
 """
 
 import ast
@@ -70,3 +73,51 @@ re.search(r"c\\$", s)
 re.sub("d", "$", s)
 """
     assert dollar_anchored_regexes(source) == [(1, "a$"), (3, r"c\\$")]
+
+
+JSON_DECODERS = {
+    "chain.read_blocks_jsonl",  # a JSONL block file
+    "brc20.parse_brc20",  # an inscription body
+    "indexer.read_sections",  # the data dir's snapshot
+    "indexer.IndexState.from_untrusted",  # a snapshot file from elsewhere
+    "scenario.load_script",  # a scenario script
+}
+
+
+def json_decoders(source: str, module: str) -> set[str]:
+    """The dotted names of the functions (the module, at top level) that call
+    `json.load`, `json.loads` or a `.raw_decode` method."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if isinstance(func, ast.Attribute) and (
+                    func.attr == "raw_decode" or func.attr in ("load", "loads")
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                found.add(scope)
+            visit(child, scope)
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_json_is_decoded_only_where_bytes_enter():
+    found = set().union(*(json_decoders(path.read_text(), path.stem) for path in SOURCES))
+    assert found == JSON_DECODERS
+
+
+def test_scan_finds_json_decoders():
+    source = """import json
+TOP = json.loads("1")
+def f(fp):
+    return json.load(fp)
+class C:
+    def g(self, text):
+        def inner():
+            return DECODER.raw_decode(text)
+        return inner, pickle.loads(text), json.dumps(text)
+"""
+    assert json_decoders(source, "m") == {"m", "m.f", "m.C.g.inner"}

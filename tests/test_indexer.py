@@ -83,9 +83,10 @@ def test_inscription_numbering_and_binding():
     numbers = [i.number for i in sorted(state.inscriptions.values(),
                                         key=lambda i: i.number)]
     assert numbers == list(range(len(numbers)))
-    for ins in state.inscriptions.values():
-        assert ins.genesis_satpoint.outpoint.vout == 0
-        assert ins.genesis_satpoint.offset == 0
+    snapshot = state.to_json()
+    assert snapshot["next_number"] == len(numbers)
+    for ins_id, ins in snapshot["inscriptions"].items():
+        assert ins["genesis_satpoint"] == f"{ins_id.partition('i')[0]}:0:0"
 
 
 def test_extraction_is_deterministic():
@@ -149,7 +150,7 @@ def test_load_leaves_the_garbage_collector_as_it_found_it(genesis, tmp_path, ena
     try:
         assert IndexState.load(good).snapshot_hash() == state.snapshot_hash()
         assert gc.isenabled() == enabled
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.CorruptSnapshot):
             IndexState.load(bad)
         assert gc.isenabled() == enabled
     finally:
@@ -367,6 +368,37 @@ def test_reveal_in_output_less_tx_is_skipped_with_a_diagnostic():
         "or a zero-sat one); skipped" in state.diagnostics
 
 
+CRAFTED_BODIES = (
+    b"[" * 100_000,
+    b'{"p":"brc-20","op":"mint","tick":"\\ud800abc","amt":"1"}',
+    b'{"p":"brc-20","op":"mint","tick":"ordi","amt":"' + b"1" * 5000 + b'"}',
+)
+
+
+def test_reveals_of_crafted_brc20_bodies_are_text_and_their_block_commits(genesis):
+    """Bodies that once made parsing raise past `classify_envelope`: nested
+    past the recursion limit, a lone-surrogate tick, a 5000-digit amount."""
+    state = IndexState()
+    state.apply_block(genesis)
+    prev = OutPoint(genesis.txs[0].txid, 0)
+    change = state.utxos.require(prev).txout.value
+    reveals = []
+    for k, body in enumerate(CRAFTED_BODIES):
+        change -= 546
+        reveals.append(spend(f"crafted {k}", [prev], [TxOut(546, "alice", "p2tr_inscription"),
+                                                      TxOut(change, "alice")],
+                             witness=tuple(envelope.build_envelope("text/plain", body))))
+        prev = OutPoint(reveals[-1].txid, 1)
+    block = next_block(state, reveals, 0, "cb crafted")
+    state.apply_block(block)
+    assert state.tip_height == block.height
+    assert [(ins.number, ins.kind, ins.body) for ins in state.inscriptions.values()] == \
+        [(k, "text", body) for k, body in enumerate(CRAFTED_BODIES)]
+    assert {state.location[f"{tx.txid}i0"] for tx in reveals} == \
+        {SatPoint(OutPoint(tx.txid, 0), 0) for tx in reveals}
+    assert state.ledger.to_json() == brc20.Brc20Ledger().to_json()
+
+
 def test_reveal_reusing_a_spent_txid_keeps_the_earlier_inscription(genesis):
     """BIP30 lets a tx reuse the txid of one whose outputs are all spent; a
     reveal under it would get the id of the earlier inscription."""
@@ -392,7 +424,7 @@ def test_reveal_reusing_a_spent_txid_keeps_the_earlier_inscription(genesis):
     assert list(state.inscriptions) == [ins_id]
     assert state.inscriptions[ins_id].body == b"first"
     assert state.inscriptions[ins_id].height == 1
-    assert state.next_number == 1
+    assert state.to_json()["next_number"] == 1
     assert [i for ids in state.by_outpoint.values() for i in ids] == [ins_id]
     assert f"inscription {ins_id} reuses the id of an earlier inscription; skipped" \
         in state.diagnostics

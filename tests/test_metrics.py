@@ -150,3 +150,14 @@ def test_load_csv_bad_header(tmp_path):
     f.write_text("day,close\n2023-05-01,100\n")
     with pytest.raises(errors.MetricsError):
         metrics.load_price_csv(f)
+
+
+@pytest.mark.parametrize("row", ["2023-05-02", "2023-05-02,abc", "2023-05-02,nan",
+                                 "2023-05-02,inf"],
+                         ids=["no_price", "not_a_number", "nan", "inf"])
+def test_load_csv_bad_row_names_file_and_line(tmp_path, row):
+    f = tmp_path / "bad.csv"
+    f.write_text(f"date,price\n2023-05-01,100\n{row}\n2023-05-03,99\n")
+    with pytest.raises(errors.MetricsError, match=r"bad\.csv: line 3: price "):
+        metrics.load_price_csv(f)
+

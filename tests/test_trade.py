@@ -134,7 +134,7 @@ def test_two_inscription_touching_txs():
     reveal_txid = ins_id.split("i")[0]
     settle_txid = block.txs[1].txid
     # the reveal created the sat binding; the settlement moved it; nothing else
-    assert state.inscriptions[ins_id].genesis_satpoint.outpoint.txid == reveal_txid
+    assert state.to_json()["inscriptions"][ins_id]["genesis_satpoint"] == f"{reveal_txid}:0:0"
     assert state.location[ins_id].outpoint.txid == settle_txid
 
 
