@@ -191,6 +191,16 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def txout_to_json(o: TxOut) -> dict:
+    """An output's JSON shape, in blocks, PSBTs and the snapshot's UTXOs alike."""
+    return {"value": o.value, "recipient": o.recipient, "script_kind": o.script_kind}
+
+
+def txout_from_json(obj: dict) -> TxOut:
+    """The output of `txout_to_json`'s shape; a block's may omit the script kind."""
+    return TxOut(obj["value"], obj["recipient"], obj.get("script_kind", "plain"))
+
+
 def tx_to_json(tx: Transaction, include_witness=True) -> dict:
     obj = {
         "txid": tx.txid,
@@ -199,10 +209,7 @@ def tx_to_json(tx: Transaction, include_witness=True) -> dict:
             {"txid": tin.prevout.txid, "vout": tin.prevout.vout}
             for tin in tx.inputs
         ],
-        "outputs": [
-            {"value": o.value, "recipient": o.recipient, "script_kind": o.script_kind}
-            for o in tx.outputs
-        ],
+        "outputs": [txout_to_json(o) for o in tx.outputs],
     }
     if include_witness:
         for tin, entry in zip(tx.inputs, obj["inputs"]):
@@ -218,10 +225,7 @@ def tx_from_json(obj: dict) -> Transaction:
              tuple(bytes.fromhex(w) for w in i.get("witness", [])))
         for i in obj.get("inputs", [])
     )
-    outputs = tuple(
-        TxOut(o["value"], o["recipient"], o.get("script_kind", "plain"))
-        for o in obj["outputs"]
-    )
+    outputs = tuple(txout_from_json(o) for o in obj["outputs"])
     return Transaction(obj["txid"], inputs, outputs, bool(obj.get("coinbase")))
 
 

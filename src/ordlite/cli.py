@@ -5,13 +5,13 @@ byte-identical output. Exit codes: 0 success, 1 user/protocol error,
 2 internal invariant violation.
 
 Only ordlite writes the data dir's snapshot: `index`, `trade` and
-`snapshot load`, which validates the file it takes in. All other commands
-trust the data dir and decode it with `indexer.read_sections`, which raises
-CorruptSnapshot (exit 1) on any other layout. Writes decode every section;
-`snapshot save` copies the bytes. Reads decode only the sections they need:
-`brc20` decodes "brc20", `inscriptions` stops after "inscriptions", `snapshot
-hash` after "tip_height", and `sat` needs "utxos", the last one. With no
-snapshot, every command answers from an empty index.
+`snapshot load`, which validates the file it takes in. Every snapshot, the
+data dir's and `snapshot load`'s alike, is decoded by `indexer.read_sections`,
+which raises CorruptSnapshot (exit 1) on any other layout. Writes decode every
+section; `snapshot save` copies the bytes. Reads decode only the sections they
+need: `brc20` decodes "brc20", `inscriptions` stops after "inscriptions",
+`snapshot hash` after "tip_height", and `sat` needs "utxos", the last one.
+With no snapshot, every command reads EMPTY_SNAPSHOT, an empty index's bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .brc20 import Brc20Ledger
 from .indexer import IndexState
 
 SNAPSHOT_FILE = "snapshot.json"
+EMPTY_SNAPSHOT = IndexState().snapshot_bytes()
 
 
 def emit(obj) -> None:
@@ -39,16 +40,13 @@ def snapshot_path(data_dir) -> Path:
 
 
 def load_state(data_dir) -> IndexState:
-    path = snapshot_path(data_dir)
-    if path.exists():
-        return IndexState.load(path)
-    return IndexState()
+    return IndexState.decode(read_snapshot(data_dir))
 
 
 def read_snapshot(data_dir) -> bytes:
     """The data dir's snapshot bytes, or an empty index's."""
     path = snapshot_path(data_dir)
-    return path.read_bytes() if path.exists() else IndexState().snapshot_bytes()
+    return path.read_bytes() if path.exists() else EMPTY_SNAPSHOT
 
 
 def read_ledger(data_dir) -> Brc20Ledger:

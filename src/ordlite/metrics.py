@@ -1,7 +1,7 @@
 """Token market statistics: returns, volatility, Sharpe ratio, correlations.
 
-Input price series are CSV files with a `date,price` header, ISO-8601 dates,
-one file per symbol. Series are aligned by date intersection pairwise when
+Input price series are CSV files with a `date,price` header (spaces around
+either name are ignored), ISO-8601 dates, one file per symbol. Series are aligned by date intersection pairwise when
 building the correlation matrix.
 """
 
@@ -40,8 +40,10 @@ def load_price_csv(path) -> PriceSeries:
     dates, prices = [], []
     with open(path, newline="") as fp:
         reader = csv.DictReader(fp)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["date", "price"]:
+        names = [f.strip() for f in reader.fieldnames or ()]
+        if names != ["date", "price"]:
             raise errors.MetricsError(f"{path}: expected 'date,price' header")
+        reader.fieldnames = names  # key rows by the stripped names
         for row in reader:
             try:  # float(None) raises TypeError: the row has no price field
                 prices.append(float(row["price"]))

@@ -94,6 +94,8 @@ class ScenarioCompiler:
                 raise errors.ActionInvalid(idx, str(exc))
             except KeyError as exc:
                 raise errors.ActionInvalid(idx, f"missing field {exc}")
+            except (ValueError, TypeError) as exc:  # a field of the wrong type or value
+                raise errors.ActionInvalid(idx, f"{type(exc).__name__}: {exc}")
         return self.blocks
 
     def _compile_one(self, action: dict) -> None:
@@ -143,7 +145,10 @@ def compile_scenario(script: list[dict], seed: int = 0) -> list[Block]:
 
 def load_script(path) -> list[dict]:
     with open(path) as fp:
-        script = json.load(fp)
+        try:
+            script = json.load(fp)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise errors.ActionInvalid(0, f"not a JSON script: {exc}") from exc
     if not isinstance(script, list):
         raise errors.ActionInvalid(0, "script must be a JSON list")
     return script

@@ -9,6 +9,11 @@ returns change to the buyer; the network fee comes out of the buyer's funds.
 BTC deltas are accounted at the trade level: seller +ask, buyer -(ask+fee),
 miner +fee. The postage riding on the inscribed output travels with the
 inscription and is excluded from those deltas.
+
+Each rule has one owner: `funding_outputs` says which outputs may fund a
+buyer, `chain.tx_fee` prices the settlement, and an offer's inscription is the
+one its PSBT's input 0 spends (as in BIP-174, the input is the one record of
+what it spends), so an offer stores no copy of its id.
 """
 
 from __future__ import annotations
@@ -47,11 +52,7 @@ class Psbt:
                 {"outpoint": str(i.outpoint), "inscription_id": i.inscription_id}
                 for i in self.inputs
             ],
-            "outputs": [
-                {"value": o.value, "recipient": o.recipient,
-                 "script_kind": o.script_kind}
-                for o in self.outputs
-            ],
+            "outputs": [chain.txout_to_json(o) for o in self.outputs],
         }
 
     def to_json(self) -> dict:
@@ -64,23 +65,29 @@ class Psbt:
     @classmethod
     def from_json(cls, obj: dict) -> "Psbt":
         inputs = [
-            PsbtInput(OutPoint.parse(i["outpoint"]), i.get("inscription_id"),
-                      dict(i.get("signatures", {})))
+            PsbtInput(OutPoint.parse(i["outpoint"]), i["inscription_id"],
+                      dict(i["signatures"]))
             for i in obj["inputs"]
         ]
-        outputs = [TxOut(o["value"], o["recipient"], o["script_kind"])
-                   for o in obj["outputs"]]
-        return cls(inputs, outputs, bool(obj.get("finalized")))
+        outputs = [chain.txout_from_json(o) for o in obj["outputs"]]
+        return cls(inputs, outputs, bool(obj["finalized"]))
+
+
+STATUSES = ("open", "accepted", "settled", "cancelled", "stale")
 
 
 @dataclass
 class Offer:
     id: str
     seller: str
-    inscription_id: str
     ask: int
     psbt: Psbt
-    status: str  # open | accepted | settled | cancelled | stale
+    status: str  # one of STATUSES
+
+    @property
+    def inscription_id(self) -> str:
+        """The offered inscription: the one input 0 of the PSBT spends."""
+        return self.psbt.inputs[0].inscription_id
 
     def to_json(self) -> dict:
         return {"seller": self.seller, "inscription_id": self.inscription_id,
@@ -88,8 +95,8 @@ class Offer:
 
     @classmethod
     def from_json(cls, oid: str, obj: dict) -> "Offer":
-        return cls(oid, obj["seller"], obj["inscription_id"], obj["ask"],
-                   Psbt.from_json(obj["psbt"]), obj["status"])
+        return cls(oid, obj["seller"], obj["ask"], Psbt.from_json(obj["psbt"]),
+                   obj["status"])
 
 
 def commitment(psbt: Psbt, signer: str) -> str:
@@ -143,8 +150,7 @@ def create_offer(state: IndexState, seller: str, inscription_id: str, ask: int) 
     psbt = Psbt([PsbtInput(satpoint.outpoint, inscription_id)],
                 [TxOut(ask, seller)])
     sign(psbt, seller)
-    offer = Offer(_offer_id(seller, inscription_id, ask), seller,
-                  inscription_id, ask, psbt, "open")
+    offer = Offer(_offer_id(seller, inscription_id, ask), seller, ask, psbt, "open")
     # one open offer per pending inscription; a new one cancels the old
     for other in state.offers.values():
         if other.inscription_id == inscription_id and other.status == "open":
@@ -166,16 +172,15 @@ def accept_offer(state: IndexState, offer: Offer, buyer: str,
 
     if len(set(funding)) != len(funding):
         raise errors.BadFunding("duplicated funding outpoint")
+    fundable = dict(funding_outputs(state, buyer))
     funds = 0
     for op in funding:
-        fe = state.utxos.get(op)
-        if fe is None:
+        if op not in state.utxos:
             raise errors.InsufficientFunds(f"funding outpoint {op} unavailable")
-        if fe.txout.recipient != buyer or fe.txout.script_kind != "plain":
-            raise errors.BadFunding(f"funding outpoint {op} is not a plain output of {buyer}")
-        if op in state.by_outpoint:
-            raise errors.BadFunding(f"funding outpoint {op} carries an inscription")
-        funds += fe.txout.value
+        if op not in fundable:
+            raise errors.BadFunding(
+                f"funding outpoint {op} is not a plain, uninscribed output of {buyer}")
+        funds += fundable[op]
     if funds < offer.ask + fee:
         raise errors.InsufficientFunds(
             f"buyer funds {funds} < ask {offer.ask} + fee {fee}")
@@ -240,10 +245,10 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
         tuple(chain.TxIn(pin.outpoint) for pin in psbt.inputs),
         tuple(psbt.outputs),
     )
+    fee = chain.tx_fee(settlement, state.utxos)
     block = chain.mine_block(
         height, (settlement,), state.utxos,
         hashlib.sha256(f"coinbase|{height}|{MINER}".encode()).hexdigest(), MINER)
-    fee = block.txs[0].output_total() - chain.block_subsidy(height)
 
     state.apply_block(block)  # raises (state unchanged) on any chain error
 

@@ -131,7 +131,7 @@ def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
     else:
         assert len(calls) == 1
     assert out["hash"] == hashlib.sha256(written.read_bytes()).hexdigest() \
-        == IndexState.load(written).snapshot_hash()
+        == IndexState.decode(written.read_bytes()).snapshot_hash()
 
 
 def test_cli_byte_identical_output(runner, workdir):
@@ -300,6 +300,31 @@ def _number_repeated(obj):
     second["number"] = first["number"]
 
 
+def _offer(obj):
+    """The snapshot record of the data dir's one offer."""
+    (offer,) = obj["offers"].values()
+    return offer
+
+
+def _offer_of_the_deploy(obj):
+    deploy = next(i for i, ins in obj["inscriptions"].items() if ins["kind"] == "brc20_deploy")
+    _offer(obj)["inscription_id"] = deploy
+
+
+def _offer_re_keyed(obj):
+    obj["offers"] = {"0" * 16: _offer(obj)}
+
+
+def _offer_status_unknown(obj):
+    _offer(obj)["status"] = "pending"
+
+
+def _offer_psbt_without_inputs(obj):
+    _offer(obj)["psbt"]["inputs"] = []
+
+
+NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # read_sections' first check
+
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
     "range_total_off_by_one": (_value_off_by_one, None, "do not total"),
     "two_utxos_share_a_sat": (_shared_sat, None, "share sat"),
@@ -310,11 +335,29 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
     "genesis_satpoint_moved": (_genesis_satpoint_moved, None, "not in canonical form"),
     "two_inscriptions_share_a_number": (_number_repeated, None, "numbers are not 0..n-1"),
     "re_indented": (lambda obj: None, lambda obj: json.dumps(obj, indent=1, sort_keys=True),
-                    "not in canonical form"),
-    "not_json": (lambda obj: None, lambda obj: "{not json", "JSONDecodeError"),
-    "not_an_object": (lambda obj: None, lambda obj: "[]", "TypeError"),
-    "nested_too_deep": (lambda obj: None, lambda obj: "[" * 100_000, "RecursionError"),
+                    NOT_THE_LAYOUT),
+    "not_json": (lambda obj: None, lambda obj: "{not json", NOT_THE_LAYOUT),
+    "not_an_object": (lambda obj: None, lambda obj: "[]", NOT_THE_LAYOUT),
+    "nested_too_deep": (lambda obj: None, lambda obj: "[" * 100_000, NOT_THE_LAYOUT),
+    "offer_inscription_id_is_not_its_psbts": (_offer_of_the_deploy, None,
+                                              "not in canonical form"),
+    "offer_re_keyed": (_offer_re_keyed, None, "is not the id of its seller, inscription and ask"),
+    "offer_status_unknown": (_offer_status_unknown, None, "unknown status 'pending'"),
+    "offer_psbt_without_inputs": (_offer_psbt_without_inputs, None, "IndexError"),
 }
+
+
+def offered(runner, workdir):
+    """A data dir holding SCRIPT's chain, a second transfer of alice's and her
+    open offer of it; return the offer's id."""
+    script = workdir / "offer_script.json"
+    script.write_text(json.dumps(SCRIPT + [
+        {"action": "transfer_inscribe", "tick": "ordi", "amt": "100", "owner": "alice"}]))
+    run(runner, workdir, "scenario", str(script), "-o", str(workdir / "offer_blocks.jsonl"))
+    run(runner, workdir, "index", str(workdir / "offer_blocks.jsonl"))
+    transfer = json.loads(run(runner, workdir, "inscriptions").output)[-1]["id"]
+    return json.loads(run(runner, workdir, "trade", "offer", "alice", transfer,
+                          "1000").output)["offer_id"]
 
 
 def main_exits(monkeypatch, capsys, data_dir, *args):
@@ -329,7 +372,7 @@ def main_exits(monkeypatch, capsys, data_dir, *args):
 def test_snapshot_load_rejects_corrupt_snapshot(runner, workdir, monkeypatch, capsys,
                                                 corruption):
     edit, dumps, message = CORRUPTIONS[corruption]
-    indexed(runner, workdir)
+    offered(runner, workdir)
     snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
     before = snapshot.read_bytes()
     obj = json.loads(before)
@@ -342,6 +385,32 @@ def test_snapshot_load_rejects_corrupt_snapshot(runner, workdir, monkeypatch, ca
     assert err["error"] == "CorruptSnapshot"
     assert message in err["message"]
     assert snapshot.read_bytes() == before
+
+
+def test_snapshot_load_takes_an_offer_in(runner, workdir):
+    oid = offered(runner, workdir)
+    foreign = workdir / "foreign.json"
+    foreign.write_bytes((workdir / "data" / cli_module.SNAPSHOT_FILE).read_bytes())
+    loaded = json.loads(run(runner, workdir, "snapshot", "load", str(foreign)).output)
+    assert loaded["hash"] == hashlib.sha256(foreign.read_bytes()).hexdigest()
+    assert json.loads(foreign.read_bytes())["offers"][oid]["status"] == "open"
+
+
+@pytest.mark.parametrize("script", [
+    "{not json",
+    "[" * 100_000,
+    '[{"action": "mine", "count": "x"}]',
+    '[{"action": "mint", "tick": "ordi", "amt": "1", "minter": 5}]',
+    "[5]",
+], ids=["not_json", "nested_too_deep", "non_int_count", "int_minter", "not_an_object"])
+def test_malformed_scenario_is_a_json_error(workdir, monkeypatch, capsys, script):
+    (workdir / "bad.json").write_text(script)
+    output = workdir / "out.jsonl"
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", "scenario",
+                           str(workdir / "bad.json"), "-o", str(output))
+    assert (code, err["error"]) == (1, "ActionInvalid")
+    assert err["message"].startswith("action 0: ")
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("content", ["{not json", "[" * 100_000],

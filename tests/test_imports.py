@@ -1,13 +1,15 @@
 """Every module-level import in the package and its tests is used, no
-regex literal in the package ends in an unescaped `$`, and JSON is decoded
-only where bytes enter the package.
+regex literal in the package ends in an unescaped `$`, JSON is decoded only
+where bytes enter the package, and an output's JSON shape is spelled only in
+`chain`.
 
 No linter is a dependency of this project, so these are stdlib `ast` scans.
 An imported name counts as used if it appears anywhere in the module as a
 name (an attribute chain's root included). A pattern ending in `$` also
-matches before a trailing newline; `fullmatch` does not. The data dir's
-snapshot has one decoder, `indexer.read_sections`; a second one could read it
-differently from the first.
+matches before a trailing newline; `fullmatch` does not. Every snapshot has
+one decoder, `indexer.read_sections`; a second one could read it differently
+from the first. `chain.txout_to_json` and `txout_from_json` own the output
+shape, so no other module names its `"script_kind"` key.
 """
 
 import ast
@@ -78,8 +80,7 @@ re.sub("d", "$", s)
 JSON_DECODERS = {
     "chain.read_blocks_jsonl",  # a JSONL block file
     "brc20.parse_brc20",  # an inscription body
-    "indexer.read_sections",  # the data dir's snapshot
-    "indexer.IndexState.from_untrusted",  # a snapshot file from elsewhere
+    "indexer.read_sections",  # a snapshot, the data dir's or a file from elsewhere
     "scenario.load_script",  # a scenario script
 }
 
@@ -121,3 +122,26 @@ class C:
         return inner, pickle.loads(text), json.dumps(text)
 """
     assert json_decoders(source, "m") == {"m", "m.f", "m.C.g.inner"}
+
+
+def string_literal_lines(source: str, value: str) -> list[int]:
+    """The lines of each string literal in source that equals value."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and node.value == value)
+
+
+def test_output_shape_is_spelled_only_in_chain():
+    spelled = {path.name for path in SOURCES
+               if string_literal_lines(path.read_text(), "script_kind")}
+    assert spelled == {"chain.py"}
+
+
+def test_scan_finds_string_literals():
+    source = """a = {"script_kind": 1}
+b = o.script_kind
+c = "script_kind_x", b"script_kind"
+d = f"script_kind"
+e = ("script"
+     "_kind")
+"""
+    assert string_literal_lines(source, "script_kind") == [1, 4, 5]

@@ -148,10 +148,10 @@ def test_load_leaves_the_garbage_collector_as_it_found_it(genesis, tmp_path, ena
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        assert IndexState.load(good).snapshot_hash() == state.snapshot_hash()
+        assert IndexState.decode(good.read_bytes()).snapshot_hash() == state.snapshot_hash()
         assert gc.isenabled() == enabled
         with pytest.raises(errors.CorruptSnapshot):
-            IndexState.load(bad)
+            IndexState.decode(bad.read_bytes())
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()

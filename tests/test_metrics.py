@@ -152,6 +152,15 @@ def test_load_csv_bad_header(tmp_path):
         metrics.load_price_csv(f)
 
 
+def test_load_csv_header_with_spaces(tmp_path):
+    rows = "2023-05-01,100\n2023-05-02,110\n"
+    for name, header in (("spaced", "date, price"), ("plain", "date,price")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "ordi.csv").write_text(f"{header}\n{rows}")
+    assert metrics.load_price_csv(tmp_path / "spaced" / "ordi.csv") == \
+        metrics.load_price_csv(tmp_path / "plain" / "ordi.csv")
+
+
 @pytest.mark.parametrize("row", ["2023-05-02", "2023-05-02,abc", "2023-05-02,nan",
                                  "2023-05-02,inf"],
                          ids=["no_price", "not_a_number", "nan", "inf"])

@@ -71,7 +71,7 @@ def test_sectioned_reads_equal_full_loads(workload, monkeypatch, tmp_path):
         data_dir.mkdir()
         path = cli.snapshot_path(data_dir)
         indexed.save(path)
-        state = IndexState.load(path)
+        state = IndexState.decode(path.read_bytes())
         assert state.inscriptions, (workload, k)
         assert_reads_match(data_dir, state)
         # what indexing writes passes the checks `snapshot load` makes
