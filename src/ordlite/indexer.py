@@ -1,8 +1,9 @@
 """The indexing pipeline and persistent snapshot.
 
-For each block: check its structure, assign sat ranges (FIFO) and check its
-values, apply it to the UTXO set, extract inscriptions from witnesses, replay
-BRC-20 operations, and settle pending transfers whose inscribed sat moved.
+For each block: check its structure; take its UTXO delta, `created`, from
+`ordinals.assign_ordinals`, which checks its values, and commit it in one
+step; then, per tx and reading `created`, settle pending transfers whose
+inscribed sat moved, extract inscriptions and replay BRC-20 operations.
 Protocol-level failures are recorded as diagnostics and never abort indexing;
 a chain-level failure raises ChainError or RangeValueMismatch before any commit.
 Each block ends with the ledger's `check_touched`, which checks the BRC-20
@@ -123,12 +124,12 @@ def _utxo_json(entry: chain.UtxoEntry) -> dict:
     return obj
 
 
-def _created_outputs(txs, assigned: dict):
+def _created_outputs(txs, created: dict):
     """(outpoint, ranges) of every output of txs, in order, made as walked."""
     for tx in txs:
         for k in range(len(tx.outputs)):
             outpoint = OutPoint(tx.txid, k)
-            yield outpoint, assigned[outpoint]
+            yield outpoint, created[outpoint].sat_ranges
 
 
 class IndexState:
@@ -153,14 +154,12 @@ class IndexState:
         """Validate and commit the next block; the only code that commits one.
         A chain error raises before anything is changed."""
         chain.validate_block(block, self.tip_height + 1)
-        assigned, burned = ordinals.assign_ordinals(block, self.utxos)
+        created, burned = ordinals.assign_ordinals(block, self.utxos)
 
+        self.utxos.entries.update(created)  # first: a tx may spend an output made in the block
         for tx in block.txs:
             for tin in tx.inputs:
                 del self.utxos.entries[tin.prevout]
-            for i, txout in enumerate(tx.outputs):
-                op = OutPoint(tx.txid, i)
-                self.utxos.entries[op] = chain.UtxoEntry(txout, assigned[op])
         self.tip_height = block.height
         if burned:
             self.diagnostics.append(
@@ -171,8 +170,8 @@ class IndexState:
         coinbase = block.txs[0]
         for tx in block.txs:
             if not tx.is_coinbase:
-                self._track_moved_inscriptions(tx, coinbase, assigned)
-            self._extract_reveals(tx, block, assigned)
+                self._track_moved_inscriptions(tx, coinbase, created)
+            self._extract_reveals(tx, block.height, created)
 
         self.ledger.check_touched()
 
@@ -181,12 +180,12 @@ class IndexState:
         self.by_outpoint.setdefault(satpoint.outpoint, []).append(ins_id)
 
     def _track_moved_inscriptions(self, tx: chain.Transaction,
-                                  coinbase: chain.Transaction, assigned: dict) -> None:
+                                  coinbase: chain.Transaction, created: dict) -> None:
         moved = [ins_id for tin in tx.inputs
                  for ins_id in self.by_outpoint.pop(tin.prevout, ())]
         for ins_id in sorted(moved, key=lambda i: self.inscriptions[i].number):
             new_point = ordinals.find_sat(self.inscriptions[ins_id].genesis_sat,
-                                          _created_outputs((tx, coinbase), assigned))
+                                          _created_outputs((tx, coinbase), created))
             if new_point is None:
                 del self.location[ins_id]
                 self.diagnostics.append(f"inscription {ins_id} lost (sat burned)")
@@ -196,9 +195,9 @@ class IndexState:
             pending = self.ledger.pendings.get(ins_id)
             if pending is None or pending.used:
                 continue
-            holder = tx if new_point.outpoint.txid == tx.txid else coinbase
-            receiver = holder.outputs[new_point.outpoint.vout].recipient
-            if holder is coinbase:
+            # from created: a later tx of the block may have spent the output
+            receiver = created[new_point.outpoint].txout.recipient
+            if new_point.outpoint.txid != tx.txid:
                 self.diagnostics.append(
                     f"pending {ins_id} spent to fee; settled to sat holder {receiver}")
             try:
@@ -206,25 +205,25 @@ class IndexState:
             except errors.Brc20Error as exc:
                 self.diagnostics.append(f"settle {ins_id}: {exc}")
 
-    def _extract_reveals(self, tx: chain.Transaction, block: chain.Block,
-                         assigned: dict) -> None:
+    def _extract_reveals(self, tx: chain.Transaction, height: int,
+                         created: dict) -> None:
         k = 0
         for tin in tx.inputs:
             try:
                 env = envelope.parse_envelope(tin.witness)
             except errors.EnvelopeError as exc:
                 self.diagnostics.append(
-                    f"height {block.height} tx {tx.txid}: malformed envelope ({exc})")
+                    f"height {height} tx {tx.txid}: malformed envelope ({exc})")
                 continue
             if env is None:
                 continue
             ins_id = f"{tx.txid}i{k}"
             k += 1
             first_out = OutPoint(tx.txid, 0)
-            ranges = assigned.get(first_out)
+            first = created.get(first_out)
             if ins_id in self.inscriptions:  # the txid of a tx whose outputs are spent
                 reason = "reuses the id of an earlier inscription"
-            elif not ranges:
+            elif first is None or not first.sat_ranges:
                 reason = "has no sat to bind to (no first output, or a zero-sat one)"
             else:
                 reason = None
@@ -234,12 +233,12 @@ class IndexState:
             kind, op = classify_envelope(env)
             # no inscription is ever removed, so the count is the next number
             ins = Inscription(ins_id, len(self.inscriptions), env.content_type,
-                              env.body, kind, ranges[0][0], block.height)
+                              env.body, kind, first.sat_ranges[0][0], height)
             self.inscriptions[ins_id] = ins
             self._place(ins_id, SatPoint(first_out, 0))
             if op is not None:
                 # the actor owns the freshly inscribed sat
-                self._apply_brc20(ins, op, tx.outputs[0].recipient)
+                self._apply_brc20(ins, op, first.txout.recipient)
 
     def _apply_brc20(self, ins: Inscription, op: brc20.Brc20Op, actor: str) -> None:
         try:
@@ -354,11 +353,14 @@ class IndexState:
         indexing could have produced: every UTXO's ranges are non-empty, total
         its value and share no sat with another's; the inscriptions are
         numbered 0..n-1 and every located one is on its genesis sat, in an
-        unspent output; the ledger's invariants hold in full, its index of
+        unspent output, and its kind is the one its content type and body
+        classify as; the ledger's invariants hold in full, its index of
         unused pendings included; every offer is keyed by the id of its
-        seller, inscription and ask and has a known status; and `data` is
-        this state's canonical bytes, so no stored value disagrees with what
-        the state derives."""
+        seller, inscription and ask, has a known status, carries its
+        seller's signature on every input and only signatures that commit to
+        its PSBT, and is finalized exactly when accepted or settled (a stale
+        one either way); and `data` is this state's canonical bytes, so no
+        stored value disagrees with what the state derives."""
         spans = []
         for op, entry in self.utxos.entries.items():
             for r in entry.sat_ranges:
@@ -375,6 +377,11 @@ class IndexState:
         numbers = sorted(ins.number for ins in self.inscriptions.values())
         if numbers != list(range(len(numbers))) or any(type(n) is not int for n in numbers):
             raise errors.CorruptSnapshot("inscription numbers are not 0..n-1")
+        for ins in self.inscriptions.values():
+            kind = classify_envelope(envelope.Envelope(ins.content_type, ins.body))[0]
+            if ins.kind != kind:
+                raise errors.CorruptSnapshot(
+                    f"inscription {ins.id} is labelled {ins.kind!r}, its content is {kind!r}")
         for ins_id, point in self.location.items():
             entry = self.utxos.get(point.outpoint)
             if entry is None:
@@ -394,6 +401,18 @@ class IndexState:
                     f"offer {oid} is not the id of its seller, inscription and ask")
             if offer.status not in trade.STATUSES:
                 raise errors.CorruptSnapshot(f"offer {oid} has unknown status {offer.status!r}")
+            psbt = offer.psbt
+            if not all(offer.seller in pin.signatures for pin in psbt.inputs):
+                raise errors.CorruptSnapshot(f"offer {oid} lacks its seller's signature")
+            if not trade.signatures_commit(psbt):
+                raise errors.CorruptSnapshot(
+                    f"offer {oid} carries a signature that does not commit to its PSBT")
+            # a stale offer went stale while open or while accepted
+            if offer.status != "stale" and psbt.finalized != (
+                    offer.status in ("accepted", "settled")):
+                raise errors.CorruptSnapshot(
+                    f"offer {oid} is {offer.status} but its PSBT is "
+                    f"{'' if psbt.finalized else 'not '}finalized")
         if self.snapshot_bytes() != data:
             raise errors.CorruptSnapshot("not in canonical form")
 

@@ -3,11 +3,12 @@
 A sat is identified by its mining order, 0 .. LAST_SAT. Ranges are half-open
 (start, end) tuples; every unspent output carries the ordered list of ranges
 it controls. `assign_ordinals` is the one FIFO rule and the one value check:
-it gives every output a block creates its ranges, fee sats included, and
-checks that every tx's inputs cover its outputs and that the coinbase claims
-at most subsidy + fees. `find_sat` is the one walk that finds a sat among
-outputs' ranges: `sat` queries run it over a snapshot's UTXOs (`locate_sat`
-over a `UtxoSet`), and inscription tracking over the outputs a block creates.
+it returns a block's UTXO delta, the finished `UtxoEntry` (output and ranges,
+fee sats included) of every output the block creates, and checks that every
+tx's inputs cover its outputs and that the coinbase claims at most subsidy +
+fees. `find_sat` is the one walk that finds a sat among outputs' ranges: `sat`
+queries run it over a snapshot's UTXOs (`locate_sat` over a `UtxoSet`), and
+inscription tracking over the outputs a block creates.
 """
 
 from __future__ import annotations
@@ -232,40 +233,36 @@ def slice_ranges(input_ranges, output_values):
 
 
 def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, list]:
-    """Check a block's values and compute sat ranges for every output it creates.
+    """Check a block's values and return its UTXO delta.
 
     Non-coinbase txs are processed in block order; each tx's fee remainder is
     appended, in order, after the freshly minted subsidy range in the
-    coinbase's range pool. Returns (OutPoint -> range list, burned ranges).
-    Burned ranges arise when the coinbase claims less than subsidy + fees.
-    An output whose outpoint is already unspent raises ChainError (BIP30).
+    coinbase's range pool. Returns (created, burned): created maps every
+    outpoint the block creates, spent in it or not, to its UtxoEntry; burned
+    ranges arise when the coinbase claims less than subsidy + fees. An
+    output whose outpoint is already unspent raises ChainError (BIP30).
     """
     subsidy = block_subsidy(block.height)
-    assigned: dict[OutPoint, list] = {}
+    created: dict[OutPoint, chain.UtxoEntry] = {}
 
     def create(tx, out_ranges):
-        for i, ranges in enumerate(out_ranges):
+        for i, (txout, ranges) in enumerate(zip(tx.outputs, out_ranges)):
             outpoint = OutPoint(tx.txid, i)
             if outpoint in utxos.entries:
                 raise errors.ChainError(f"output {outpoint} would overwrite an unspent one")
-            assigned[outpoint] = ranges
+            created[outpoint] = chain.UtxoEntry(txout, ranges)
 
     fee_tail: list = []
     fees = 0
     for tx in block.txs[1:]:
         pool, value = [], 0
         for tin in tx.inputs:
-            # made earlier in the block? (a zero-value output's ranges are [])
-            ranges = assigned.get(tin.prevout)
-            if ranges is not None:
-                value += range_total(ranges)
-            else:
-                entry = utxos.require(tin.prevout)
-                ranges = entry.sat_ranges
-                if range_total(ranges) != entry.txout.value:
-                    raise errors.RangeValueMismatch(str(tin.prevout))
-                value += entry.txout.value
-            pool.extend(ranges)
+            # made earlier in the block, or unspent before it
+            entry = created.get(tin.prevout) or utxos.require(tin.prevout)
+            if range_total(entry.sat_ranges) != entry.txout.value:
+                raise errors.RangeValueMismatch(str(tin.prevout))
+            value += entry.txout.value
+            pool.extend(entry.sat_ranges)
         fee = value - tx.output_total()
         if fee < 0:
             raise errors.NegativeFee(f"{tx.txid}: inputs short by {-fee} sats")
@@ -283,7 +280,7 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
     pool = ([(start, start + subsidy)] if subsidy > 0 else []) + fee_tail
     out_ranges, burned = slice_ranges(pool, [o.value for o in coinbase.outputs])
     create(coinbase, out_ranges)
-    return assigned, burned
+    return created, burned
 
 
 def find_sat(n: int, outputs) -> SatPoint | None:

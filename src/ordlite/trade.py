@@ -110,6 +110,13 @@ def sign(psbt: Psbt, signer: str) -> None:
         pin.signatures[signer] = sig
 
 
+def signatures_commit(psbt: Psbt) -> bool:
+    """True when every signature on every input is its signer's commitment
+    to psbt."""
+    return all(sig == commitment(psbt, signer)
+               for pin in psbt.inputs for signer, sig in pin.signatures.items())
+
+
 def verify_signatures(psbt: Psbt, utxos: chain.UtxoSet) -> bool:
     """True when every input is signed by the recipient of the output in utxos
     that it spends, and every signature present is valid."""
@@ -117,10 +124,7 @@ def verify_signatures(psbt: Psbt, utxos: chain.UtxoSet) -> bool:
         entry = utxos.get(pin.outpoint)
         if entry is None or entry.txout.recipient not in pin.signatures:
             return False
-        for signer, sig in pin.signatures.items():
-            if sig != commitment(psbt, signer):
-                return False
-    return True
+    return signatures_commit(psbt)
 
 
 def _offer_id(seller: str, inscription_id: str, ask: int) -> str:

@@ -150,8 +150,8 @@ def replay_with_sat_conservation(blocks):
                     incoming.extend(entry.sat_ranges)
         assigned, burned = ordinals.assign_ordinals(block, state.utxos)
         spent_within = {tin.prevout for tx in block.txs for tin in tx.inputs}
-        outgoing = [r for op, ranges in assigned.items()
-                    if op not in spent_within for r in ranges]
+        outgoing = [r for op, entry in assigned.items()
+                    if op not in spent_within for r in entry.sat_ranges]
         subsidy = chain.block_subsidy(block.height)
         start = ordinals.start_sat_of_block(block.height)
         minted = [(start, start + subsidy)] if subsidy else []

@@ -51,6 +51,24 @@ def test_txout_rejects_bad_values(value, kind, message, recipient):
         chain.tx_from_json(obj)
 
 
+@pytest.mark.parametrize("vout, coinbase, message", [
+    (True, False, "vout True is not"), (1.0, False, "vout 1.0 is not"),
+    (-1, False, "vout -1 is not"), ("1", False, "vout '1' is not"),
+    (1, "false", "coinbase 'false' is not a boolean"),
+    (1, 1, "coinbase 1 is not a boolean"), (1, None, "coinbase None is not a boolean"),
+], ids=["bool_vout", "float_vout", "negative_vout", "string_vout", "string_coinbase",
+        "int_coinbase", "null_coinbase"])
+def test_tx_from_json_takes_only_exact_types(vout, coinbase, message):
+    obj = {"txid": txid("t"), "inputs": [{"txid": txid("f"), "vout": vout}],
+           "outputs": [], "coinbase": coinbase}
+    with pytest.raises(ValueError, match=message):
+        chain.tx_from_json(obj)
+    obj.update(inputs=[{"txid": txid("f"), "vout": 1}], coinbase=False)
+    assert chain.tx_from_json(obj).inputs[0].prevout == OutPoint(txid("f"), 1)
+    del obj["coinbase"]
+    assert not chain.tx_from_json(obj).is_coinbase
+
+
 def test_outpoint_accepts_lowercase_hex_txid():
     op = OutPoint.parse(f"{'0123456789abcdef' * 4}:7")
     assert op == OutPoint("0123456789abcdef" * 4, 7)

@@ -219,6 +219,16 @@ GOOD_TXID = "ab" * 32
 ONE_SAT = [{"value": 1, "recipient": "miner"}]
 
 
+def spend_line(height, vout):
+    """A block whose second tx makes two empty outputs and whose third spends
+    the one `vout` names; with vout 1 it indexes."""
+    maker = "cd" * 32
+    return json.dumps({"height": height, "txs": [
+        {"coinbase": True, "txid": GOOD_TXID, "outputs": ONE_SAT},
+        {"txid": maker, "outputs": [{"value": 0, "recipient": "a"}] * 2},
+        {"txid": "ef" * 32, "inputs": [{"txid": maker, "vout": vout}], "outputs": []}]})
+
+
 @pytest.mark.parametrize("bad_line", [
     lambda h: "{not json",
     lambda h: "[]",
@@ -229,8 +239,12 @@ ONE_SAT = [{"value": 1, "recipient": "miner"}]
     lambda h: block_line(h, txid=GOOD_TXID),
     lambda h: block_line(h, txid=GOOD_TXID, outputs=[{"value": 1, "recipient": 5}]),
     lambda h: "[" * 100_000,
+    lambda h: spend_line(h, True),
+    lambda h: spend_line(h, 1.0),
+    lambda h: block_line(h, txid=GOOD_TXID, outputs=ONE_SAT, coinbase="false"),
 ], ids=["not_json", "not_an_object", "float_height", "bad_txid", "bad_input_txid",
-        "no_outputs", "int_recipient", "nested_too_deep"])
+        "no_outputs", "int_recipient", "nested_too_deep", "bool_vout", "float_vout",
+        "string_coinbase"])
 def test_malformed_block_line_is_a_json_error(runner, workdir, monkeypatch, capsys,
                                               bad_line):
     run(runner, workdir, "scenario", str(workdir / "script.json"),
@@ -323,6 +337,22 @@ def _offer_psbt_without_inputs(obj):
     _offer(obj)["psbt"]["inputs"] = []
 
 
+def _offer_signature_forged(obj):
+    _offer(obj)["psbt"]["inputs"][0]["signatures"] = {"alice": "00" * 32}
+
+
+def _offer_unsigned(obj):
+    _offer(obj)["psbt"]["inputs"][0]["signatures"] = {}
+
+
+def _open_offer_finalized(obj):
+    _offer(obj)["psbt"]["finalized"] = True
+
+
+def _mint_relabelled_text(obj):
+    next(i for i in obj["inscriptions"].values() if i["kind"] == "brc20_mint")["kind"] = "text"
+
+
 NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # read_sections' first check
 
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
@@ -344,6 +374,14 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
     "offer_re_keyed": (_offer_re_keyed, None, "is not the id of its seller, inscription and ask"),
     "offer_status_unknown": (_offer_status_unknown, None, "unknown status 'pending'"),
     "offer_psbt_without_inputs": (_offer_psbt_without_inputs, None, "IndexError"),
+    "offer_signature_forged": (_offer_signature_forged, None,
+                               "carries a signature that does not commit to its PSBT"),
+    "offer_without_its_sellers_signature": (_offer_unsigned, None,
+                                            "lacks its seller's signature"),
+    "open_offer_finalized": (_open_offer_finalized, None,
+                             "is open but its PSBT is finalized"),
+    "mint_relabelled_text": (_mint_relabelled_text, None,
+                             "is labelled 'text', its content is 'brc20_mint'"),
 }
 
 
@@ -394,6 +432,18 @@ def test_snapshot_load_takes_an_offer_in(runner, workdir):
     loaded = json.loads(run(runner, workdir, "snapshot", "load", str(foreign)).output)
     assert loaded["hash"] == hashlib.sha256(foreign.read_bytes()).hexdigest()
     assert json.loads(foreign.read_bytes())["offers"][oid]["status"] == "open"
+
+
+def test_snapshot_load_takes_a_settled_offer_in(runner, workdir):
+    oid = offered(runner, workdir)
+    run(runner, workdir, "trade", "accept", oid, "miner")
+    assert json.loads(run(runner, workdir, "trade", "settle", oid).output)["status"] == \
+        "settled"
+    foreign = workdir / "foreign.json"
+    foreign.write_bytes((workdir / "data" / cli_module.SNAPSHOT_FILE).read_bytes())
+    loaded = run(runner, workdir, "snapshot", "load", str(foreign))
+    assert loaded.exit_code == 0
+    assert json.loads(loaded.output)["hash"] == hashlib.sha256(foreign.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("script", [

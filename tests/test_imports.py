@@ -1,15 +1,18 @@
 """Every module-level import in the package and its tests is used, no
 regex literal in the package ends in an unescaped `$`, JSON is decoded only
-where bytes enter the package, and an output's JSON shape is spelled only in
-`chain`.
+where bytes enter the package, a `UtxoEntry` is made only from a block's
+values or a snapshot's, and an output's JSON shape is spelled only in `chain`.
 
 No linter is a dependency of this project, so these are stdlib `ast` scans.
 An imported name counts as used if it appears anywhere in the module as a
 name (an attribute chain's root included). A pattern ending in `$` also
 matches before a trailing newline; `fullmatch` does not. Every snapshot has
 one decoder, `indexer.read_sections`; a second one could read it differently
-from the first. `chain.txout_to_json` and `txout_from_json` own the output
-shape, so no other module names its `"script_kind"` key.
+from the first. `ordinals.assign_ordinals` alone turns a block into UTXO
+entries, which `IndexState.apply_block` commits as they are; a second maker
+could give an output other ranges. `chain.txout_to_json` and
+`txout_from_json` own the output shape, so no other module names its
+`"script_kind"` key.
 """
 
 import ast
@@ -85,9 +88,9 @@ JSON_DECODERS = {
 }
 
 
-def json_decoders(source: str, module: str) -> set[str]:
-    """The dotted names of the functions (the module, at top level) that call
-    `json.load`, `json.loads` or a `.raw_decode` method."""
+def calling_scopes(source: str, module: str, is_callee) -> set[str]:
+    """The dotted names of the functions (the module, at top level) that make
+    a call whose callee expression satisfies is_callee."""
     found = set()
 
     def visit(node, scope):
@@ -95,14 +98,19 @@ def json_decoders(source: str, module: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-            if isinstance(func, ast.Attribute) and (
-                    func.attr == "raw_decode" or func.attr in ("load", "loads")
-                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            if isinstance(child, ast.Call) and is_callee(child.func):
                 found.add(scope)
             visit(child, scope)
     visit(ast.parse(source), module)
     return found
+
+
+def json_decoders(source: str, module: str) -> set[str]:
+    """The functions that call `json.load`, `json.loads` or a `.raw_decode`
+    method."""
+    return calling_scopes(source, module, lambda func: isinstance(func, ast.Attribute) and (
+        func.attr == "raw_decode" or func.attr in ("load", "loads")
+        and isinstance(func.value, ast.Name) and func.value.id == "json"))
 
 
 def test_json_is_decoded_only_where_bytes_enter():
@@ -122,6 +130,37 @@ class C:
         return inner, pickle.loads(text), json.dumps(text)
 """
     assert json_decoders(source, "m") == {"m", "m.f", "m.C.g.inner"}
+
+
+UTXO_ENTRY_MAKERS = {
+    "ordinals.assign_ordinals.create",  # a block's UTXO delta
+    "indexer.IndexState.from_json",  # a snapshot's UTXOs
+}
+
+
+def utxo_entry_makers(source: str, module: str) -> set[str]:
+    """The functions that call `UtxoEntry` or `<module>.UtxoEntry`."""
+    return calling_scopes(source, module, lambda func: "UtxoEntry" in (
+        getattr(func, "id", None), getattr(func, "attr", None)))
+
+
+def test_utxo_entries_are_made_only_by_assign_ordinals_and_snapshot_decoding():
+    found = set().union(*(utxo_entry_makers(path.read_text(), path.stem) for path in SOURCES))
+    assert found == UTXO_ENTRY_MAKERS
+
+
+def test_scan_finds_utxo_entry_makers():
+    source = """from chain import UtxoEntry
+E = UtxoEntry(o)
+def f():
+    return [chain.UtxoEntry(o, r) for o, r in x]
+class C:
+    def g(self):
+        def inner():
+            return UtxoEntry, chain.UtxoEntry
+        return inner, make_UtxoEntry(o), UtxoEntries(o)
+"""
+    assert utxo_entry_makers(source, "m") == {"m", "m.f"}
 
 
 def string_literal_lines(source: str, value: str) -> list[int]:

@@ -188,7 +188,7 @@ def test_fifo_coinbase_fee_tail(genesis):
     pay = spend("pay", [prev], [TxOut(5_000_000_000 - 1, "bob")])  # 1 sat fee
     block = Block(1, (coinbase(1, subsidy1 + 1, label="cb1"), pay))
     assigned, burned = ordinals.assign_ordinals(block, utxos)
-    cb_ranges = assigned[OutPoint(block.txs[0].txid, 0)]
+    cb_ranges = assigned[OutPoint(block.txs[0].txid, 0)].sat_ranges
     start1 = ordinals.start_sat_of_block(1)
     fee_sat = 5_000_000_000 - 1  # the last genesis sat pays the fee
     assert cb_ranges == [(start1, start1 + subsidy1), (fee_sat, fee_sat + 1)]
@@ -327,9 +327,9 @@ def test_assign_ordinals_matches_per_sat_oracle(data):
     created = {op for op in sats_of if op.txid in txids}
     assert set(assigned) == created
     for op in created:
-        assert _expand(assigned[op]) == sats_of[op], op
+        assert _expand(assigned[op].sat_ranges) == sats_of[op], op
     assert _expand(burned) == burned_sats
-    assert all(start < end for ranges in (*assigned.values(), burned)
+    assert all(start < end for ranges in (*(e.sat_ranges for e in assigned.values()), burned)
                for start, end in ranges)
 
 
@@ -396,7 +396,7 @@ def test_sat_conservation_per_block(genesis):
     assigned, burned = ordinals.assign_ordinals(block, utxos)
     start1 = ordinals.start_sat_of_block(1)
     subsidy_range = [(start1, start1 + chain.block_subsidy(1))]
-    got = [r for ranges in assigned.values() for r in ranges] + list(burned)
+    got = [r for entry in assigned.values() for r in entry.sat_ranges] + list(burned)
     expected = input_ranges + subsidy_range
     assert _merge(got) == _merge(expected)
 
