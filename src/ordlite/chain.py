@@ -36,6 +36,8 @@ class OutPoint(namedtuple("OutPoint", "txid vout")):
     def __new__(cls, txid: str, vout: int):
         if not TXID_RE.fullmatch(txid):
             raise ValueError(f"bad txid {txid!r}")
+        if type(vout) is not int or vout < 0:  # exactly int: true and 1.0 are not output 1
+            raise ValueError(f"vout {vout!r} is not a non-negative integer")
         return tuple.__new__(cls, (txid, vout))
 
     def __str__(self):
@@ -217,13 +219,6 @@ def tx_to_json(tx: Transaction, include_witness=True) -> dict:
     return obj
 
 
-def _prevout_from_json(obj: dict) -> OutPoint:
-    vout = obj["vout"]
-    if type(vout) is not int or vout < 0:  # exactly int: true and 1.0 are not output 1
-        raise ValueError(f"vout {vout!r} is not a non-negative integer")
-    return OutPoint(obj["txid"], vout)
-
-
 def tx_from_json(obj: dict) -> Transaction:
     if not TXID_RE.fullmatch(obj["txid"]):
         raise ValueError(f"bad txid {obj['txid']!r}")
@@ -231,7 +226,8 @@ def tx_from_json(obj: dict) -> Transaction:
     if type(is_coinbase) is not bool:
         raise ValueError(f"coinbase {is_coinbase!r} is not a boolean")
     inputs = tuple(
-        TxIn(_prevout_from_json(i), tuple(bytes.fromhex(w) for w in i.get("witness", [])))
+        TxIn(OutPoint(i["txid"], i["vout"]),
+             tuple(bytes.fromhex(w) for w in i.get("witness", [])))
         for i in obj.get("inputs", [])
     )
     outputs = tuple(txout_from_json(o) for o in obj["outputs"])

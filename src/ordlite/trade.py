@@ -13,7 +13,9 @@ inscription and is excluded from those deltas.
 Each rule has one owner: `funding_outputs` says which outputs may fund a
 buyer, `chain.tx_fee` prices the settlement, and an offer's inscription is the
 one its PSBT's input 0 spends (as in BIP-174, the input is the one record of
-what it spends), so an offer stores no copy of its id.
+what it spends), so an offer stores no copy of its id. `settleable` says
+whether an offer can still settle; accepting and settling check it, and every
+other rule, before the settlement block is mined.
 """
 
 from __future__ import annotations
@@ -163,16 +165,29 @@ def create_offer(state: IndexState, seller: str, inscription_id: str, ask: int) 
     return offer
 
 
+def settleable(state: IndexState, offer: Offer) -> bool:
+    """True while offer's PSBT can still settle: every input is unspent, the
+    offered inscription is located on input 0's outpoint, and its pending
+    transfer exists and is unused."""
+    inputs = offer.psbt.inputs
+    point = state.location.get(offer.inscription_id)
+    pending = state.ledger.pendings.get(offer.inscription_id)
+    return (all(pin.outpoint in state.utxos for pin in inputs)
+            and point is not None and point.outpoint == inputs[0].outpoint
+            and pending is not None and not pending.used)
+
+
 def accept_offer(state: IndexState, offer: Offer, buyer: str,
-                 funding: list[OutPoint], fee: int = DEFAULT_FEE) -> Psbt:
+                 funding: list[OutPoint], fee: int) -> Psbt:
+    if fee < 0:
+        raise errors.TradeError("fee must not be negative")
     if offer.status != "open":
         raise errors.OfferNotOpen(offer.id)
-    inscribed_outpoint = offer.psbt.inputs[0].outpoint
-    entry = state.utxos.get(inscribed_outpoint)
-    if entry is None:
+    if not settleable(state, offer):
         offer.status = "stale"
-        raise errors.OfferNotOpen(f"{offer.id}: inscribed outpoint spent")
-    postage = entry.txout.value
+        raise errors.OfferNotOpen(f"{offer.id}: can no longer settle")
+    inscribed_outpoint = offer.psbt.inputs[0].outpoint
+    postage = state.utxos.require(inscribed_outpoint).txout.value
 
     if len(set(funding)) != len(funding):
         raise errors.BadFunding("duplicated funding outpoint")
@@ -230,16 +245,17 @@ def select_funding(state: IndexState, buyer: str, amount: int) -> list[OutPoint]
 def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.Block:
     """Mine the finalized PSBT into the next block and settle atomically.
 
-    A raced input marks the offer stale and leaves every balance untouched;
-    a PSBT that fails `verify_signatures` raises BadSignature.
+    Every check runs before the block is mined: an offer that is no longer
+    `settleable` is marked stale and raises DoubleSpend, and a PSBT that fails
+    `verify_signatures` raises BadSignature, both leaving every balance
+    untouched. Nothing after `apply_block` can fail.
     """
     psbt = offer.psbt
     if offer.status != "accepted" or not psbt.finalized:
         raise errors.OfferNotOpen(f"{offer.id}: not accepted")
-    for pin in psbt.inputs:
-        if pin.outpoint not in state.utxos:
-            offer.status = "stale"
-            raise errors.DoubleSpend(str(pin.outpoint))
+    if not settleable(state, offer):
+        offer.status = "stale"
+        raise errors.DoubleSpend(f"{offer.id}: can no longer settle")
     if not verify_signatures(psbt, state.utxos):
         raise errors.BadSignature(offer.id)
 
@@ -255,10 +271,6 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
         hashlib.sha256(f"coinbase|{height}|{MINER}".encode()).hexdigest(), MINER)
 
     state.apply_block(block)  # raises (state unchanged) on any chain error
-
-    pending = state.ledger.pendings.get(offer.inscription_id)
-    if pending is None or not pending.used:
-        raise errors.TradeError(f"settlement of {offer.inscription_id} did not land")
     for addr, delta in ((offer.seller, offer.ask), (buyer, -(offer.ask + fee)),
                         (MINER, fee)):
         state.btc_deltas[addr] = state.btc_deltas.get(addr, 0) + delta

@@ -32,6 +32,12 @@ def test_outpoint_rejects_malformed_txid(bad):
         OutPoint.parse(f"{bad}:0")
 
 
+@pytest.mark.parametrize("vout", [True, 1.0, -1, "1"])
+def test_outpoint_rejects_a_vout_that_is_not_a_non_negative_int(vout):
+    with pytest.raises(ValueError, match=f"vout {vout!r} is not"):
+        OutPoint(txid("t"), vout)
+
+
 @pytest.mark.parametrize("value, kind, message, recipient", [
     (-1, "plain", "negative output value", "alice"),
     (1, "p2pkh", "unknown script kind", "alice"),

@@ -5,9 +5,11 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from conftest import SELLER_SCRIPT, send_then_recreate
 from ordlite import chain, cli as cli_module, errors
 from ordlite.cli import cli
 from ordlite.indexer import IndexState
+from ordlite.scenario import ScenarioCompiler
 
 SCRIPT = [
     {"action": "deploy", "tick": "ordi", "max": "2100000", "lim": "1000",
@@ -349,6 +351,11 @@ def _open_offer_finalized(obj):
     _offer(obj)["psbt"]["finalized"] = True
 
 
+def _negative_vout(obj):
+    key = next(k for k, utxo in sorted(obj["utxos"].items()) if utxo["recipient"] == "miner")
+    obj["utxos"][key.rpartition(":")[0] + ":-1"] = obj["utxos"].pop(key)
+
+
 def _mint_relabelled_text(obj):
     next(i for i in obj["inscriptions"].values() if i["kind"] == "brc20_mint")["kind"] = "text"
 
@@ -382,6 +389,7 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
                              "is open but its PSBT is finalized"),
     "mint_relabelled_text": (_mint_relabelled_text, None,
                              "is labelled 'text', its content is 'brc20_mint'"),
+    "negative_vout": (_negative_vout, None, "vout -1 is not a non-negative integer"),
 }
 
 
@@ -422,6 +430,40 @@ def test_snapshot_load_rejects_corrupt_snapshot(runner, workdir, monkeypatch, ca
     assert code == 1
     assert err["error"] == "CorruptSnapshot"
     assert message in err["message"]
+    assert snapshot.read_bytes() == before
+
+
+def test_trade_accept_refuses_a_negative_fee(runner, workdir, monkeypatch, capsys):
+    oid = offered(runner, workdir)
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    before = snapshot.read_bytes()
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", "trade", "accept", oid,
+                           "miner", "--fee", "-1")
+    assert (code, err["error"]) == (1, "TradeError")
+    assert snapshot.read_bytes() == before
+
+
+def test_trade_settle_refuses_a_re_created_listed_outpoint(runner, tmp_path, monkeypatch,
+                                                           capsys):
+    """The inscription is sent on after `trade accept`, and a tx reusing its
+    reveal's txid re-creates the listed outpoint for the seller."""
+    comp = ScenarioCompiler(seed=11)
+    comp.compile(SELLER_SCRIPT)
+    ins_id = comp.handles["t1"]
+    for name, blocks in (("blocks", comp.blocks),
+                         ("more", send_then_recreate(comp.state, ins_id))):
+        with open(tmp_path / f"{name}.jsonl", "w") as fp:
+            chain.write_blocks_jsonl(blocks, fp)
+    assert run(runner, tmp_path, "index", str(tmp_path / "blocks.jsonl")).exit_code == 0
+    oid = json.loads(run(runner, tmp_path, "trade", "offer", "seller", ins_id,
+                         "20000000").output)["offer_id"]
+    assert json.loads(run(runner, tmp_path, "trade", "accept", oid, "buyer").output)[
+        "status"] == "accepted"
+    assert run(runner, tmp_path, "index", str(tmp_path / "more.jsonl")).exit_code == 0
+    snapshot = tmp_path / "data" / cli_module.SNAPSHOT_FILE
+    before = snapshot.read_bytes()
+    code, err = main_exits(monkeypatch, capsys, tmp_path / "data", "trade", "settle", oid)
+    assert (code, err["error"]) == (1, "DoubleSpend")
     assert snapshot.read_bytes() == before
 
 

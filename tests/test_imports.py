@@ -12,7 +12,10 @@ from the first. `ordinals.assign_ordinals` alone turns a block into UTXO
 entries, which `IndexState.apply_block` commits as they are; a second maker
 could give an output other ranges. `chain.txout_to_json` and
 `txout_from_json` own the output shape, so no other module names its
-`"script_kind"` key.
+`"script_kind"` key. No `raise` follows a call of `.apply_block(` in a
+function's body: a caller checks everything before it commits a block, so
+it cannot fail with the block committed and the rest of its work (a trade's
+BTC deltas and status) undone.
 """
 
 import ast
@@ -161,6 +164,62 @@ class C:
         return inner, make_UtxoEntry(o), UtxoEntries(o)
 """
     assert utxo_entry_makers(source, "m") == {"m", "m.f"}
+
+
+def raises_after_commit(source: str, module: str) -> list[str]:
+    """`<function>: line <n>` for each `raise` in a function's own body
+    (nested functions apart) that comes after its first `.apply_block(` call."""
+    found = []
+
+    def own_nodes(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield child
+                yield from own_nodes(child)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        nodes = list(own_nodes(node))
+        commits = [(n.lineno, n.col_offset) for n in nodes if isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Attribute) and n.func.attr == "apply_block"]
+        if commits:
+            found.extend(f"{scope}: line {n.lineno}" for n in nodes if isinstance(n, ast.Raise)
+                         and (n.lineno, n.col_offset) > min(commits))
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_nothing_raises_after_a_block_is_committed():
+    found = [line for path in SOURCES for line in raises_after_commit(path.read_text(), path.stem)]
+    assert found == []
+
+
+def test_scan_finds_raises_after_commit():
+    source = """def f(s, b):
+    if not b:
+        raise ValueError
+    s.apply_block(b)
+    return b
+def g(s, b):
+    s.state.apply_block(b)
+    for x in b:
+        if x:
+            raise ValueError
+class C:
+    def h(self, b):
+        self.apply_block(b)
+        def inner():
+            raise KeyError
+        return inner
+    def k(self, b):
+        apply_block(b)
+        raise KeyError
+"""
+    assert raises_after_commit(source, "m") == ["m.g: line 10"]
 
 
 def string_literal_lines(source: str, value: str) -> list[int]:

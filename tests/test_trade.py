@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import coinbase, spend
+from conftest import SELLER_SCRIPT, coinbase, send_then_recreate, spend
 from ordlite import chain, errors, trade
 from ordlite.chain import OutPoint, TxOut
 from ordlite.indexer import IndexState
@@ -16,14 +16,7 @@ FEE = trade.DEFAULT_FEE
 
 def seller_state():
     comp = ScenarioCompiler(seed=11)
-    comp.compile([
-        {"action": "deploy", "tick": "ordi", "max": "2100000", "lim": "1000",
-         "deployer": "seller"},
-        {"action": "mint", "tick": "ordi", "amt": "1000", "minter": "seller"},
-        {"action": "transfer_inscribe", "tick": "ordi", "amt": "1000",
-         "owner": "seller", "id": "t1"},
-        {"action": "mine", "miner": "buyer"},  # buyer funding
-    ])
+    comp.compile(SELLER_SCRIPT)
     return comp.state, comp.handles["t1"]
 
 
@@ -218,6 +211,48 @@ def test_stale_offer_leaves_state_unchanged():
         trade.broadcast_and_settle(state, offer, "buyer")
     assert offer.status == "stale"
     assert _hash_sans_offers(state) == before
+
+
+def test_settle_refuses_a_re_created_listed_outpoint():
+    # the inscription leaves the listed outpoint, which a tx reusing the
+    # reveal's txid re-creates for the seller: every input is unspent and
+    # signed by its owner, but the inscription is not on input 0
+    state, ins_id = seller_state()
+    offer = accepted_offer(state, ins_id)
+    send_then_recreate(state, ins_id)
+    assert verify_signatures(offer.psbt, state.utxos)
+    tip, before, deltas = state.tip_height, _hash_sans_offers(state), dict(state.btc_deltas)
+    with pytest.raises(errors.DoubleSpend):
+        trade.broadcast_and_settle(state, offer, "buyer")
+    assert offer.status == "stale"
+    assert (state.tip_height, _hash_sans_offers(state), state.btc_deltas) == \
+        (tip, before, deltas)
+    assert state.ledger.query_balance("ordi", "bob")["available"] == "1000"
+
+
+def test_accept_refuses_a_re_created_listed_outpoint():
+    state, ins_id = seller_state()
+    offer = trade.create_offer(state, "seller", ins_id, ASK)
+    send_then_recreate(state, ins_id)
+    funding = trade.select_funding(state, "buyer", ASK + FEE)
+    with pytest.raises(errors.OfferNotOpen):
+        trade.accept_offer(state, offer, "buyer", funding, FEE)
+    assert offer.status == "stale"
+
+
+@pytest.mark.parametrize("fault", ["funding_input_spent", "inscription_not_on_input_0",
+                                   "pending_used"])
+def test_settleable_needs_every_condition(fault):
+    state, ins_id = seller_state()
+    offer = accepted_offer(state, ins_id)
+    assert trade.settleable(state, offer)
+    if fault == "funding_input_spent":
+        del state.utxos.entries[offer.psbt.inputs[-1].outpoint]
+    elif fault == "inscription_not_on_input_0":
+        del state.location[ins_id]
+    else:
+        state.ledger.pendings[ins_id].used = True
+    assert not trade.settleable(state, offer)
 
 
 def test_settlement_atomicity_on_injected_failure(monkeypatch):
