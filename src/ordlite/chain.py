@@ -88,7 +88,9 @@ class UtxoEntry:
 
 class UtxoSet:
     """Map OutPoint -> UtxoEntry. Written only by IndexState.apply_block
-    and by snapshot loading."""
+    and IndexState.from_json (snapshot loading), which keep the state's
+    recipient -> plain outpoints index with it; tests/test_imports.py checks
+    that no other function writes it."""
 
     def __init__(self):
         self.entries: dict[OutPoint, UtxoEntry] = {}

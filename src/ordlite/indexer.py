@@ -2,8 +2,11 @@
 
 For each block: check its structure; take its UTXO delta, `created`, from
 `ordinals.assign_ordinals`, which checks its values, and commit it in one
-step; then, per tx and reading `created`, settle pending transfers whose
-inscribed sat moved, extract inscriptions and replay BRC-20 operations.
+step that also keeps the UTXO set's derived index of each recipient's unspent
+plain outpoints (`from_json` builds that index when it loads a snapshot, and
+`trade.funding_outputs` reads it); then, per tx and reading `created`, settle
+pending transfers whose inscribed sat moved, extract inscriptions and replay
+BRC-20 operations.
 Protocol-level failures are recorded as diagnostics and never abort indexing;
 a chain-level failure raises ChainError or RangeValueMismatch before any commit.
 Each block ends with the ledger's `check_touched`, which checks the BRC-20
@@ -38,6 +41,7 @@ import gc
 import hashlib
 import json
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import brc20, chain, envelope, errors, ordinals, trade
@@ -134,11 +138,19 @@ def _created_outputs(txs, created: dict):
 
 class IndexState:
     """The snapshot: chain tip, UTXOs with sat ranges, inscriptions and the
-    BRC-20 ledger, which blocks change, and `trade`'s offer book and BTC deltas."""
+    BRC-20 ledger, which blocks change, and `trade`'s offer book and BTC deltas.
+
+    Two indexes are derived and never serialized: `by_outpoint` (outpoint ->
+    inscriptions on it) and `plain_outpoints` (recipient -> its unspent plain
+    outpoints). `apply_block` keeps `plain_outpoints` in the step that commits
+    the UTXO delta and `from_json` builds it in the loop that loads the UTXO
+    set; nothing else writes the UTXO set, so the index cannot drift from it."""
 
     def __init__(self):
         self.tip_height = -1
         self.utxos = chain.UtxoSet()
+        # derived from `utxos`, never serialized: recipient -> its unspent plain outpoints
+        self.plain_outpoints: defaultdict[str, set[OutPoint]] = defaultdict(set)
         self.inscriptions: dict[str, Inscription] = {}
         self.location: dict[str, SatPoint] = {}  # inscription id -> current satpoint
         # derived from `location`, never serialized: outpoint -> ids located on it
@@ -156,10 +168,19 @@ class IndexState:
         chain.validate_block(block, self.tip_height + 1)
         created, burned = ordinals.assign_ordinals(block, self.utxos)
 
-        self.utxos.entries.update(created)  # first: a tx may spend an output made in the block
+        # the commit: the UTXO set and its plain-outpoint index change together;
+        # created first, as a tx may spend an output made in the block
+        entries, plain = self.utxos.entries, self.plain_outpoints
+        entries.update(created)
+        for op, entry in created.items():
+            txout = entry.txout
+            if txout.script_kind == "plain":
+                plain[txout.recipient].add(op)
         for tx in block.txs:
             for tin in tx.inputs:
-                del self.utxos.entries[tin.prevout]
+                txout = entries.pop(tin.prevout).txout
+                if txout.script_kind == "plain":
+                    plain[txout.recipient].remove(tin.prevout)
         self.tip_height = block.height
         if burned:
             self.diagnostics.append(
@@ -300,10 +321,13 @@ class IndexState:
         state = cls()
         state.tip_height = obj["tip_height"]
         outpoints: dict[str, OutPoint] = {}  # a location shares its UTXO's key
+        plain = state.plain_outpoints
         for key, e in obj["utxos"].items():
             op = outpoints[key] = OutPoint.parse(key)
-            state.utxos.entries[op] = chain.UtxoEntry(
-                chain.txout_from_json(e), [tuple(r) for r in e["sat_ranges"]])
+            txout = chain.txout_from_json(e)
+            state.utxos.entries[op] = chain.UtxoEntry(txout, [tuple(r) for r in e["sat_ranges"]])
+            if txout.script_kind == "plain":
+                plain[txout.recipient].add(op)
         for ins_id, i in obj["inscriptions"].items():
             state.inscriptions[ins_id] = Inscription(
                 ins_id, i["number"], i["content_type"], bytes.fromhex(i["body"]),

@@ -40,6 +40,14 @@ BRC20_ACTIONS = {
 }
 
 
+def _exact_int(value, name: str) -> int:
+    """value, an action's field `name`, if it is an exact int; a float, a bool
+    or a string raises ValueError naming the field."""
+    if type(value) is not int:
+        raise ValueError(f"field {name!r} must be an integer, not {value!r}")
+    return value
+
+
 class ScenarioCompiler:
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -101,7 +109,10 @@ class ScenarioCompiler:
     def _compile_one(self, action: dict) -> None:
         kind = action["action"]
         if kind == "mine":
-            for _ in range(int(action.get("count", 1))):
+            count = _exact_int(action.get("count", 1), "count")
+            if count < 1:
+                raise ValueError(f"field 'count' must be at least 1, not {count}")
+            for _ in range(count):
                 self._emit([], miner=action.get("miner", "miner"))
         elif kind in BRC20_ACTIONS:
             op, actor, amount_fields = BRC20_ACTIONS[kind]
@@ -125,12 +136,15 @@ class ScenarioCompiler:
         elif kind == "trade_offer":
             ins_id = self.handles.get(action["inscription"], action["inscription"])
             offer = trade.create_offer(self.state, action["seller"], ins_id,
-                                       int(action["ask"]))
+                                       _exact_int(action["ask"], "ask"))
             self.offer_by_handle[action["inscription"]] = offer.id
         elif kind == "trade_accept":
-            offer = trade.get_offer(self.state, self.offer_by_handle[action["inscription"]])
+            handle = action["inscription"]
+            if handle not in self.offer_by_handle:
+                raise errors.OrdliteError(f"no offer was made for inscription {handle}")
+            offer = trade.get_offer(self.state, self.offer_by_handle[handle])
             buyer = action["buyer"]
-            fee = int(action.get("fee", trade.DEFAULT_FEE))
+            fee = _exact_int(action.get("fee", trade.DEFAULT_FEE), "fee")
             funding = [self._funding_outpoint(buyer, offer.ask + fee)]
             trade.accept_offer(self.state, offer, buyer, funding, fee)
             block = trade.broadcast_and_settle(self.state, offer, buyer)

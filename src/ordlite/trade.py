@@ -15,7 +15,11 @@ buyer, `chain.tx_fee` prices the settlement, and an offer's inscription is the
 one its PSBT's input 0 spends (as in BIP-174, the input is the one record of
 what it spends), so an offer stores no copy of its id. `settleable` says
 whether an offer can still settle; accepting and settling check it, and every
-other rule, before the settlement block is mined.
+other rule, before the settlement block is mined. `funding_outputs` reads the
+state's derived index of each recipient's unspent plain outpoints,
+`IndexState.plain_outpoints`, which `IndexState.apply_block` keeps as it
+commits a block and `IndexState.from_json` builds as it loads the UTXO set, so
+finding a payer's funding costs that payer's outputs, not the whole UTXO set.
 """
 
 from __future__ import annotations
@@ -224,10 +228,12 @@ def accept_offer(state: IndexState, offer: Offer, buyer: str,
 
 def funding_outputs(state: IndexState, addr: str) -> list[tuple[OutPoint, int]]:
     """(outpoint, value) of every output that can fund a payment by addr:
-    plain, unspent, paying addr and carrying no inscription."""
-    return [(op, entry.txout.value) for op, entry in state.utxos.entries.items()
-            if entry.txout.recipient == addr and entry.txout.script_kind == "plain"
-            and op not in state.by_outpoint]
+    plain, unspent, paying addr and carrying no inscription, in no set order.
+    `state.plain_outpoints`, which `apply_block` keeps and `from_json` builds,
+    lists addr's unspent plain outputs, so only addr's UTXO entries are read."""
+    entries = state.utxos.entries
+    return [(op, entries[op].txout.value) for op in state.plain_outpoints.get(addr, ())
+            if op not in state.by_outpoint]
 
 
 def select_funding(state: IndexState, buyer: str, amount: int) -> list[OutPoint]:

@@ -31,6 +31,23 @@ SELLER_SCRIPT = [
     {"action": "mine", "miner": "buyer"},
 ]
 
+OFFER = {"action": "trade_offer", "inscription": "t1", "seller": "seller", "ask": 20_000_000}
+ACCEPT = {"action": "trade_accept", "inscription": "t1", "buyer": "buyer"}
+# a script whose last action has a field that is not an exact int (or a
+# count below 1), and the name of that field
+BAD_FIELD_SCRIPTS = {
+    "count_float": ([{"action": "mine", "count": 2.7}], "count"),
+    "count_negative": ([{"action": "mine", "count": -3}], "count"),
+    "count_zero": ([{"action": "mine", "count": 0}], "count"),
+    "count_bool": ([{"action": "mine", "count": True}], "count"),
+    "count_string": ([{"action": "mine", "count": "2"}], "count"),
+    "ask_float": (SELLER_SCRIPT + [{**OFFER, "ask": 20_000_000.9}], "ask"),
+    "ask_bool": (SELLER_SCRIPT + [{**OFFER, "ask": True}], "ask"),
+    "ask_string": (SELLER_SCRIPT + [{**OFFER, "ask": "20000000"}], "ask"),
+    "fee_float": (SELLER_SCRIPT + [OFFER, {**ACCEPT, "fee": 10_000.5}], "fee"),
+    "fee_bool": (SELLER_SCRIPT + [OFFER, {**ACCEPT, "fee": False}], "fee"),
+}
+
 
 def send_then_recreate(state, ins_id, to="bob"):
     """Mine a block that sends inscription ins_id from its reveal's output 0

@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from conftest import SELLER_SCRIPT, send_then_recreate
+from conftest import BAD_FIELD_SCRIPTS, SELLER_SCRIPT, send_then_recreate
 from ordlite import chain, cli as cli_module, errors
 from ordlite.cli import cli
 from ordlite.indexer import IndexState
@@ -502,6 +502,18 @@ def test_malformed_scenario_is_a_json_error(workdir, monkeypatch, capsys, script
                            str(workdir / "bad.json"), "-o", str(output))
     assert (code, err["error"]) == (1, "ActionInvalid")
     assert err["message"].startswith("action 0: ")
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELD_SCRIPTS))
+def test_scenario_with_a_non_int_field_is_action_invalid(workdir, monkeypatch, capsys, case):
+    script, field = BAD_FIELD_SCRIPTS[case]
+    (workdir / "bad.json").write_text(json.dumps(script))
+    output = workdir / "out.jsonl"
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", "scenario",
+                           str(workdir / "bad.json"), "-o", str(output))
+    assert (code, err["error"]) == (1, "ActionInvalid")
+    assert err["message"].startswith(f"action {len(script) - 1}: ValueError: field {field!r} ")
     assert not output.exists()
 
 

@@ -1,7 +1,9 @@
 """Every module-level import in the package and its tests is used, no
 regex literal in the package ends in an unescaped `$`, JSON is decoded only
 where bytes enter the package, a `UtxoEntry` is made only from a block's
-values or a snapshot's, and an output's JSON shape is spelled only in `chain`.
+values or a snapshot's, the UTXO set is written only where a block or a
+snapshot is committed to it, and an output's JSON shape is spelled only in
+`chain`.
 
 No linter is a dependency of this project, so these are stdlib `ast` scans.
 An imported name counts as used if it appears anywhere in the module as a
@@ -10,8 +12,10 @@ matches before a trailing newline; `fullmatch` does not. Every snapshot has
 one decoder, `indexer.read_sections`; a second one could read it differently
 from the first. `ordinals.assign_ordinals` alone turns a block into UTXO
 entries, which `IndexState.apply_block` commits as they are; a second maker
-could give an output other ranges. `chain.txout_to_json` and
-`txout_from_json` own the output shape, so no other module names its
+could give an output other ranges. `IndexState.apply_block` and
+`IndexState.from_json` alone write the UTXO set, so the recipient -> plain
+outpoints index they keep with it cannot drift from it. `chain.txout_to_json`
+and `txout_from_json` own the output shape, so no other module names its
 `"script_kind"` key. No `raise` follows a call of `.apply_block(` in a
 function's body: a caller checks everything before it commits a block, so
 it cannot fail with the block committed and the rest of its work (a trade's
@@ -166,16 +170,94 @@ class C:
     assert utxo_entry_makers(source, "m") == {"m", "m.f"}
 
 
+def own_nodes(node):
+    """Every node under node, except those inside a nested function or class."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            yield from own_nodes(child)
+
+
+UTXO_SET_WRITERS = {
+    "indexer.IndexState.apply_block",  # a block's UTXO delta, with the plain-outpoint index
+    "indexer.IndexState.from_json",  # a snapshot's UTXOs, with the plain-outpoint index
+}
+WRITE_METHODS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def utxo_set_writers(source: str, module: str) -> set[str]:
+    """The dotted names of the scopes (the module, at top level) that write
+    the UTXO set: assign or delete an item of `<x>.utxos.entries` or
+    `utxos.entries`, or call its update, pop, popitem, clear or setdefault,
+    directly or through a name the scope itself binds to it."""
+    found = set()
+
+    def is_entries(node, aliases) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in aliases
+        return (isinstance(node, ast.Attribute) and node.attr == "entries"
+                and "utxos" in (getattr(node.value, "attr", None),
+                                getattr(node.value, "id", None)))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+        nodes = list(own_nodes(node))
+        aliases = set()
+        for n in nodes:
+            if isinstance(n, ast.Assign):
+                for target in n.targets:
+                    pairs = (zip(target.elts, n.value.elts) if isinstance(target, ast.Tuple)
+                             and isinstance(n.value, ast.Tuple) else [(target, n.value)])
+                    aliases.update(t.id for t, v in pairs
+                                   if isinstance(t, ast.Name) and is_entries(v, ()))
+        if any(isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del))
+               and is_entries(n.value, aliases)
+               or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr in WRITE_METHODS and is_entries(n.func.value, aliases)
+               for n in nodes):
+            found.add(scope)
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_utxo_set_is_written_only_by_apply_block_and_snapshot_decoding():
+    found = set().union(*(utxo_set_writers(path.read_text(), path.stem) for path in SOURCES))
+    assert found == UTXO_SET_WRITERS
+
+
+def test_scan_finds_utxo_set_writers():
+    source = """def f(s, op, e):
+    s.utxos.entries[op] = e
+def g(s, k):
+    del s.state.utxos.entries[k]
+def h(utxos, x):
+    utxos.entries.update(x)
+def i(self, k):
+    entries, other = self.utxos.entries, {}
+    entries.pop(k)
+    other.pop(k)
+class C:
+    def j(self):
+        self.utxos.entries.clear()
+        def inner(entries, k):
+            entries.pop(k)
+        return inner
+def reads(s, op):
+    entries = s.utxos.entries
+    entries[op].txout.value = 1
+    return (entries[op], s.utxos.entries.get(op), op in entries, s.entries.pop(op),
+            s.utxos.pop(op), {op: 1}.update(entries))
+TOP = x.utxos.entries.setdefault(k, v)
+"""
+    assert utxo_set_writers(source, "m") == {"m", "m.f", "m.g", "m.h", "m.i", "m.C.j"}
+
+
 def raises_after_commit(source: str, module: str) -> list[str]:
     """`<function>: line <n>` for each `raise` in a function's own body
     (nested functions apart) that comes after its first `.apply_block(` call."""
     found = []
-
-    def own_nodes(node):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield child
-                yield from own_nodes(child)
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import coinbase, spend, txid
+from conftest import BAD_FIELD_SCRIPTS, coinbase, spend, txid
 from ordlite import brc20, chain, envelope, errors, ordinals, scenario
 from ordlite.chain import Block, OutPoint, TxOut
 from ordlite.indexer import IndexState, classify_envelope
@@ -68,13 +68,26 @@ def test_mint_with_non_ascii_digit_amount_is_plain_text():
 @pytest.mark.parametrize("action, message", [
     ({"action": "nope"}, "unknown action 'nope'"),
     ({"action": "transfer_send", "inscription": "t9", "to": "bob"}, "unknown inscription t9"),
-], ids=["unknown_action", "unknown_inscription"])
+    ({"action": "trade_accept", "inscription": "t1", "buyer": "bob"},
+     "no offer was made for inscription t1"),
+], ids=["unknown_action", "unknown_inscription", "accept_without_offer"])
 def test_scenario_error_names_its_action_once(action, message):
     idx = len(LISTINGS_SCRIPT)
     with pytest.raises(errors.ActionInvalid) as exc:
         compile_blocks(LISTINGS_SCRIPT + [action])
     assert exc.value.index == idx
     assert str(exc.value) == f"action {idx}: {message}"
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELD_SCRIPTS))
+def test_scenario_int_fields_are_checked_not_coerced(case):
+    """count, ask and fee must be exact ints (count at least 1): a float, a
+    bool or a string is ActionInvalid naming the field, not rounded or cast."""
+    script, field = BAD_FIELD_SCRIPTS[case]
+    with pytest.raises(errors.ActionInvalid) as exc:
+        compile_blocks(script)
+    assert exc.value.index == len(script) - 1
+    assert str(exc.value).startswith(f"action {len(script) - 1}: ValueError: field {field!r} ")
 
 
 def test_inscription_numbering_and_binding():

@@ -340,9 +340,11 @@ def test_inscription_locations_match_per_sat_oracle():
     seen = collections.Counter()
     for seed in range(150):
         rng = random.Random(seed)
-        state = IndexState()
-        state.utxos, sats_of = seed_utxos(rng.randint)
-        state.tip_height = ONE_SAT_HEIGHT - 1
+        seeded = IndexState()
+        seeded.utxos, sats_of = seed_utxos(rng.randint)
+        seeded.tip_height = ONE_SAT_HEIGHT - 1
+        # loaded as a snapshot is, which also indexes the outputs' recipients
+        state = IndexState.from_json(seeded.to_json())
         unspent = list(sats_of)
         genesis = {}  # the oracle's inscriptions: id -> genesis sat
         for height in range(ONE_SAT_HEIGHT, ONE_SAT_HEIGHT + 6):

@@ -1,11 +1,13 @@
 import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import SELLER_SCRIPT, coinbase, send_then_recreate, spend
+from conftest import SELLER_SCRIPT, coinbase, send_then_recreate, spend, txid
 from ordlite import chain, errors, trade
-from ordlite.chain import OutPoint, TxOut
+from ordlite.chain import Block, OutPoint, Transaction, TxOut
 from ordlite.indexer import IndexState
 from ordlite.scenario import ScenarioCompiler
 from ordlite.trade import sign, verify_signatures
@@ -328,3 +330,99 @@ def test_select_funding_skips_inscribed_outpoints():
     cb = coinbase(height, chain.block_subsidy(height), "bob", label="clean cb bob")
     state.apply_block(chain.Block(height, (cb,)))
     assert trade.select_funding(state, "bob", ASK + FEE) == [OutPoint(cb.txid, 0)]
+
+
+# --- the recipient -> plain outpoints index behind funding_outputs ---
+
+def scanned_funding(state) -> dict:
+    """recipient -> {(outpoint, value)} of its funding outputs, for every
+    recipient in the UTXO set, by the rule applied to a scan of the whole set:
+    plain, paying the recipient and carrying no inscription."""
+    funds = {}
+    for op, entry in state.utxos.entries.items():
+        out = entry.txout
+        mine = funds.setdefault(out.recipient, set())
+        if out.script_kind == "plain" and op not in state.by_outpoint:
+            mine.add((op, out.value))
+    return funds
+
+
+def assert_funding_matches_scan(state):
+    for addr, funds in scanned_funding(state).items():
+        assert sorted(trade.funding_outputs(state, addr)) == sorted(funds), addr
+
+
+@pytest.mark.parametrize("workload", ["cli_mix", "range_shred", "transfer_web"])
+def test_funding_index_matches_a_scan_after_every_block(workload, monkeypatch, tmp_path):
+    """On the seed-101 chains of every benchmark workload, after every block
+    and after a snapshot round trip."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    session = importlib.import_module("session")
+    for k in range(session.CHAINS[workload]):
+        inputs = session.setup_chain(workload, 101, k, tmp_path / f"chain{k}")
+        state = IndexState()
+        with open(inputs.blocks_path) as fp:
+            for block in chain.read_blocks_jsonl(fp):
+                state.apply_block(block)
+                assert_funding_matches_scan(state)
+        assert_funding_matches_scan(IndexState.decode(state.snapshot_bytes()))
+
+
+def test_plain_output_spent_in_its_own_block_is_not_funding(genesis):
+    state = IndexState()
+    state.apply_block(genesis)
+    value = genesis.txs[0].outputs[0].value
+    pay = spend("pay buyer", [OutPoint(genesis.txs[0].txid, 0)],
+                [TxOut(1_000, "buyer"), TxOut(value - 1_000, "miner")])
+    pay_on = spend("buyer pays on", [OutPoint(pay.txid, 0)], [TxOut(1_000, "seller")])
+    state.apply_block(Block(1, (coinbase(1, chain.block_subsidy(1)), pay, pay_on)))
+    assert trade.funding_outputs(state, "buyer") == []
+    assert trade.funding_outputs(state, "seller") == [(OutPoint(pay_on.txid, 0), 1_000)]
+    assert_funding_matches_scan(state)
+    assert_funding_matches_scan(IndexState.decode(state.snapshot_bytes()))
+
+
+def test_inscription_on_a_plain_output_keeps_it_from_funding():
+    """The index lists every plain output; by_outpoint still filters out one
+    an inscription landed on."""
+    state, _ = seller_state()
+    inscribed = _spend_mint_inscription_to_fee(state, "buyer")
+    assert inscribed in state.plain_outpoints["buyer"]
+    for loaded in (state, IndexState.decode(state.snapshot_bytes())):
+        assert inscribed not in dict(trade.funding_outputs(loaded, "buyer"))
+        assert_funding_matches_scan(loaded)
+
+
+def test_tx_reusing_a_spent_txid_funds_from_its_new_output():
+    """The re-created outpoint is funding, the spent change output is not."""
+    state, ins_id = seller_state()
+    listed = state.location[ins_id].outpoint
+    send_then_recreate(state, ins_id)
+    for loaded in (state, IndexState.decode(state.snapshot_bytes())):
+        funds = dict(trade.funding_outputs(loaded, "seller"))
+        assert listed in funds and OutPoint(listed.txid, 1) not in funds
+        assert_funding_matches_scan(loaded)
+
+
+def test_funding_outputs_read_only_the_payers_entries():
+    """With 5,000 outputs paying other recipients, finding the buyer's
+    funding reads the buyer's UTXO entries and no other."""
+    mine = [TxOut(1_000, "buyer"), TxOut(2_000, "buyer"),
+            TxOut(546, "buyer", "p2tr_inscription")]  # uninscribed, but not plain
+    cb = Transaction(txid("many recipients"), (),
+                     tuple(TxOut(1, f"other{i}") for i in range(5_000)) + tuple(mine),
+                     is_coinbase=True)
+    state = IndexState()
+    state.apply_block(Block(0, (cb,)))
+    read_recipients = set()
+
+    class CountedEntry(chain.UtxoEntry):
+        def __getattribute__(self, name):
+            read_recipients.add(object.__getattribute__(self, "txout").recipient)
+            return object.__getattribute__(self, name)
+
+    for entry in state.utxos.entries.values():
+        entry.__class__ = CountedEntry
+    assert sorted(trade.funding_outputs(state, "buyer")) == [
+        (OutPoint(cb.txid, 5_000), 1_000), (OutPoint(cb.txid, 5_001), 2_000)]
+    assert read_recipients == {"buyer"}
