@@ -8,8 +8,12 @@ Only ordlite writes the data dir's snapshot: `index`, `trade` and
 `snapshot load`, which validates the file it takes in. Every snapshot, the
 data dir's and `snapshot load`'s alike, is decoded by `indexer.read_sections`,
 which raises CorruptSnapshot (exit 1) on any other layout. Writes decode every
-section; `snapshot save` copies the bytes. Reads decode only the sections they
-need: `brc20` decodes "brc20", `inscriptions` stops after "inscriptions",
+section; `snapshot save` copies the bytes. Each write says what it changes:
+`index` and `trade settle` change most sections and write the whole snapshot
+(`save_state`), while `trade offer` and `trade accept` change only the offer
+book (`changing_offers`), so they write the bytes they read with only the
+`offers` section's value replaced. Reads decode only the sections they need:
+`brc20` decodes "brc20", `inscriptions` stops after "inscriptions",
 `snapshot hash` after "tip_height", and `sat` needs "utxos", the last one.
 With no snapshot, every command reads EMPTY_SNAPSHOT, an empty index's bytes.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -54,10 +59,30 @@ def read_ledger(data_dir) -> Brc20Ledger:
     return Brc20Ledger.from_json(sections["brc20"])
 
 
-def save_state(data_dir, state: IndexState) -> str:
-    """Save the snapshot into data_dir; return its hash."""
+def write_data_dir(data_dir, data: bytes) -> str:
+    """Make data into data_dir's snapshot (see `indexer.write_snapshot`);
+    return its hash."""
     Path(data_dir).mkdir(parents=True, exist_ok=True)
-    return state.save(snapshot_path(data_dir))
+    return indexer.write_snapshot(snapshot_path(data_dir), data)
+
+
+def save_state(data_dir, state: IndexState) -> str:
+    """Save the whole snapshot into data_dir; return its hash."""
+    return write_data_dir(data_dir, state.snapshot_bytes())
+
+
+@contextmanager
+def changing_offers(data_dir):
+    """The data dir's state, for a command that changes nothing but its
+    offer book. When the block exits normally, the bytes read are written
+    back with only the `offers` section's value replaced by the state's;
+    when it raises, nothing is written."""
+    data = read_snapshot(data_dir)
+    spans: dict = {}
+    state = IndexState.decode(data, spans)
+    yield state
+    write_data_dir(data_dir, indexer.splice_section(data, spans, "offers",
+                                                    state.offers_json()))
 
 
 @click.group()
@@ -137,9 +162,8 @@ def trade_group():
 @click.argument("ask", type=int)
 @click.pass_obj
 def trade_offer(obj, seller, inscription_id, ask):
-    state = load_state(obj["data_dir"])
-    offer = trade.create_offer(state, seller, inscription_id, ask)
-    save_state(obj["data_dir"], state)
+    with changing_offers(obj["data_dir"]) as state:
+        offer = trade.create_offer(state, seller, inscription_id, ask)
     emit({"offer_id": offer.id, "status": offer.status,
           "psbt": offer.psbt.to_json()})
 
@@ -150,11 +174,10 @@ def trade_offer(obj, seller, inscription_id, ask):
 @click.option("--fee", type=int, default=trade.DEFAULT_FEE, show_default=True)
 @click.pass_obj
 def trade_accept(obj, offer_id, buyer, fee):
-    state = load_state(obj["data_dir"])
-    offer = trade.get_offer(state, offer_id)
-    funding = trade.select_funding(state, buyer, offer.ask + fee)
-    psbt = trade.accept_offer(state, offer, buyer, funding, fee)
-    save_state(obj["data_dir"], state)
+    with changing_offers(obj["data_dir"]) as state:
+        offer = trade.get_offer(state, offer_id)
+        funding = trade.select_funding(state, buyer, offer.ask + fee)
+        psbt = trade.accept_offer(state, offer, buyer, funding, fee)
     emit({"offer_id": offer.id, "status": offer.status, "psbt": psbt.to_json()})
 
 
@@ -210,8 +233,7 @@ def snapshot_load(obj, path):
     """Validate a snapshot file and make it the data dir's snapshot."""
     data = Path(path).read_bytes()
     state = IndexState.from_untrusted(data)
-    Path(obj["data_dir"]).mkdir(parents=True, exist_ok=True)
-    digest = indexer.write_snapshot(snapshot_path(obj["data_dir"]), data)
+    digest = write_data_dir(obj["data_dir"], data)
     emit({"loaded": str(path), "hash": digest,
           "tip_height": state.tip_height})
 

@@ -33,6 +33,14 @@ the data dir enter only through `IndexState.from_untrusted`, which decodes
 them so and then validates them; the data dir then holds only bytes ordlite
 wrote. `next_number`, each `genesis_satpoint` and each offer's
 `inscription_id` are written from the state, which does not keep them.
+
+`IndexState.to_json` builds every section and `snapshot_bytes` encodes them
+all. A write that changes one section need not re-encode the rest:
+`read_sections` reports where each section's value lies in the bytes it
+decoded, and `splice_section` replaces one value there with its canonical
+encoding and copies every other byte. The `offers` section, the one the CLI
+splices, has one builder, `IndexState.offers_json`, which `to_json` uses too,
+so both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -54,26 +62,43 @@ SECTIONS = ("brc20", "btc_deltas", "inscriptions", "next_number", "offers",
 _DECODER = json.JSONDecoder()
 
 
-def read_sections(data: bytes, last: str) -> dict:
+def read_sections(data: bytes, last: str, spans: dict | None = None) -> dict:
     """Decode a snapshot ordlite wrote, section by section, up to and
     including `last`. A layout that is not SECTIONS in canonical form raises
-    CorruptSnapshot; the decoded values are trusted as they are."""
+    CorruptSnapshot; the decoded values are trusted as they are. When `spans`
+    is given, it gets each decoded section's (start, end) offsets in data, the
+    slice its value is encoded in. Canonical bytes are ASCII, as
+    `canonical_dumps` escapes everything else, and other bytes are refused,
+    so an offset in the decoded text is the same offset in data."""
     sections: dict = {}
     pos = 0
     try:
-        text = data.decode()
+        text = data.decode("ascii")
         for key in SECTIONS:
             head = ("," if sections else "{") + f'"{key}":'
             if not text.startswith(head, pos):
                 raise errors.CorruptSnapshot(f"expected {head!r} at offset {pos}")
-            sections[key], pos = _DECODER.raw_decode(text, pos + len(head))
+            start = pos + len(head)
+            sections[key], pos = _DECODER.raw_decode(text, start)
+            if spans is not None:
+                spans[key] = (start, pos)
             if key == last:
                 break
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+    except (ValueError, RecursionError) as exc:  # not ASCII, not JSON, or nested too deep
         raise errors.CorruptSnapshot(str(exc)) from exc
     if key == SECTIONS[-1] and text[pos:] != "}":
         raise errors.CorruptSnapshot(f"expected the closing brace at offset {pos}")
     return sections
+
+
+def splice_section(data: bytes, spans: dict, key: str, value) -> bytes:
+    """Snapshot bytes `data` with the value of section `key`, which
+    `read_sections` put at spans[key], replaced by value's canonical
+    encoding; every other byte is copied as it is. The result is the canonical
+    encoding of the snapshot whose section `key` is value, as the section's
+    encoding is the same inside the whole snapshot and on its own."""
+    start, end = spans[key]
+    return b"".join((data[:start], chain.canonical_dumps(value).encode(), data[end:]))
 
 
 def write_snapshot(path, data: bytes) -> str:
@@ -306,9 +331,14 @@ class IndexState:
                 for ins in self.inscriptions.values()
             },
             "brc20": self.ledger.to_json(),
-            "offers": {oid: o.to_json() for oid, o in self.offers.items()},
+            "offers": self.offers_json(),
             "btc_deltas": dict(self.btc_deltas),
         }
+
+    def offers_json(self) -> dict:
+        """The snapshot's `offers` section, for `to_json` and for a write that
+        splices in only this section (`splice_section`)."""
+        return {oid: o.to_json() for oid, o in self.offers.items()}
 
     def snapshot_bytes(self) -> bytes:
         return chain.canonical_dumps(self.to_json()).encode()
@@ -343,8 +373,9 @@ class IndexState:
         return state
 
     @classmethod
-    def decode(cls, data: bytes) -> "IndexState":
-        """The state in snapshot bytes, decoded by `read_sections` as reads are."""
+    def decode(cls, data: bytes, spans: dict | None = None) -> "IndexState":
+        """The state in snapshot bytes, decoded by `read_sections` as reads are
+        (which fills `spans`, when given)."""
         # Decoding allocates the whole state and frees none of it, so cyclic
         # collections during it find nothing; the objects they promote would
         # only bring the next full collection, over the caller's whole heap,
@@ -352,7 +383,7 @@ class IndexState:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return cls.from_json(read_sections(data, SECTIONS[-1]))
+            return cls.from_json(read_sections(data, SECTIONS[-1], spans))
         finally:
             if enabled:
                 gc.enable()

@@ -48,6 +48,14 @@ def _exact_int(value, name: str) -> int:
     return value
 
 
+def _exact_str(value, name: str) -> str:
+    """value, an action's field `name`, if it is a string; a number or a bool
+    raises ValueError naming the field, so `true` is not cast to "True"."""
+    if type(value) is not str:
+        raise ValueError(f"field {name!r} must be a string, not {value!r}")
+    return value
+
+
 class ScenarioCompiler:
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -117,7 +125,7 @@ class ScenarioCompiler:
         elif kind in BRC20_ACTIONS:
             op, actor, amount_fields = BRC20_ACTIONS[kind]
             fields = {"p": "brc-20", "op": op, "tick": action["tick"]}
-            fields.update((f, str(action[f])) for f in amount_fields)
+            fields.update((f, _exact_str(action[f], f)) for f in amount_fields)
             body = chain.canonical_dumps(fields).encode()
             ins_id = self._reveal(action[actor], body, f"{op} {action['tick']}")
             if "id" in action:

@@ -20,6 +20,12 @@ state's derived index of each recipient's unspent plain outpoints,
 `IndexState.plain_outpoints`, which `IndexState.apply_block` keeps as it
 commits a block and `IndexState.from_json` builds as it loads the UTXO set, so
 finding a payer's funding costs that payer's outputs, not the whole UTXO set.
+
+`create_offer` and `accept_offer` change only `state.offers` (the offers'
+statuses and PSBTs), never the chain, the ledger or `btc_deltas`: `ordlite
+trade offer` and `trade accept` rely on this and write back only the
+snapshot's `offers` section. `broadcast_and_settle` mines a block and books
+BTC deltas, so `trade settle` writes the whole snapshot.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ SELLER_SCRIPT = [
 
 OFFER = {"action": "trade_offer", "inscription": "t1", "seller": "seller", "ask": 20_000_000}
 ACCEPT = {"action": "trade_accept", "inscription": "t1", "buyer": "buyer"}
-# a script whose last action has a field that is not an exact int (or a
-# count below 1), and the name of that field
+# a script whose last action has a field of the wrong type (an int field that
+# is not an exact int, or a count below 1; an amount that is not a string),
+# and the name of that field
 BAD_FIELD_SCRIPTS = {
     "count_float": ([{"action": "mine", "count": 2.7}], "count"),
     "count_negative": ([{"action": "mine", "count": -3}], "count"),
@@ -46,6 +47,10 @@ BAD_FIELD_SCRIPTS = {
     "ask_string": (SELLER_SCRIPT + [{**OFFER, "ask": "20000000"}], "ask"),
     "fee_float": (SELLER_SCRIPT + [OFFER, {**ACCEPT, "fee": 10_000.5}], "fee"),
     "fee_bool": (SELLER_SCRIPT + [OFFER, {**ACCEPT, "fee": False}], "fee"),
+    "amt_bool": (SELLER_SCRIPT[:1] + [{**SELLER_SCRIPT[1], "amt": True}], "amt"),
+    "amt_float": (SELLER_SCRIPT[:1] + [{**SELLER_SCRIPT[1], "amt": 1e3}], "amt"),
+    "amt_int": (SELLER_SCRIPT[:1] + [{**SELLER_SCRIPT[1], "amt": 1000}], "amt"),
+    "max_int": ([{**SELLER_SCRIPT[0], "max": 2100000}], "max"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import BAD_FIELD_SCRIPTS, SELLER_SCRIPT, send_then_recreate
-from ordlite import chain, cli as cli_module, errors
+from ordlite import chain, cli as cli_module, errors, trade
 from ordlite.cli import cli
 from ordlite.indexer import IndexState
 from ordlite.scenario import ScenarioCompiler
@@ -104,14 +104,31 @@ def test_snapshot_save_load(runner, workdir, tmp_path):
     assert saved["hash"] == loaded["hash"]
 
 
-@pytest.mark.parametrize("command", ["index", "snapshot save", "snapshot load"])
+@pytest.mark.parametrize("command", ["index", "snapshot save", "snapshot load",
+                                     "trade offer", "trade accept"])
 def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
+    """A write encodes the snapshot at most once: `snapshot save` copies the
+    bytes, and `trade offer` and `trade accept` re-encode only the offers
+    section, yet write what the full encoding of the same op would."""
     written = workdir / "data" / cli_module.SNAPSHOT_FILE
     saved = workdir / "saved.json"
     if command == "index":
         run(runner, workdir, "scenario", str(workdir / "script.json"),
             "-o", str(workdir / "blocks.jsonl"))
         args = ["index", str(workdir / "blocks.jsonl")]
+    elif command.startswith("trade"):
+        oid = offered(runner, workdir)
+        mirror = IndexState.decode(written.read_bytes())
+        listed = mirror.offers[oid]
+        if command == "trade offer":  # a second ask, which cancels the open offer
+            args = ["trade", "offer", "alice", listed.inscription_id, "2000"]
+            trade.create_offer(mirror, "alice", listed.inscription_id, 2000)
+        else:
+            args = ["trade", "accept", oid, "miner"]
+            fee = trade.DEFAULT_FEE
+            trade.accept_offer(mirror, listed, "miner",
+                               trade.select_funding(mirror, "miner", listed.ask + fee), fee)
+        expected = mirror.snapshot_bytes()
     else:
         indexed(runner, workdir)
         if command == "snapshot save":
@@ -130,10 +147,15 @@ def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
     if command == "snapshot save":  # a copy of the data dir's bytes
         assert calls == []
         assert written.read_bytes() == (workdir / "data" / cli_module.SNAPSHOT_FILE).read_bytes()
+    elif command.startswith("trade"):  # the read bytes, offers section re-encoded
+        assert calls == []
+        assert written.read_bytes() == expected
     else:
         assert len(calls) == 1
-    assert out["hash"] == hashlib.sha256(written.read_bytes()).hexdigest() \
-        == IndexState.decode(written.read_bytes()).snapshot_hash()
+    digest = hashlib.sha256(written.read_bytes()).hexdigest()
+    assert digest == IndexState.decode(written.read_bytes()).snapshot_hash()
+    if not command.startswith("trade"):  # a trade command prints no hash
+        assert out["hash"] == digest
 
 
 def test_cli_byte_identical_output(runner, workdir):
@@ -356,6 +378,10 @@ def _negative_vout(obj):
     obj["utxos"][key.rpartition(":")[0] + ":-1"] = obj["utxos"].pop(key)
 
 
+def _recipient_not_ascii(obj):
+    next(utxo for utxo in obj["utxos"].values() if utxo["recipient"] == "miner")["recipient"] = "mïner"
+
+
 def _mint_relabelled_text(obj):
     next(i for i in obj["inscriptions"].values() if i["kind"] == "brc20_mint")["kind"] = "text"
 
@@ -390,6 +416,11 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
     "mint_relabelled_text": (_mint_relabelled_text, None,
                              "is labelled 'text', its content is 'brc20_mint'"),
     "negative_vout": (_negative_vout, None, "vout -1 is not a non-negative integer"),
+    # canonical bytes are ASCII, so offsets in the decoded text are byte offsets
+    "raw_utf8": (_recipient_not_ascii,
+                 lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                        ensure_ascii=False),
+                 "'ascii' codec can't decode"),
 }
 
 

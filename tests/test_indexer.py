@@ -81,8 +81,9 @@ def test_scenario_error_names_its_action_once(action, message):
 
 @pytest.mark.parametrize("case", sorted(BAD_FIELD_SCRIPTS))
 def test_scenario_int_fields_are_checked_not_coerced(case):
-    """count, ask and fee must be exact ints (count at least 1): a float, a
-    bool or a string is ActionInvalid naming the field, not rounded or cast."""
+    """count, ask and fee must be exact ints (count at least 1), and max, lim
+    and amt strings: a value of another type is ActionInvalid naming the
+    field, not rounded or cast."""
     script, field = BAD_FIELD_SCRIPTS[case]
     with pytest.raises(errors.ActionInvalid) as exc:
         compile_blocks(script)
