@@ -12,7 +12,10 @@ section; `snapshot save` copies the bytes. Each write says what it changes:
 `index` and `trade settle` change most sections and write the whole snapshot
 (`save_state`), while `trade offer` and `trade accept` change only the offer
 book (`changing_offers`), so they write the bytes they read with only the
-`offers` section's value replaced. Reads decode only the sections they need:
+`offers` section's value replaced. A refused write saves nothing, and loses
+nothing by that: `trade` refuses before it changes the state, so a dead offer
+keeps its status, and `trade accept` checks the offer before the buyer's
+funding. Reads decode only the sections they need:
 `brc20` decodes "brc20", `inscriptions` stops after "inscriptions",
 `snapshot hash` after "tip_height", and `sat` needs "utxos", the last one.
 With no snapshot, every command reads EMPTY_SNAPSHOT, an empty index's bytes.
@@ -176,6 +179,7 @@ def trade_offer(obj, seller, inscription_id, ask):
 def trade_accept(obj, offer_id, buyer, fee):
     with changing_offers(obj["data_dir"]) as state:
         offer = trade.get_offer(state, offer_id)
+        trade.check_acceptable(state, offer, fee)
         funding = trade.select_funding(state, buyer, offer.ask + fee)
         psbt = trade.accept_offer(state, offer, buyer, funding, fee)
     emit({"offer_id": offer.id, "status": offer.status, "psbt": psbt.to_json()})

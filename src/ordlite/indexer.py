@@ -410,12 +410,9 @@ class IndexState:
         numbered 0..n-1 and every located one is on its genesis sat, in an
         unspent output, and its kind is the one its content type and body
         classify as; the ledger's invariants hold in full, its index of
-        unused pendings included; every offer is keyed by the id of its
-        seller, inscription and ask, has a known status, carries its
-        seller's signature on every input and only signatures that commit to
-        its PSBT, and is finalized exactly when accepted or settled (a stale
-        one either way); and `data` is this state's canonical bytes, so no
-        stored value disagrees with what the state derives."""
+        unused pendings included; every offer passes `trade.check_offer`;
+        and `data` is this state's canonical bytes, so no stored value
+        disagrees with what the state derives."""
         spans = []
         for op, entry in self.utxos.entries.items():
             for r in entry.sat_ranges:
@@ -451,23 +448,7 @@ class IndexState:
         except errors.InvariantViolation as exc:
             raise errors.CorruptSnapshot(f"ledger: {exc}") from exc
         for oid, offer in self.offers.items():
-            if oid != trade._offer_id(offer.seller, offer.inscription_id, offer.ask):
-                raise errors.CorruptSnapshot(
-                    f"offer {oid} is not the id of its seller, inscription and ask")
-            if offer.status not in trade.STATUSES:
-                raise errors.CorruptSnapshot(f"offer {oid} has unknown status {offer.status!r}")
-            psbt = offer.psbt
-            if not all(offer.seller in pin.signatures for pin in psbt.inputs):
-                raise errors.CorruptSnapshot(f"offer {oid} lacks its seller's signature")
-            if not trade.signatures_commit(psbt):
-                raise errors.CorruptSnapshot(
-                    f"offer {oid} carries a signature that does not commit to its PSBT")
-            # a stale offer went stale while open or while accepted
-            if offer.status != "stale" and psbt.finalized != (
-                    offer.status in ("accepted", "settled")):
-                raise errors.CorruptSnapshot(
-                    f"offer {oid} is {offer.status} but its PSBT is "
-                    f"{'' if psbt.finalized else 'not '}finalized")
+            trade.check_offer(oid, offer)
         if self.snapshot_bytes() != data:
             raise errors.CorruptSnapshot("not in canonical form")
 

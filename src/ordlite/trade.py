@@ -13,9 +13,9 @@ inscription and is excluded from those deltas.
 Each rule has one owner: `funding_outputs` says which outputs may fund a
 buyer, `chain.tx_fee` prices the settlement, and an offer's inscription is the
 one its PSBT's input 0 spends (as in BIP-174, the input is the one record of
-what it spends), so an offer stores no copy of its id. `settleable` says
-whether an offer can still settle; accepting and settling check it, and every
-other rule, before the settlement block is mined. `funding_outputs` reads the
+what it spends), so an offer stores no copy of its id. `settleable` alone says
+whether an offer can still settle; every refusal is decided before anything
+changes, so a dead offer keeps its status. `funding_outputs` reads the
 state's derived index of each recipient's unspent plain outpoints,
 `IndexState.plain_outpoints`, which `IndexState.apply_block` keeps as it
 commits a block and `IndexState.from_json` builds as it loads the UTXO set, so
@@ -85,7 +85,7 @@ class Psbt:
         return cls(inputs, outputs, bool(obj["finalized"]))
 
 
-STATUSES = ("open", "accepted", "settled", "cancelled", "stale")
+STATUSES = ("open", "accepted", "settled", "cancelled")
 
 
 @dataclass
@@ -143,6 +143,27 @@ def _offer_id(seller: str, inscription_id: str, ask: int) -> str:
     return hashlib.sha256(f"offer|{seller}|{inscription_id}|{ask}".encode()).hexdigest()[:16]
 
 
+def check_offer(oid: str, offer: Offer) -> None:
+    """Raise CorruptSnapshot unless offer, stored under oid, is one trading
+    could have made: keyed by the id of its seller, inscription and ask, of a
+    known status, signed by its seller on every input and only by signatures
+    that commit to its PSBT, and finalized exactly when accepted or settled."""
+    psbt = offer.psbt
+    if oid != _offer_id(offer.seller, offer.inscription_id, offer.ask):
+        problem = "is not the id of its seller, inscription and ask"
+    elif offer.status not in STATUSES:
+        problem = f"has unknown status {offer.status!r}"
+    elif not all(offer.seller in pin.signatures for pin in psbt.inputs):
+        problem = "lacks its seller's signature"
+    elif not signatures_commit(psbt):
+        problem = "carries a signature that does not commit to its PSBT"
+    elif psbt.finalized != (offer.status in ("accepted", "settled")):
+        problem = f"is {offer.status} but its PSBT is {'' if psbt.finalized else 'not '}finalized"
+    else:
+        return
+    raise errors.CorruptSnapshot(f"offer {oid} {problem}")
+
+
 def get_offer(state: IndexState, offer_id: str) -> Offer:
     if offer_id not in state.offers:
         raise errors.TradeError(f"unknown offer {offer_id}")
@@ -163,10 +184,17 @@ def create_offer(state: IndexState, seller: str, inscription_id: str, ask: int) 
     if satpoint is None or satpoint.outpoint not in state.utxos:
         raise errors.TradeError(f"inscribed satpoint of {inscription_id} is spent")
 
+    # a re-listing at the same ask has the same id: it must not replace the
+    # buyer's finalized PSBT while that can still settle
+    oid = _offer_id(seller, inscription_id, ask)
+    held = state.offers.get(oid)
+    if held is not None and held.status == "accepted" and settleable(state, held):
+        raise errors.TradeError(f"offer {oid} at this ask is accepted; settle it first")
+
     psbt = Psbt([PsbtInput(satpoint.outpoint, inscription_id)],
                 [TxOut(ask, seller)])
     sign(psbt, seller)
-    offer = Offer(_offer_id(seller, inscription_id, ask), seller, ask, psbt, "open")
+    offer = Offer(oid, seller, ask, psbt, "open")
     # one open offer per pending inscription; a new one cancels the old
     for other in state.offers.values():
         if other.inscription_id == inscription_id and other.status == "open":
@@ -187,15 +215,21 @@ def settleable(state: IndexState, offer: Offer) -> bool:
             and pending is not None and not pending.used)
 
 
-def accept_offer(state: IndexState, offer: Offer, buyer: str,
-                 funding: list[OutPoint], fee: int) -> Psbt:
+def check_acceptable(state: IndexState, offer: Offer, fee: int) -> None:
+    """Raise unless a buyer may accept offer at fee: the fee is not negative,
+    the offer is open, and it is `settleable`. `accept_offer` checks this
+    first, and `ordlite trade accept` checks it before it picks funding."""
     if fee < 0:
         raise errors.TradeError("fee must not be negative")
     if offer.status != "open":
         raise errors.OfferNotOpen(offer.id)
     if not settleable(state, offer):
-        offer.status = "stale"
         raise errors.OfferNotOpen(f"{offer.id}: can no longer settle")
+
+
+def accept_offer(state: IndexState, offer: Offer, buyer: str,
+                 funding: list[OutPoint], fee: int) -> Psbt:
+    check_acceptable(state, offer, fee)
     inscribed_outpoint = offer.psbt.inputs[0].outpoint
     postage = state.utxos.require(inscribed_outpoint).txout.value
 
@@ -258,15 +292,14 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
     """Mine the finalized PSBT into the next block and settle atomically.
 
     Every check runs before the block is mined: an offer that is no longer
-    `settleable` is marked stale and raises DoubleSpend, and a PSBT that fails
-    `verify_signatures` raises BadSignature, both leaving every balance
+    `settleable` raises DoubleSpend, and a PSBT that fails `verify_signatures`
+    raises BadSignature, both leaving the state, the offer's status included,
     untouched. Nothing after `apply_block` can fail.
     """
     psbt = offer.psbt
     if offer.status != "accepted" or not psbt.finalized:
         raise errors.OfferNotOpen(f"{offer.id}: not accepted")
     if not settleable(state, offer):
-        offer.status = "stale"
         raise errors.DoubleSpend(f"{offer.id}: can no longer settle")
     if not verify_signatures(psbt, state.utxos):
         raise errors.BadSignature(offer.id)

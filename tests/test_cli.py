@@ -357,6 +357,10 @@ def _offer_status_unknown(obj):
     _offer(obj)["status"] = "pending"
 
 
+def _offer_status_stale(obj):
+    _offer(obj)["status"] = "stale"
+
+
 def _offer_psbt_without_inputs(obj):
     _offer(obj)["psbt"]["inputs"] = []
 
@@ -406,6 +410,7 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
                                               "not in canonical form"),
     "offer_re_keyed": (_offer_re_keyed, None, "is not the id of its seller, inscription and ask"),
     "offer_status_unknown": (_offer_status_unknown, None, "unknown status 'pending'"),
+    "offer_status_stale": (_offer_status_stale, None, "unknown status 'stale'"),
     "offer_psbt_without_inputs": (_offer_psbt_without_inputs, None, "IndexError"),
     "offer_signature_forged": (_offer_signature_forged, None,
                                "carries a signature that does not commit to its PSBT"),
@@ -495,6 +500,27 @@ def test_trade_settle_refuses_a_re_created_listed_outpoint(runner, tmp_path, mon
     before = snapshot.read_bytes()
     code, err = main_exits(monkeypatch, capsys, tmp_path / "data", "trade", "settle", oid)
     assert (code, err["error"]) == (1, "DoubleSpend")
+    assert snapshot.read_bytes() == before
+    assert IndexState.from_untrusted(before).offers[oid].status == "accepted"
+
+
+@pytest.mark.parametrize("status", ["cancelled", "settled"])
+def test_trade_accept_checks_the_offer_before_funding(runner, workdir, monkeypatch, capsys,
+                                                      status):
+    oid = offered(runner, workdir)
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    if status == "cancelled":
+        transfer = json.loads(snapshot.read_bytes())["offers"][oid]["inscription_id"]
+        run(runner, workdir, "trade", "offer", "alice", transfer, "2000")
+    else:
+        run(runner, workdir, "trade", "accept", oid, "miner")
+        run(runner, workdir, "trade", "settle", oid)
+    before = snapshot.read_bytes()
+    assert json.loads(before)["offers"][oid]["status"] == status
+    # "nobody" holds no sats, so funding would fail if it were looked for first
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", "trade", "accept", oid,
+                           "nobody")
+    assert (code, err["error"]) == (1, "OfferNotOpen")
     assert snapshot.read_bytes() == before
 
 

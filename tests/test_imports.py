@@ -19,7 +19,9 @@ and `txout_from_json` own the output shape, so no other module names its
 `"script_kind"` key. No `raise` follows a call of `.apply_block(` in a
 function's body: a caller checks everything before it commits a block, so
 it cannot fail with the block committed and the rest of its work (a trade's
-BTC deltas and status) undone.
+BTC deltas and status) undone. Nor does a `raise` follow a store to a
+`.status` attribute: a refused trade leaves every offer's status as it was,
+and whether an offer can still settle is `trade.settleable`'s to say.
 """
 
 import ast
@@ -254,9 +256,22 @@ TOP = x.utxos.entries.setdefault(k, v)
     assert utxo_set_writers(source, "m") == {"m", "m.f", "m.g", "m.h", "m.i", "m.C.j"}
 
 
-def raises_after_commit(source: str, module: str) -> list[str]:
+def commits_a_block(node) -> bool:
+    """A call of `.apply_block(`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "apply_block")
+
+
+def sets_a_status(node) -> bool:
+    """A store to a `.status` attribute."""
+    return (isinstance(node, ast.Attribute) and node.attr == "status"
+            and isinstance(node.ctx, ast.Store))
+
+
+def raises_after(source: str, module: str, is_marker) -> list[str]:
     """`<function>: line <n>` for each `raise` in a function's own body
-    (nested functions apart) that comes after its first `.apply_block(` call."""
+    (nested functions apart) that comes after its first node satisfying
+    is_marker."""
     found = []
 
     def visit(node, scope):
@@ -266,17 +281,17 @@ def raises_after_commit(source: str, module: str) -> list[str]:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return
         nodes = list(own_nodes(node))
-        commits = [(n.lineno, n.col_offset) for n in nodes if isinstance(n, ast.Call)
-                   and isinstance(n.func, ast.Attribute) and n.func.attr == "apply_block"]
-        if commits:
+        marks = [(n.lineno, n.col_offset) for n in nodes if is_marker(n)]
+        if marks:
             found.extend(f"{scope}: line {n.lineno}" for n in nodes if isinstance(n, ast.Raise)
-                         and (n.lineno, n.col_offset) > min(commits))
+                         and (n.lineno, n.col_offset) > min(marks))
     visit(ast.parse(source), module)
     return found
 
 
 def test_nothing_raises_after_a_block_is_committed():
-    found = [line for path in SOURCES for line in raises_after_commit(path.read_text(), path.stem)]
+    found = [line for path in SOURCES
+             for line in raises_after(path.read_text(), path.stem, commits_a_block)]
     assert found == []
 
 
@@ -301,7 +316,38 @@ class C:
         apply_block(b)
         raise KeyError
 """
-    assert raises_after_commit(source, "m") == ["m.g: line 10"]
+    assert raises_after(source, "m", commits_a_block) == ["m.g: line 10"]
+
+
+def test_nothing_raises_after_an_offer_status_is_set():
+    found = [line for path in SOURCES
+             for line in raises_after(path.read_text(), path.stem, sets_a_status)]
+    assert found == []
+
+
+def test_scan_finds_raises_after_a_status_is_set():
+    source = """def f(offer, ok):
+    if not ok:
+        raise ValueError
+    offer.status = "accepted"
+    return offer
+def g(state, offer):
+    for other in state.offers.values():
+        other.status = "cancelled"
+    if offer.status != "open":
+        raise KeyError
+class C:
+    def h(self):
+        self.status, n = "settled", 1
+        def inner():
+            raise KeyError
+        return inner
+    def k(self, offer):
+        status = "stale"
+        offer.state = status
+        raise KeyError
+"""
+    assert raises_after(source, "m", sets_a_status) == ["m.g: line 10"]
 
 
 def string_literal_lines(source: str, value: str) -> list[int]:

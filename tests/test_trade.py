@@ -189,11 +189,6 @@ def test_offers_survive_snapshot_round_trip():
         {"available": "1000", "pending": "0"}
 
 
-def _hash_sans_offers(state):
-    obj = {k: v for k, v in state.to_json().items() if k != "offers"}
-    return hashlib.sha256(chain.canonical_dumps(obj).encode()).hexdigest()
-
-
 def test_stale_offer_leaves_state_unchanged():
     state, ins_id = seller_state()
     offer = accepted_offer(state, ins_id)
@@ -208,11 +203,12 @@ def test_stale_offer_leaves_state_unchanged():
                            (TxOut(chain.block_subsidy(state.tip_height + 1), "m"),),
                            is_coinbase=True)
     state.apply_block(chain.Block(state.tip_height + 1, (cb, race)))
-    before = _hash_sans_offers(state)
+    before = state.snapshot_bytes()
     with pytest.raises(errors.DoubleSpend):
         trade.broadcast_and_settle(state, offer, "buyer")
-    assert offer.status == "stale"
-    assert _hash_sans_offers(state) == before
+    assert offer.status == "accepted"
+    assert not trade.settleable(state, offer)
+    assert state.snapshot_bytes() == before
 
 
 def test_settle_refuses_a_re_created_listed_outpoint():
@@ -223,12 +219,12 @@ def test_settle_refuses_a_re_created_listed_outpoint():
     offer = accepted_offer(state, ins_id)
     send_then_recreate(state, ins_id)
     assert verify_signatures(offer.psbt, state.utxos)
-    tip, before, deltas = state.tip_height, _hash_sans_offers(state), dict(state.btc_deltas)
+    before = state.snapshot_bytes()
     with pytest.raises(errors.DoubleSpend):
         trade.broadcast_and_settle(state, offer, "buyer")
-    assert offer.status == "stale"
-    assert (state.tip_height, _hash_sans_offers(state), state.btc_deltas) == \
-        (tip, before, deltas)
+    assert offer.status == "accepted"
+    assert not trade.settleable(state, offer)
+    assert state.snapshot_bytes() == before
     assert state.ledger.query_balance("ordi", "bob")["available"] == "1000"
 
 
@@ -237,9 +233,40 @@ def test_accept_refuses_a_re_created_listed_outpoint():
     offer = trade.create_offer(state, "seller", ins_id, ASK)
     send_then_recreate(state, ins_id)
     funding = trade.select_funding(state, "buyer", ASK + FEE)
+    before = state.snapshot_bytes()
     with pytest.raises(errors.OfferNotOpen):
         trade.accept_offer(state, offer, "buyer", funding, FEE)
-    assert offer.status == "stale"
+    assert offer.status == "open"
+    assert not trade.settleable(state, offer)
+    assert state.snapshot_bytes() == before
+
+
+def test_re_listing_at_the_same_ask_keeps_an_accepted_offer():
+    state, ins_id = seller_state()
+    offer = accepted_offer(state, ins_id)
+    before = state.snapshot_bytes()
+    with pytest.raises(errors.TradeError, match=offer.id):
+        trade.create_offer(state, "seller", ins_id, ASK)
+    assert state.snapshot_bytes() == before
+    other = trade.create_offer(state, "seller", ins_id, ASK * 2)  # another ask, another id
+    assert (offer.status, other.status) == ("accepted", "open")
+    trade.broadcast_and_settle(state, offer, "buyer")
+    assert offer.status == "settled"
+
+
+def test_re_listing_at_the_same_ask_replaces_a_dead_accepted_offer():
+    state, ins_id = seller_state()
+    offer = accepted_offer(state, ins_id)
+    funding = offer.psbt.inputs[-1].outpoint  # the buyer spends it elsewhere
+    value = state.utxos.require(funding).txout.value
+    height = state.tip_height + 1
+    state.apply_block(chain.mine_block(
+        height, (spend("spent elsewhere", [funding], [TxOut(value, "elsewhere")]),),
+        state.utxos, txid(f"cb{height}"), "miner"))
+    assert not trade.settleable(state, offer)
+    relisted = trade.create_offer(state, "seller", ins_id, ASK)
+    assert (relisted.id, relisted.status) == (offer.id, "open")
+    assert state.offers[offer.id] is relisted
 
 
 @pytest.mark.parametrize("fault", ["funding_input_spent", "inscription_not_on_input_0",
@@ -261,8 +288,7 @@ def test_settlement_atomicity_on_injected_failure(monkeypatch):
     # if the block cannot settle the pending, no balance may change
     state, ins_id = seller_state()
     offer = accepted_offer(state, ins_id)
-    before = _hash_sans_offers(state)
-    bad_deltas = dict(state.btc_deltas)
+    before = state.snapshot_bytes()
 
     def boom(*a, **k):
         raise errors.DoubleSpend("injected")
@@ -270,8 +296,7 @@ def test_settlement_atomicity_on_injected_failure(monkeypatch):
     monkeypatch.setattr(IndexState, "apply_block", boom)
     with pytest.raises(errors.DoubleSpend):
         trade.broadcast_and_settle(state, offer, "buyer")
-    assert _hash_sans_offers(state) == before
-    assert state.btc_deltas == bad_deltas
+    assert state.snapshot_bytes() == before
 
 
 # --- funding checks ---
