@@ -191,8 +191,17 @@ def mine_block(height: int, txs, utxos: UtxoSet, coinbase_txid: str,
 
 # --- JSONL codec ---
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """obj as canonical JSON: sorted keys, no spaces, everything but ASCII
+    escaped. One encoder serves every call and skips the cycle check: each
+    obj is a tree built fresh for the call, by a `to_json` or the like, so
+    it holds no cycle (one would raise RecursionError, not ValueError). The
+    result of a `to_json` may share lists with the state, so it must be
+    treated as read-only."""
+    return _CANONICAL.encode(obj)
 
 
 def txout_to_json(o: TxOut) -> dict:

@@ -16,8 +16,9 @@ book (`changing_offers`), so they write the bytes they read with only the
 nothing by that: `trade` refuses before it changes the state, so a dead offer
 keeps its status, and `trade accept` checks the offer before the buyer's
 funding. Reads decode only the sections they need:
-`brc20` decodes "brc20", `inscriptions` stops after "inscriptions",
-`snapshot hash` after "tip_height", and `sat` needs "utxos", the last one.
+`brc20` decodes "brc20" and `inscriptions` stops after "inscriptions";
+`snapshot hash` decodes only "tip_height" and `sat` "tip_height" and
+"utxos", both found from the end of the file (`read_sections`'s `first`).
 With no snapshot, every command reads EMPTY_SNAPSHOT, an empty index's bytes.
 """
 
@@ -115,8 +116,9 @@ def index(obj, blocks):
 def sat(obj, query):
     """Describe a sat given any notation (integer, name, decimal, degree,
     percentile such as 50%)."""
-    utxos = indexer.read_sections(read_snapshot(obj["data_dir"]), "utxos")["utxos"]
     n = ordinals.parse_sat_query(query)
+    utxos = indexer.read_sections(read_snapshot(obj["data_dir"]), "utxos",
+                                  first="tip_height")["utxos"]
     emit(indexer.sat_report(n, ((key, e["sat_ranges"]) for key, e in utxos.items())))
 
 
@@ -219,7 +221,8 @@ def snapshot():
 def snapshot_hash(obj):
     data = read_snapshot(obj["data_dir"])
     emit({"hash": hashlib.sha256(data).hexdigest(),
-          "tip_height": indexer.read_sections(data, "tip_height")["tip_height"]})
+          "tip_height": indexer.read_sections(data, "tip_height",
+                                              first="tip_height")["tip_height"]})
 
 
 @snapshot.command("save")

@@ -28,7 +28,9 @@ receiver, even when a later tx in the block spends it as fee.
 The snapshot is canonical JSON: `chain.canonical_dumps` sorts every key, so
 its top-level sections always come in SECTIONS order. `read_sections`, which
 checks that layout and nothing more, is the one snapshot decoder: reads decode
-the sections they need, `IndexState.decode` all of them. Bytes from outside
+the sections they need, `IndexState.decode` all of them. The tail,
+`tip_height` and `utxos`, holds no key a user chose, so `read_sections` can
+find it from the end and skip every section before it. Bytes from outside
 the data dir enter only through `IndexState.from_untrusted`, which decodes
 them so and then validates them; the data dir then holds only bytes ordlite
 wrote. `next_number`, each `genesis_satpoint` and each offer's
@@ -62,26 +64,45 @@ SECTIONS = ("brc20", "btc_deltas", "inscriptions", "next_number", "offers",
 _DECODER = json.JSONDecoder()
 
 
-def read_sections(data: bytes, last: str, spans: dict | None = None) -> dict:
-    """Decode a snapshot ordlite wrote, section by section, up to and
-    including `last`. A layout that is not SECTIONS in canonical form raises
+def read_sections(data: bytes, last: str, spans: dict | None = None,
+                  first: str = SECTIONS[0]) -> dict:
+    """Decode a snapshot ordlite wrote, section by section, from `first` up to
+    and including `last`. A layout that is not SECTIONS in canonical form raises
     CorruptSnapshot; the decoded values are trusted as they are. When `spans`
     is given, it gets each decoded section's (start, end) offsets in data, the
     slice its value is encoded in. Canonical bytes are ASCII, as
     `canonical_dumps` escapes everything else, and other bytes are refused,
-    so an offset in the decoded text is the same offset in data."""
+    so an offset in the decoded text is the same offset in data.
+
+    `first` is SECTIONS[0], or "tip_height" to find the tail from the end and
+    decode nothing before it. After `offers` no key is one a user chose, and a
+    `"` inside a string is escaped, so the last `,"utxos":` heads `utxos` and
+    the last `,"tip_height":` before it heads `tip_height`. A tail read checks
+    that the bytes are ASCII and start with `{"brc20":`, that `tip_height`
+    ends at that `utxos` head and, when it reads `utxos`, that the closing
+    brace follows it."""
     sections: dict = {}
     pos = 0
+    from_end = first != SECTIONS[0]
     try:
         text = data.decode("ascii")
-        for key in SECTIONS:
-            head = ("," if sections else "{") + f'"{key}":'
+        if from_end:
+            if not text.startswith('{"brc20":'):
+                raise errors.CorruptSnapshot("expected '{\"brc20\":' at offset 0")
+            tail = text.rfind(',"utxos":')
+            pos = text.rfind(',"tip_height":', 0, tail)
+            if pos < 0:
+                raise errors.CorruptSnapshot("no tip_height head")
+        for key in SECTIONS[SECTIONS.index(first):]:
+            head = ("{" if key == SECTIONS[0] else ",") + f'"{key}":'
             if not text.startswith(head, pos):
                 raise errors.CorruptSnapshot(f"expected {head!r} at offset {pos}")
             start = pos + len(head)
             sections[key], pos = _DECODER.raw_decode(text, start)
             if spans is not None:
                 spans[key] = (start, pos)
+            if from_end and key == "tip_height" and pos != tail:
+                raise errors.CorruptSnapshot(f"expected the utxos head at offset {pos}")
             if key == last:
                 break
     except (ValueError, RecursionError) as exc:  # not ASCII, not JSON, or nested too deep
@@ -149,7 +170,7 @@ class Inscription:
 def _utxo_json(entry: chain.UtxoEntry) -> dict:
     """A UTXO's snapshot record, built in place: a dict merge is ~10% slower."""
     obj = chain.txout_to_json(entry.txout)
-    obj["sat_ranges"] = [list(r) for r in entry.sat_ranges]
+    obj["sat_ranges"] = entry.sat_ranges  # its tuples encode as arrays
     return obj
 
 
@@ -311,7 +332,8 @@ class IndexState:
 
     def to_json(self) -> dict:
         """The snapshot as plain data; its order is set by `canonical_dumps`,
-        which sorts every dict's keys."""
+        which sorts every dict's keys. It is read-only: each UTXO record
+        holds its entry's own `sat_ranges` list."""
         return {
             "tip_height": self.tip_height,
             "next_number": len(self.inscriptions),

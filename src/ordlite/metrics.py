@@ -1,8 +1,9 @@
 """Token market statistics: returns, volatility, Sharpe ratio, correlations.
 
 Input price series are CSV files with a `date,price` header (spaces around
-either name are ignored), ISO-8601 dates, one file per symbol. Series are aligned by date intersection pairwise when
-building the correlation matrix.
+either name are ignored), ISO-8601 dates, one file per symbol, named by its
+stem; `report` refuses two series of one symbol. Series are aligned by date
+intersection pairwise when building the correlation matrix.
 """
 
 from __future__ import annotations
@@ -130,9 +131,13 @@ def correlation_matrix(return_series: list[ReturnSeries]) -> dict:
 
 
 def report(series_list: list[PriceSeries], risk_free: float = 0.0) -> dict:
+    if not math.isfinite(risk_free):
+        raise errors.MetricsError(f"risk-free rate {risk_free!r} is not a finite number")
     per_symbol = {}
     returns = []
     for series in series_list:
+        if series.symbol in per_symbol:
+            raise errors.MetricsError(f"two series are named {series.symbol!r}")
         rs = daily_returns(series)
         returns.append(rs)
         avg = average_return(rs)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import BAD_FIELD_SCRIPTS, SELLER_SCRIPT, send_then_recreate
-from ordlite import chain, cli as cli_module, errors, trade
+from ordlite import chain, cli as cli_module, errors, indexer, trade
 from ordlite.cli import cli
 from ordlite.indexer import IndexState
 from ordlite.scenario import ScenarioCompiler
@@ -209,6 +209,29 @@ def test_metrics_cli(runner, tmp_path):
     out = json.loads(result.output)
     assert set(out["per_symbol"]) == {"aaa", "bbb"}
     assert "aaa/bbb" in out["correlation"]
+
+
+def price_csv(path, start):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("date,price\n" + "".join(f"2023-05-0{d},{start + d * (-1) ** d}\n"
+                                             for d in range(1, 6)))
+    return str(path)
+
+
+def test_metrics_refuses_two_series_of_one_symbol(tmp_path, monkeypatch, capsys):
+    a, b = price_csv(tmp_path / "a" / "p.csv", 100), price_csv(tmp_path / "b" / "p.csv", 50)
+    code, err = main_exits(monkeypatch, capsys, tmp_path, "metrics", a, b)
+    assert (code, err["error"]) == (1, "MetricsError")
+    assert "'p'" in err["message"]
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+def test_metrics_refuses_a_risk_free_rate_that_is_not_finite(tmp_path, monkeypatch, capsys,
+                                                              rate):
+    a = price_csv(tmp_path / "aaa.csv", 100)
+    code, err = main_exits(monkeypatch, capsys, tmp_path, "metrics", "--risk-free", rate, a)
+    assert (code, err["error"]) == (1, "MetricsError")
+    assert "risk-free" in err["message"]
 
 
 @pytest.mark.parametrize("exc, code", [
@@ -626,6 +649,71 @@ def test_read_commands_never_load_the_whole_state(runner, workdir, monkeypatch, 
             assert isinstance(result.exception, errors.UnknownTick)
         else:
             assert result.exit_code == 0, result.exception
+
+
+def decoded_sections(monkeypatch) -> list:
+    """The snapshot sections `read_sections` decodes from now on, in order,
+    each named by the head its value follows."""
+    decoded = []
+    decoder = indexer._DECODER
+
+    class Spy:
+        def raw_decode(self, text, start):
+            decoded.append(text[:start].rpartition('"')[0].rpartition('"')[2])
+            return decoder.raw_decode(text, start)
+    monkeypatch.setattr(indexer, "_DECODER", Spy())
+    return decoded
+
+
+@pytest.mark.parametrize("args, sections", [
+    (("sat", "0"), ["tip_height", "utxos"]),
+    (("snapshot", "hash"), ["tip_height"]),
+    (("brc20", "tick", "ordi"), ["brc20"]),
+    (("inscriptions",), ["brc20", "btc_deltas", "inscriptions"]),
+], ids=["sat", "snapshot hash", "brc20 tick", "inscriptions"])
+def test_reads_decode_only_their_sections(runner, workdir, monkeypatch, args, sections):
+    indexed(runner, workdir)
+    decoded = decoded_sections(monkeypatch)
+    result = runner.invoke(cli, ["--data-dir", str(workdir / "data"), *args])
+    assert result.exit_code == 0, result.exception
+    assert decoded == sections
+
+
+def _drop_the_utxos_section(text):
+    return text.rpartition(',"utxos":')[0] + "}"
+
+
+def _section_between_the_tail_sections(text):
+    head, utxos, rest = text.rpartition(',"utxos":')
+    return f'{head},"txs":[]{utxos}{rest}'
+
+
+def _btc_deltas_first(text):
+    obj = json.loads(text)
+    return json.dumps({"btc_deltas": obj.pop("btc_deltas"), **obj}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("edit", [_drop_the_utxos_section, _section_between_the_tail_sections,
+                                  _btc_deltas_first])
+@pytest.mark.parametrize("args", [("sat", "0"), ("snapshot", "hash")], ids=" ".join)
+def test_tail_read_of_a_wrong_layout_is_corrupt(runner, workdir, monkeypatch, capsys, edit,
+                                                args):
+    indexed(runner, workdir)
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    snapshot.write_text(edit(snapshot.read_text()))
+    before = snapshot.read_bytes()
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", *args)
+    assert (code, err["error"]) == (1, "CorruptSnapshot")
+    assert snapshot.read_bytes() == before
+
+
+def test_sat_parses_its_query_before_the_snapshot(workdir, monkeypatch, capsys):
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    snapshot.parent.mkdir()
+    snapshot.write_text("{not json")
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", "sat", "not a sat")
+    assert (code, err["error"]) == (1, "BadSatQuery")
+    assert snapshot.read_text() == "{not json"
 
 
 def test_sat_read_of_bytes_after_the_last_section_is_corrupt(runner, workdir, monkeypatch,

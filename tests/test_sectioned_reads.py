@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ordlite import chain, cli, errors, indexer, ordinals
+from ordlite import chain, cli, errors, indexer, ordinals, scenario
 from ordlite.indexer import IndexState
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -84,3 +84,34 @@ def test_reads_of_an_empty_data_dir_equal_an_empty_index(tmp_path):
 
 def test_reader_section_order_is_the_snapshot_key_order():
     assert indexer.SECTIONS == tuple(sorted(IndexState().to_json()))
+
+
+def test_tail_reads_are_not_misled_by_section_heads_in_names(tmp_path):
+    """`sat` and `snapshot hash` find the tail from the end. Here a UTXO
+    recipient, BRC-20 holders, `btc_deltas` addresses and offer signers are
+    named after the tail's sections, so the bytes before `tip_height` hold
+    `,"utxos":` and `,"tip_height":` heads too."""
+    names = ("utxos", "tip_height", ',"utxos":')
+    script = [{"action": "deploy", "tick": "ordi", "max": "2100000", "lim": "1000",
+               "deployer": "tip_height"}]
+    script += [{"action": "mint", "tick": "ordi", "amt": "1000", "minter": n} for n in names]
+    script += [
+        {"action": "transfer_inscribe", "tick": "ordi", "amt": "100", "owner": "utxos",
+         "id": "t1"},
+        {"action": "transfer_inscribe", "tick": "ordi", "amt": "100", "owner": "tip_height",
+         "id": "t2"},
+        {"action": "trade_offer", "inscription": "t1", "seller": "utxos", "ask": 20_000},
+        {"action": "trade_accept", "inscription": "t1", "buyer": ',"utxos":'},
+        {"action": "trade_offer", "inscription": "t2", "seller": "tip_height", "ask": 30_000},
+        {"action": "mine", "miner": ',"utxos":'},
+    ]
+    compiler = scenario.ScenarioCompiler(SEED)
+    compiler.compile(script)
+    state = compiler.state
+    assert set(names) <= set(state.btc_deltas) | set(state.ledger.balances["ordi"])
+    assert {o.status for o in state.offers.values()} == {"settled", "open"}
+    path = cli.snapshot_path(tmp_path)
+    state.save(path)
+    text = path.read_text()
+    assert text.count(',"utxos":') > 1 and text.count(',"tip_height":') > 1
+    assert_reads_match(tmp_path, IndexState.from_untrusted(path.read_bytes()))
