@@ -234,11 +234,13 @@ class Brc20Ledger:
         bal[receiver] = bal.get(receiver, 0) + pending.amt
         self._touch(pending.tick, receiver)
 
-    def cancel_pending(self, inscription_id: str, reason: str) -> None:
+    def cancel_pending(self, inscription_id: str) -> None:
+        """Void the unused pending transfer of inscription_id, whose inscribed
+        sat was burned."""
         pending = self.pendings.get(inscription_id)
         if pending is not None and not pending.used:
             self._use(pending)
-            self.diagnostics.append(f"pending {inscription_id} voided: {reason}")
+            self.diagnostics.append(f"pending {inscription_id} voided: inscribed sat burned")
 
     def _use(self, pending: PendingTransfer) -> None:
         """Mark an unused pending used and drop it from `unused`."""

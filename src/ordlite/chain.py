@@ -11,7 +11,6 @@ import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import errors
 
@@ -120,34 +119,19 @@ def block_subsidy(height: int) -> int:
     return INITIAL_SUBSIDY >> epoch
 
 
-def tx_fee(tx: Transaction, utxos: UtxoSet) -> int:
-    """Input value minus output value of a non-coinbase tx whose inputs are all
-    in utxos, to build blocks and price txs; indexing checks fees in `ordinals`."""
+def tx_fee(tx: Transaction, entry) -> int:
+    """Input value minus output value of a non-coinbase tx, the one fee rule:
+    a negative fee raises NegativeFee here and nowhere else. entry(outpoint)
+    returns the UtxoEntry an input spends or raises MissingPrevout. Builders
+    pass `UtxoSet.require`; a tx that spends an output made earlier in its
+    block needs a lookup that checks that block's outputs first, and
+    `ordinals.assign_ordinals` passes the entries it so resolved."""
     if tx.is_coinbase:
         raise ValueError("coinbase has no fee")
-    fee = sum(utxos.require(tin.prevout).txout.value
-              for tin in tx.inputs) - tx.output_total()
+    fee = sum(entry(tin.prevout).txout.value for tin in tx.inputs) - tx.output_total()
     if fee < 0:
         raise errors.NegativeFee(f"{tx.txid}: inputs short by {-fee} sats")
     return fee
-
-
-def tx_body_size(tx: Transaction) -> int:
-    """Byte length of the canonical JSON serialization, witness arrays excluded."""
-    return len(canonical_dumps(tx_to_json(tx, include_witness=False)).encode())
-
-
-def tx_witness_size(tx: Transaction) -> int:
-    return sum(len(item) for tin in tx.inputs for item in tin.witness)
-
-
-def tx_vsize(tx: Transaction) -> int:
-    wsize = tx_witness_size(tx)
-    return tx_body_size(tx) + (wsize + 3) // 4
-
-
-def fee_rate(tx: Transaction, utxos: UtxoSet) -> Fraction:
-    return Fraction(tx_fee(tx, utxos), tx_vsize(tx))
 
 
 def validate_block(block: Block, next_height: int) -> None:
@@ -182,7 +166,7 @@ def mine_block(height: int, txs, utxos: UtxoSet, coinbase_txid: str,
                miner: str) -> Block:
     """The block at `height` holding txs, whose coinbase pays the subsidy
     plus the txs' fees to miner. The txs spend only outputs in utxos."""
-    fees = sum(tx_fee(tx, utxos) for tx in txs)
+    fees = sum(tx_fee(tx, utxos.require) for tx in txs)
     coinbase = Transaction(coinbase_txid, (),
                            (TxOut(block_subsidy(height) + fees, miner),),
                            is_coinbase=True)
@@ -214,20 +198,17 @@ def txout_from_json(obj: dict) -> TxOut:
     return TxOut(obj["value"], obj["recipient"], obj.get("script_kind", "plain"))
 
 
-def tx_to_json(tx: Transaction, include_witness=True) -> dict:
-    obj = {
+def tx_to_json(tx: Transaction) -> dict:
+    return {
         "txid": tx.txid,
         "coinbase": tx.is_coinbase,
         "inputs": [
-            {"txid": tin.prevout.txid, "vout": tin.prevout.vout}
+            {"txid": tin.prevout.txid, "vout": tin.prevout.vout,
+             "witness": [item.hex() for item in tin.witness]}
             for tin in tx.inputs
         ],
         "outputs": [txout_to_json(o) for o in tx.outputs],
     }
-    if include_witness:
-        for tin, entry in zip(tx.inputs, obj["inputs"]):
-            entry["witness"] = [item.hex() for item in tin.witness]
-    return obj
 
 
 def tx_from_json(obj: dict) -> Transaction:

@@ -1,8 +1,10 @@
 """Command line interface.
 
-All commands print JSON on stdout with sorted keys so identical inputs give
-byte-identical output. Exit codes: 0 success, 1 user/protocol error,
-2 internal invariant violation.
+All commands print canonical JSON (`chain.canonical_dumps`) on stdout, so
+identical inputs give byte-identical output. Exit codes: 0 success, 1
+user/protocol error, a file that cannot be read or written included, 2
+internal invariant violation. Each error is one JSON line on stderr, except
+click's usage errors, which click prints as text.
 
 Only ordlite writes the data dir's snapshot: `index`, `trade` and
 `snapshot load`, which validates the file it takes in. Every snapshot, the
@@ -25,7 +27,6 @@ With no snapshot, every command reads EMPTY_SNAPSHOT, an empty index's bytes.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,7 +42,7 @@ EMPTY_SNAPSHOT = IndexState().snapshot_bytes()
 
 
 def emit(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    click.echo(chain.canonical_dumps(obj))
 
 
 def snapshot_path(data_dir) -> Path:
@@ -258,6 +259,12 @@ def scenario_cmd(script, output, seed):
     emit({"blocks": len(blocks), "output": str(output)})
 
 
+def fail(error: str, exc: Exception, code: int) -> None:
+    """Exit with code after one canonical JSON error line on stderr."""
+    click.echo(chain.canonical_dumps({"error": error, "message": str(exc)}), err=True)
+    sys.exit(code)
+
+
 def main():
     try:
         cli(standalone_mode=False)
@@ -268,13 +275,10 @@ def main():
         sys.exit(1)
     except (errors.InvariantViolation, AssertionError) as exc:
         # before OrdliteError: a broken invariant is a bug, not a user error
-        click.echo(json.dumps({"error": "InvariantViolation", "message": str(exc)}),
-                   err=True)
-        sys.exit(2)
-    except errors.OrdliteError as exc:
-        click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-                   err=True)
-        sys.exit(1)
+        fail("InvariantViolation", exc, 2)
+    except (errors.OrdliteError, OSError, UnicodeDecodeError) as exc:
+        # a file that cannot be read or written, or is not UTF-8, is the user's
+        fail(type(exc).__name__, exc, 1)
 
 
 if __name__ == "__main__":

@@ -256,7 +256,7 @@ class IndexState:
             if new_point is None:
                 del self.location[ins_id]
                 self.diagnostics.append(f"inscription {ins_id} lost (sat burned)")
-                self.ledger.cancel_pending(ins_id, "inscribed sat burned")
+                self.ledger.cancel_pending(ins_id)
                 continue
             self._place(ins_id, new_point)
             pending = self.ledger.pendings.get(ins_id)

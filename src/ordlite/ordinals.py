@@ -4,11 +4,13 @@ A sat is identified by its mining order, 0 .. LAST_SAT. Ranges are half-open
 (start, end) tuples; every unspent output carries the ordered list of ranges
 it controls. `assign_ordinals` is the one FIFO rule and the one value check:
 it returns a block's UTXO delta, the finished `UtxoEntry` (output and ranges,
-fee sats included) of every output the block creates, and checks that every
-tx's inputs cover its outputs and that the coinbase claims at most subsidy +
-fees. `find_sat` is the one walk that finds a sat among outputs' ranges: `sat`
-queries run it over a snapshot's UTXOs (`locate_sat` over a `UtxoSet`), and
-inscription tracking over the outputs a block creates.
+fee sats included) of every output the block creates. It checks that every
+spent output's ranges hold its value, prices every tx through `chain.tx_fee`,
+the one fee rule, which checks that its inputs cover its outputs, and checks
+that the coinbase claims at most subsidy + fees. `find_sat` is the one walk
+that finds a sat among outputs' ranges: `sat` queries run it over a
+snapshot's UTXOs (`locate_sat` over a `UtxoSet`), and inscription tracking
+over the outputs a block creates.
 """
 
 from __future__ import annotations
@@ -255,18 +257,15 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
     fee_tail: list = []
     fees = 0
     for tx in block.txs[1:]:
-        pool, value = [], 0
+        pool, spent = [], {}
         for tin in tx.inputs:
             # made earlier in the block, or unspent before it
             entry = created.get(tin.prevout) or utxos.require(tin.prevout)
             if range_total(entry.sat_ranges) != entry.txout.value:
                 raise errors.RangeValueMismatch(str(tin.prevout))
-            value += entry.txout.value
             pool.extend(entry.sat_ranges)
-        fee = value - tx.output_total()
-        if fee < 0:
-            raise errors.NegativeFee(f"{tx.txid}: inputs short by {-fee} sats")
-        fees += fee
+            spent[tin.prevout] = entry
+        fees += chain.tx_fee(tx, spent.__getitem__)
         out_ranges, remainder = slice_ranges(pool, [o.value for o in tx.outputs])
         create(tx, out_ranges)
         fee_tail.extend(remainder)

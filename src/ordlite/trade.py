@@ -11,15 +11,17 @@ miner +fee. The postage riding on the inscribed output travels with the
 inscription and is excluded from those deltas.
 
 Each rule has one owner: `funding_outputs` says which outputs may fund a
-buyer, `chain.tx_fee` prices the settlement, and an offer's inscription is the
-one its PSBT's input 0 spends (as in BIP-174, the input is the one record of
-what it spends), so an offer stores no copy of its id. `settleable` alone says
-whether an offer can still settle; every refusal is decided before anything
-changes, so a dead offer keeps its status. `funding_outputs` reads the
-state's derived index of each recipient's unspent plain outpoints,
-`IndexState.plain_outpoints`, which `IndexState.apply_block` keeps as it
-commits a block and `IndexState.from_json` builds as it loads the UTXO set, so
-finding a payer's funding costs that payer's outputs, not the whole UTXO set.
+buyer, and `chain.tx_fee`, the one fee rule, prices the settlement from the
+UTXO set (`UtxoSet.require`), as `chain.mine_block` prices the block's txs
+for its coinbase. An offer's inscription is the one its PSBT's input 0 spends
+(as in BIP-174, the input is the one record of what it spends), so an offer
+stores no copy of its id. `settleable` alone says whether an offer can still
+settle; every refusal is decided before anything changes, so a dead offer
+keeps its status. `funding_outputs` reads the state's derived index of each
+recipient's unspent plain outpoints, `IndexState.plain_outpoints`, which
+`IndexState.apply_block` keeps as it commits a block and
+`IndexState.from_json` builds as it loads the UTXO set, so finding a payer's
+funding costs that payer's outputs, not the whole UTXO set.
 
 `create_offer` and `accept_offer` change only `state.offers` (the offers'
 statuses and PSBTs), never the chain, the ledger or `btc_deltas`: `ordlite
@@ -310,7 +312,7 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
         tuple(chain.TxIn(pin.outpoint) for pin in psbt.inputs),
         tuple(psbt.outputs),
     )
-    fee = chain.tx_fee(settlement, state.utxos)
+    fee = chain.tx_fee(settlement, state.utxos.require)
     block = chain.mine_block(
         height, (settlement,), state.utxos,
         hashlib.sha256(f"coinbase|{height}|{MINER}".encode()).hexdigest(), MINER)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from conftest import coinbase, spend, txid
@@ -92,53 +90,38 @@ def _chain_with(utxo_values, owner="alice"):
 def test_tx_fee_balanced():
     utxos, ops = _chain_with([3, 3])
     tx = spend("t", ops, [TxOut(4, "bob"), TxOut(2, "bob")])
-    assert chain.tx_fee(tx, utxos) == 0
+    assert chain.tx_fee(tx, utxos.require) == 0
 
 
 def test_tx_fee_one_sat():
     # two 2-sat inputs, one 3-sat output: one satoshi goes to the miner
     utxos, ops = _chain_with([2, 2])
     tx = spend("t", ops, [TxOut(3, "bob")])
-    assert chain.tx_fee(tx, utxos) == 1
+    assert chain.tx_fee(tx, utxos.require) == 1
 
 
 def test_tx_fee_overdraw():
     utxos, ops = _chain_with([5])
     tx = spend("t", ops, [TxOut(6, "bob")])
     with pytest.raises(errors.NegativeFee):
-        chain.tx_fee(tx, utxos)
+        chain.tx_fee(tx, utxos.require)
 
 
 def test_tx_fee_missing_prevout():
     utxos = UtxoSet()
     tx = spend("t", [OutPoint(txid("nope"), 0)], [TxOut(1, "bob")])
     with pytest.raises(errors.MissingPrevout):
-        chain.tx_fee(tx, utxos)
+        chain.tx_fee(tx, utxos.require)
 
 
-def test_vsize_quarter_witness():
+def test_tx_fee_prices_a_spend_of_an_output_made_earlier_in_its_block():
     utxos, ops = _chain_with([10])
-    base = spend("t", ops, [TxOut(10, "bob")])
-    body = chain.tx_body_size(base)
-    with_wit = spend("t", ops, [TxOut(10, "bob")], witness=(b"x" * 400,))
-    assert chain.tx_vsize(base) == body
-    assert chain.tx_vsize(with_wit) == body + 100
-    odd = spend("t", ops, [TxOut(10, "bob")], witness=(b"x" * 402,))
-    assert chain.tx_vsize(odd) == body + 101  # ceil
-
-
-def test_fee_rate_exact_rational():
-    utxos, ops = _chain_with([1000])
-    tx = spend("t", ops, [TxOut(999, "bob")])
-    rate = chain.fee_rate(tx, utxos)
-    assert isinstance(rate, Fraction)
-    assert rate * chain.tx_vsize(tx) == chain.tx_fee(tx, utxos)
-
-
-def test_fee_rate_zero_fee():
-    utxos, ops = _chain_with([1000])
-    tx = spend("t", ops, [TxOut(1000, "bob")])
-    assert chain.fee_rate(tx, utxos) == 0
+    first = spend("first", ops, [TxOut(6, "bob"), TxOut(3, "alice")])  # fee 1
+    second = spend("second", [OutPoint(first.txid, 0)], [TxOut(4, "carol")])  # fee 2
+    created = {OutPoint(first.txid, i): chain.UtxoEntry(o) for i, o in enumerate(first.outputs)}
+    with pytest.raises(errors.MissingPrevout):
+        chain.tx_fee(second, utxos.require)
+    assert chain.tx_fee(second, lambda op: created.get(op) or utxos.require(op)) == 2
 
 
 def utxo_total(state):

@@ -258,6 +258,32 @@ def test_sat_query_with_non_ascii_digit_is_a_json_error(monkeypatch, capsys, tmp
     assert json.loads(capsys.readouterr().err)["error"] == "BadSatQuery"
 
 
+def _not_utf8(workdir, text):
+    path = workdir / "not_utf8"
+    path.write_bytes(text.encode() + b"\xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("args, error", [
+    (lambda w: ["index", _not_utf8(w, "")], "UnicodeDecodeError"),
+    (lambda w: ["metrics", _not_utf8(w, "date,price\n2023-05-01,1")], "UnicodeDecodeError"),
+    (lambda w: ["snapshot", "save", str(w / "missing" / "snapshot.json")],
+     "FileNotFoundError"),
+    (lambda w: ["scenario", str(w / "script.json"), "-o", str(w / "missing" / "b.jsonl")],
+     "FileNotFoundError"),
+    (lambda w: ["snapshot", "load", str(w)], "IsADirectoryError"),
+], ids=["index_not_utf8", "metrics_not_utf8", "save_into_missing_dir",
+        "scenario_into_missing_dir", "load_a_directory"])
+def test_unreadable_or_unwritable_file_is_a_json_error(runner, workdir, monkeypatch, capsys,
+                                                       args, error):
+    indexed(runner, workdir)
+    data = workdir / "data"
+    before = {path.name: path.read_bytes() for path in data.iterdir()}
+    code, err = main_exits(monkeypatch, capsys, data, *args(workdir))
+    assert (code, err["error"]) == (1, error)
+    assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+
+
 def block_line(height, **tx):
     return json.dumps({"height": height, "txs": [{"coinbase": True, **tx}]})
 

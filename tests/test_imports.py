@@ -1,9 +1,10 @@
 """Every module-level import in the package and its tests is used, no
 regex literal in the package ends in an unescaped `$`, JSON is decoded only
 where bytes enter the package, a `UtxoEntry` is made only from a block's
-values or a snapshot's, the UTXO set is written only where a block or a
-snapshot is committed to it, and an output's JSON shape is spelled only in
-`chain`.
+values or a snapshot's, only `chain.tx_fee` raises `NegativeFee`, the UTXO
+set is written only where a block or a snapshot is committed to it, an
+output's JSON shape is spelled only in `chain`, and every function and method
+of the package is reached from the package.
 
 No linter is a dependency of this project, so these are stdlib `ast` scans.
 An imported name counts as used if it appears anywhere in the module as a
@@ -22,6 +23,10 @@ it cannot fail with the block committed and the rest of its work (a trade's
 BTC deltas and status) undone. Nor does a `raise` follow a store to a
 `.status` attribute: a refused trade leaves every offer's status as it was,
 and whether an offer can still settle is `trade.settleable`'s to say.
+`chain.tx_fee` is the one fee rule, so building a block, settling a trade and
+indexing price a tx alike. Code that nothing in the package reaches is
+deleted; what only the benchmark reaches is listed in BENCHMARK_ONLY until
+the benchmark stops reaching it.
 """
 
 import ast
@@ -170,6 +175,31 @@ class C:
         return inner, make_UtxoEntry(o), UtxoEntries(o)
 """
     assert utxo_entry_makers(source, "m") == {"m", "m.f"}
+
+
+def negative_fee_raisers(source: str, module: str) -> set[str]:
+    """The functions that call `NegativeFee` or `<module>.NegativeFee`."""
+    return calling_scopes(source, module, lambda func: "NegativeFee" in (
+        getattr(func, "id", None), getattr(func, "attr", None)))
+
+
+def test_only_tx_fee_raises_negative_fee():
+    found = set().union(*(negative_fee_raisers(path.read_text(), path.stem)
+                          for path in SOURCES))
+    assert found == {"chain.tx_fee"}
+
+
+def test_scan_finds_negative_fee_raisers():
+    source = """class NegativeFee(Exception):
+    pass
+def f(fee):
+    if fee < 0:
+        raise errors.NegativeFee(str(fee))
+class C:
+    def g(self):
+        return NegativeFee("short"), errors.NegativeFee, NegativeFees()
+"""
+    assert negative_fee_raisers(source, "m") == {"m.f", "m.C.g"}
 
 
 def own_nodes(node):
@@ -371,3 +401,84 @@ e = ("script"
      "_kind")
 """
     assert string_literal_lines(source, "script_kind") == [1, 4, 5]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# reached only from bench/, which changes only with the benchmark: each entry
+# names the ROADMAP item that removes it
+BENCHMARK_ONLY = {
+    "ordinals.locate_sat": "item 12, once item 2 stops the tracer wrapping it",
+    "indexer.IndexState.save": "item 12, once item 2 points bench/session.py at cli.save_state",
+    "indexer.IndexState.snapshot_hash": "item 12, once item 2 moves the tracer and "
+                                        "bench/session.py's hash checks off it",
+}
+
+
+def unreached(sources: dict[str, str]) -> set[str]:
+    """The top-level functions and methods (`module.f`, `module.C.m`) of the
+    modules in sources (module name -> source) whose name occurs, as a name
+    or an attribute, nowhere outside their own body, except dunders and
+    click commands (decorated by a `.command(...)` or `.group(...)` call).
+    Names are matched without their owner, so a function reached only
+    through a namesake counts as reached."""
+    defined = {}  # dotted name -> def node
+    occurs_in = {}  # name -> the dotted names of the defs it occurs in (None: outside any)
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            child_scope, child_owner = scope, owner
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                child_scope = f"{scope}.{child.name}"
+                if isinstance(child, FUNCTIONS) and owner is None:
+                    defined[child_scope] = child
+                    child_owner = child_scope
+            elif isinstance(child, (ast.Name, ast.Attribute)):
+                name = child.id if isinstance(child, ast.Name) else child.attr
+                occurs_in.setdefault(name, set()).add(owner)
+            visit(child, child_scope, child_owner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, None)
+
+    def exempt(node) -> bool:
+        return (node.name.startswith("__") and node.name.endswith("__")
+                or any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                       and d.func.attr in ("command", "group") for d in node.decorator_list))
+
+    return {dotted for dotted, node in defined.items()
+            if not exempt(node) and not occurs_in.get(node.name, set()) - {dotted}}
+
+
+def test_every_function_is_reached_from_the_package():
+    found = unreached({path.stem: path.read_text() for path in SOURCES})
+    assert found == set(BENCHMARK_ONLY)
+
+
+def test_scan_finds_unreached_functions():
+    source = """import click
+def used():
+    return 1
+def recursive(n):
+    return recursive(n - 1) if n else used()
+def unused():
+    def inner():
+        return inner
+    return inner
+@click.group()
+def cli():
+    pass
+@cli.command("go")
+def go():
+    return C().method(), helper
+class C:
+    def __init__(self):
+        self.x = "spare"
+    def method(self):
+        return self.x
+    def spare(self):
+        return self.method()
+    @property
+    def helper(self):
+        return None
+"""
+    assert unreached({"m": source}) == {"m.recursive", "m.unused", "m.C.spare"}

@@ -388,6 +388,16 @@ def test_range_value_mismatch():
         ordinals.assign_ordinals(block, utxos)
 
 
+def test_range_value_mismatch_comes_before_a_negative_fee():
+    utxos = UtxoSet()
+    utxos.entries[OutPoint(txid("f"), 0)] = chain.UtxoEntry(
+        TxOut(10, "alice"), [(0, 5)])  # ranges sum 5, value 10
+    tx = spend("t", [OutPoint(txid("f"), 0)], [TxOut(11, "bob")])  # inputs short by 1
+    block = Block(1, (coinbase(1, chain.block_subsidy(1)), tx))
+    with pytest.raises(errors.RangeValueMismatch):
+        ordinals.assign_ordinals(block, utxos)
+
+
 def test_sat_conservation_per_block(genesis):
     utxos = indexed(genesis)
     prev = OutPoint(genesis.txs[0].txid, 0)
