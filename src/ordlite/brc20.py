@@ -1,5 +1,9 @@
 """BRC-20 operation parsing and the off-chain balance ledger.
 
+Indexing changes BRC-20 state only through `Brc20Ledger`: `apply` applies an
+op and records a rejected one in `diagnostics`, `settle` settles a transfer and
+`cancel_pending` voids one; `_credit` alone writes a raw balance.
+
 Amounts are exact decimal fixed-point: stored as integers scaled by 10**18.
 An amount string is ASCII digits 0-9, optionally followed by one `.` and more
 such digits, and nothing else: no sign, exponent or surrounding whitespace.
@@ -179,7 +183,21 @@ class Brc20Ledger:
             raise errors.UnknownTick(tick)
         return {"tick": tick, **state.to_json()}
 
-    # --- state transitions (raise Brc20Error on protocol violations) ---
+    # --- state transitions ---
+
+    def apply(self, op: Brc20Op, inscription_id: str, height: int, actor: str) -> None:
+        """Apply the op of inscription_id, revealed at height to actor, who
+        owns the inscribed sat; record a rejected op, which changes nothing."""
+        try:
+            if op.op == DEPLOY:
+                self.apply_deploy(op, inscription_id, height)
+            elif op.op == MINT:
+                self.apply_mint(op, actor)
+            else:
+                self.inscribe_transfer(op, inscription_id, actor)
+        except errors.Brc20Error as exc:
+            self.diagnostics.append(
+                f"{inscription_id} {op.op} {op.tick}: {type(exc).__name__}: {exc}")
 
     def apply_deploy(self, op: Brc20Op, inscription_id: str, height: int) -> None:
         if op.tick in self.ticks:
@@ -198,9 +216,7 @@ class Brc20Ledger:
             raise errors.ExceedsMax(
                 f"minted {format_amount(state.minted + op.amt)} > max {format_amount(state.max)}")
         state.minted += op.amt
-        bal = self.balances.setdefault(op.tick, {})
-        bal[minter] = bal.get(minter, 0) + op.amt
-        self._touch(op.tick, minter)
+        self._credit(op.tick, minter, op.amt)
 
     def inscribe_transfer(self, op: Brc20Op, inscription_id: str, owner: str) -> None:
         if op.tick not in self.ticks:
@@ -215,24 +231,17 @@ class Brc20Ledger:
         self.unused.setdefault((op.tick, owner), {})[inscription_id] = pending
         self._touch(op.tick, owner)
 
-    def settle_transfer(self, inscription_id: str, sender: str, receiver: str) -> None:
+    def settle(self, inscription_id: str, receiver: str) -> bool:
+        """Move the amount of inscription_id's unused pending from its owner to
+        receiver and return True; return False, changing nothing, if it has
+        none. The earmarks that cover the owner's funds are `check_touched`'s."""
         pending = self.pendings.get(inscription_id)
-        if pending is None:
-            raise errors.UnknownPending(inscription_id)
-        if pending.used:
-            raise errors.AlreadyUsed(inscription_id)
-        if pending.owner != sender:
-            raise errors.NotOwner(f"{sender} does not own {inscription_id}")
-        # earmarking guarantees this, but settlement re-verifies funds
-        if self.raw_balance(pending.tick, sender) < pending.amt:
-            raise errors.InsufficientBalance(inscription_id)
+        if pending is None or pending.used:
+            return False
         self._use(pending)
-        bal = self.balances[pending.tick]
-        bal[sender] -= pending.amt
-        if bal[sender] == 0:
-            del bal[sender]
-        bal[receiver] = bal.get(receiver, 0) + pending.amt
-        self._touch(pending.tick, receiver)
+        self._credit(pending.tick, pending.owner, -pending.amt)
+        self._credit(pending.tick, receiver, pending.amt)
+        return True
 
     def cancel_pending(self, inscription_id: str) -> None:
         """Void the unused pending transfer of inscription_id, whose inscribed
@@ -251,6 +260,15 @@ class Brc20Ledger:
         if not records:
             del self.unused[key]
         self._touch(*key)
+
+    def _credit(self, tick: str, addr: str, amt: int) -> None:
+        """Add amt (negative to debit) to addr's raw balance of tick, and drop
+        a balance that reaches zero."""
+        bal = self.balances.setdefault(tick, {})
+        bal[addr] = bal.get(addr, 0) + amt
+        if not bal[addr]:
+            del bal[addr]
+        self._touch(tick, addr)
 
     def _touch(self, tick: str, *addrs: str) -> None:
         self.touched.setdefault(tick, set()).update(addrs)
@@ -312,11 +330,22 @@ class Brc20Ledger:
             raise errors.InvariantViolation(
                 f"{tick}: {addr} has a negative available balance")
 
+    def check_pendings(self, transfers: dict[str, Brc20Op]) -> None:
+        """Raise CorruptSnapshot unless every pending, used or not, has the
+        tick and amount of the op transfers holds for its inscription id. Its
+        owner, the recipient of a reveal output that may be spent, is not
+        checked."""
+        for ins_id, pending in self.pendings.items():
+            op = transfers.get(ins_id)
+            if op is None or (op.tick, op.amt) != (pending.tick, pending.amt):
+                raise errors.CorruptSnapshot(
+                    f"pending {ins_id} is not the transfer its inscription inscribes")
+
     def to_json(self) -> dict:
         return {
             "ticks": {tick: s.to_json() for tick, s in self.ticks.items()},
             "balances": {
-                tick: {addr: format_amount(v) for addr, v in bal.items() if v}
+                tick: {addr: format_amount(v) for addr, v in bal.items()}
                 for tick, bal in self.balances.items()
             },
             "pendings": sorted(

@@ -3,8 +3,9 @@
 All commands print canonical JSON (`chain.canonical_dumps`) on stdout, so
 identical inputs give byte-identical output. Exit codes: 0 success, 1
 user/protocol error, a file that cannot be read or written included, 2
-internal invariant violation. Each error is one JSON line on stderr, except
-click's usage errors, which click prints as text.
+internal invariant violation. Each error is one JSON line on stderr, click's
+usage errors (a missing input file, an argument of the wrong type, an unknown
+command) included; a bare `ordlite` prints its help.
 
 Only ordlite writes the data dir's snapshot: `index`, `trade` and
 `snapshot load`, which validates the file it takes in. Every snapshot, the
@@ -259,26 +260,34 @@ def scenario_cmd(script, output, seed):
     emit({"blocks": len(blocks), "output": str(output)})
 
 
-def fail(error: str, exc: Exception, code: int) -> None:
+def fail(error: str, message: str, code: int) -> None:
     """Exit with code after one canonical JSON error line on stderr."""
-    click.echo(chain.canonical_dumps({"error": error, "message": str(exc)}), err=True)
+    click.echo(chain.canonical_dumps({"error": error, "message": message}), err=True)
     sys.exit(code)
+
+
+# click >= 8.2 raises this usage error for a bare `ordlite`; older versions
+# print the help themselves
+NoArgsIsHelpError = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
 def main():
     try:
         cli(standalone_mode=False)
-    except click.ClickException as exc:
+    except NoArgsIsHelpError as exc:
         exc.show()
         sys.exit(1)
+    except click.ClickException as exc:
+        # click's formatted message names the parameter at fault
+        fail(type(exc).__name__, exc.format_message(), 1)
     except click.Abort:
         sys.exit(1)
     except (errors.InvariantViolation, AssertionError) as exc:
         # before OrdliteError: a broken invariant is a bug, not a user error
-        fail("InvariantViolation", exc, 2)
+        fail("InvariantViolation", str(exc), 2)
     except (errors.OrdliteError, OSError, UnicodeDecodeError) as exc:
         # a file that cannot be read or written, or is not UTF-8, is the user's
-        fail(type(exc).__name__, exc, 1)
+        fail(type(exc).__name__, str(exc), 1)
 
 
 if __name__ == "__main__":

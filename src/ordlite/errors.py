@@ -149,10 +149,6 @@ class InsufficientBalance(Brc20Error):
     pass
 
 
-class UnknownPending(Brc20Error):
-    pass
-
-
 class AlreadyUsed(Brc20Error):
     pass
 

@@ -5,8 +5,9 @@ For each block: check its structure; take its UTXO delta, `created`, from
 step that also keeps the UTXO set's derived index of each recipient's unspent
 plain outpoints (`from_json` builds that index when it loads a snapshot, and
 `trade.funding_outputs` reads it); then, per tx and reading `created`, settle
-pending transfers whose inscribed sat moved, extract inscriptions and replay
-BRC-20 operations.
+pending transfers whose inscribed sat moved, extract inscriptions and hand
+their BRC-20 operations to the ledger (`Brc20Ledger.apply`), which alone
+changes BRC-20 state.
 Protocol-level failures are recorded as diagnostics and never abort indexing;
 a chain-level failure raises ChainError or RangeValueMismatch before any commit.
 Each block ends with the ledger's `check_touched`, which checks the BRC-20
@@ -21,8 +22,9 @@ its genesis sat, so it goes where `ordinals.assign_ordinals`, the only FIFO
 and fee-placement rule, put that sat. One `ordinals.find_sat` walk, the one
 `sat` queries use, searches the tx's outputs and then the coinbase's (the sat
 was spent as fee); if neither holds it, it was burned and the inscription is
-lost. A pending BRC-20 transfer settles to the recipient of the output found,
-so a transfer inscription that moves twice in one block credits its first
+lost. Every moved inscription goes to the ledger's `settle` with the
+recipient of the output found; only an unused pending transfer settles, so
+a transfer inscription that moves twice in one block credits its first
 receiver, even when a later tx in the block spends it as fee.
 
 The snapshot is canonical JSON: `chain.canonical_dumps` sorts every key, so
@@ -259,18 +261,11 @@ class IndexState:
                 self.ledger.cancel_pending(ins_id)
                 continue
             self._place(ins_id, new_point)
-            pending = self.ledger.pendings.get(ins_id)
-            if pending is None or pending.used:
-                continue
             # from created: a later tx of the block may have spent the output
             receiver = created[new_point.outpoint].txout.recipient
-            if new_point.outpoint.txid != tx.txid:
+            if self.ledger.settle(ins_id, receiver) and new_point.outpoint.txid != tx.txid:
                 self.diagnostics.append(
                     f"pending {ins_id} spent to fee; settled to sat holder {receiver}")
-            try:
-                self.ledger.settle_transfer(ins_id, pending.owner, receiver)
-            except errors.Brc20Error as exc:
-                self.diagnostics.append(f"settle {ins_id}: {exc}")
 
     def _extract_reveals(self, tx: chain.Transaction, height: int,
                          created: dict) -> None:
@@ -304,20 +299,7 @@ class IndexState:
             self.inscriptions[ins_id] = ins
             self._place(ins_id, SatPoint(first_out, 0))
             if op is not None:
-                # the actor owns the freshly inscribed sat
-                self._apply_brc20(ins, op, first.txout.recipient)
-
-    def _apply_brc20(self, ins: Inscription, op: brc20.Brc20Op, actor: str) -> None:
-        try:
-            if op.op == brc20.DEPLOY:
-                self.ledger.apply_deploy(op, ins.id, ins.height)
-            elif op.op == brc20.MINT:
-                self.ledger.apply_mint(op, actor)
-            else:
-                self.ledger.inscribe_transfer(op, ins.id, actor)
-        except errors.Brc20Error as exc:
-            self.ledger.diagnostics.append(
-                f"{ins.id} {op.op} {op.tick}: {type(exc).__name__}: {exc}")
+                self.ledger.apply(op, ins_id, height, first.txout.recipient)
 
     def index_blocks(self, blocks) -> None:
         for block in blocks:
@@ -432,7 +414,9 @@ class IndexState:
         numbered 0..n-1 and every located one is on its genesis sat, in an
         unspent output, and its kind is the one its content type and body
         classify as; the ledger's invariants hold in full, its index of
-        unused pendings included; every offer passes `trade.check_offer`;
+        unused pendings included; every pending, used or not, names a
+        transfer inscription of its tick and amount (`check_pendings`);
+        every offer passes `trade.check_offer`;
         and `data` is this state's canonical bytes, so no stored value
         disagrees with what the state derives."""
         spans = []
@@ -451,11 +435,14 @@ class IndexState:
         numbers = sorted(ins.number for ins in self.inscriptions.values())
         if numbers != list(range(len(numbers))) or any(type(n) is not int for n in numbers):
             raise errors.CorruptSnapshot("inscription numbers are not 0..n-1")
+        transfers = {}  # inscription id -> its transfer op
         for ins in self.inscriptions.values():
-            kind = classify_envelope(envelope.Envelope(ins.content_type, ins.body))[0]
+            kind, op = classify_envelope(envelope.Envelope(ins.content_type, ins.body))
             if ins.kind != kind:
                 raise errors.CorruptSnapshot(
                     f"inscription {ins.id} is labelled {ins.kind!r}, its content is {kind!r}")
+            if kind == "brc20_transfer":
+                transfers[ins.id] = op
         for ins_id, point in self.location.items():
             entry = self.utxos.get(point.outpoint)
             if entry is None:
@@ -469,6 +456,7 @@ class IndexState:
             self.ledger.check_invariants()
         except errors.InvariantViolation as exc:
             raise errors.CorruptSnapshot(f"ledger: {exc}") from exc
+        self.ledger.check_pendings(transfers)
         for oid, offer in self.offers.items():
             trade.check_offer(oid, offer)
         if self.snapshot_bytes() != data:

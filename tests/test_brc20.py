@@ -264,7 +264,7 @@ def test_transfer_lifecycle():
     ledger = _funded()
     ledger.inscribe_transfer(_transfer_op("100"), "t1", "alice")
     assert ledger.query_balance("ordi", "alice") == {"available": "900", "pending": "100"}
-    ledger.settle_transfer("t1", "alice", "bob")
+    assert ledger.settle("t1", "bob")
     assert ledger.query_balance("ordi", "alice") == {"available": "900", "pending": "0"}
     assert ledger.query_balance("ordi", "bob") == {"available": "100", "pending": "0"}
 
@@ -282,22 +282,34 @@ def test_pending_earmarking():
         ledger.inscribe_transfer(_transfer_op("600"), "t2", "alice")
 
 
-def test_settle_twice_and_not_owner():
+def test_settle_of_a_used_or_unknown_id_changes_nothing():
     ledger = _funded()
     ledger.inscribe_transfer(_transfer_op("100"), "t1", "alice")
-    with pytest.raises(errors.NotOwner):
-        ledger.settle_transfer("t1", "mallory", "bob")
-    ledger.settle_transfer("t1", "alice", "bob")
-    with pytest.raises(errors.AlreadyUsed):
-        ledger.settle_transfer("t1", "alice", "bob")
-    with pytest.raises(errors.UnknownPending):
-        ledger.settle_transfer("missing", "alice", "bob")
+    assert ledger.settle("t1", "bob")
+    ledger.check_touched()
+    settled = ledger.to_json()
+    assert not ledger.settle("t1", "carol")
+    assert not ledger.settle("missing", "carol")
+    assert ledger.to_json() == settled and ledger.touched == {}
+
+
+def test_per_block_check_catches_a_settlement_past_the_owners_balance():
+    """`settle` does not re-check the owner's funds: the earmark invariant
+    covers them, and the per-block check finds a ledger that broke it."""
+    ledger = _funded()
+    ledger.inscribe_transfer(_transfer_op("100"), "t1", "alice")
+    ledger.check_touched()
+    # supply still balances; only alice's earmark of 100 is broken
+    ledger.balances["ordi"].update(alice=parse_amount("50"), bob=parse_amount("950"))
+    assert ledger.settle("t1", "bob")
+    with pytest.raises(errors.InvariantViolation, match="non-positive balance"):
+        ledger.check_touched()
 
 
 def test_transfer_to_self_is_noop_on_net_balance():
     ledger = _funded()
     ledger.inscribe_transfer(_transfer_op("100"), "t1", "alice")
-    ledger.settle_transfer("t1", "alice", "alice")
+    assert ledger.settle("t1", "alice")
     assert ledger.query_balance("ordi", "alice") == {"available": "1000", "pending": "0"}
 
 
@@ -370,13 +382,11 @@ class NaiveBrc20:
             self.pend[ins_id] = [tick, a, owner, False]
             return True
         if kind == "settle":
-            _, ins_id, sender, receiver = ev
+            _, ins_id, receiver = ev
             p = self.pend.get(ins_id)
-            if p is None or p[3] or p[2] != sender:
+            if p is None or p[3]:
                 return False
-            tick, a = p[0], p[1]
-            if self.state[tick]["bal"].get(sender, Decimal(0)) < a:
-                return False
+            tick, a, sender = p[0], p[1], p[2]
             p[3] = True
             bal = self.state[tick]["bal"]
             bal[sender] -= a
@@ -425,11 +435,10 @@ def random_events(rng, n_events=80, n_ticks=3, n_addrs=5):
             events.append(("inscribe", rng.choice(ticks),
                            str(rng.choice([1, 5, 50, 120])),
                            rng.choice(addrs), ins_id))
-            open_pendings.append((ins_id, events[-1][3]))
+            open_pendings.append(ins_id)
         else:
-            ins_id, owner = open_pendings.pop(rng.randrange(len(open_pendings)))
-            sender = owner if rng.random() < 0.9 else rng.choice(addrs)
-            events.append(("settle", ins_id, sender, rng.choice(addrs)))
+            ins_id = open_pendings.pop(rng.randrange(len(open_pendings)))
+            events.append(("settle", ins_id, rng.choice(addrs)))
     return events
 
 
@@ -451,7 +460,7 @@ def apply_to_ledger(ledger, ev):
                  "amt": ev[2]}).encode())
             ledger.inscribe_transfer(op, ev[4], ev[3])
         elif ev[0] == "settle":
-            ledger.settle_transfer(ev[1], ev[2], ev[3])
+            return ledger.settle(ev[1], ev[2])
     except errors.Brc20Error:
         return False
     return True
@@ -548,7 +557,7 @@ def test_per_block_check_reads_only_the_touched_holder():
         for t in range(10):
             ledger.inscribe_transfer(_transfer_op("10"), f"{holder}t{t}", holder)
         for t in range(5):
-            ledger.settle_transfer(f"{holder}t{t}", holder, "sink")
+            ledger.settle(f"{holder}t{t}", "sink")
     ledger.apply_mint(mint, "alice")
     ledger.inscribe_transfer(_transfer_op("10"), "alicet0", "alice")
     ledger.check_touched()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -258,6 +259,28 @@ def test_sat_query_with_non_ascii_digit_is_a_json_error(monkeypatch, capsys, tmp
     assert json.loads(capsys.readouterr().err)["error"] == "BadSatQuery"
 
 
+@pytest.mark.parametrize("args, message", [
+    (lambda w: ["index", str(w / "missing.jsonl")], "Invalid value for 'BLOCKS'"),
+    (lambda w: ["trade", "offer", "alice", "t1", "notanint"], "Invalid value for 'ASK'"),
+    (lambda w: ["nosuch"], "No such command 'nosuch'"),
+], ids=["missing_input_file", "ask_not_an_int", "unknown_command"])
+def test_usage_error_is_a_json_error(workdir, monkeypatch, capsys, args, message):
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", *args(workdir))
+    assert code == 1
+    assert issubclass(getattr(click.exceptions, err["error"]), click.UsageError)
+    assert message in err["message"]
+
+
+def test_bare_ordlite_prints_its_help(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ordlite"])
+    try:
+        cli_module.main()  # click < 8.2 prints the help and returns
+    except SystemExit as exc:  # click >= 8.2 raises, and main exits 1
+        assert exc.code == 1
+    captured = capsys.readouterr()
+    assert "Commands:" in captured.out + captured.err
+
+
 def _not_utf8(workdir, text):
     path = workdir / "not_utf8"
     path.write_bytes(text.encode() + b"\xff\n")
@@ -439,6 +462,20 @@ def _mint_relabelled_text(obj):
     next(i for i in obj["inscriptions"].values() if i["kind"] == "brc20_mint")["kind"] = "text"
 
 
+def _unused_pending(obj):
+    return next(p for p in obj["brc20"]["pendings"] if not p["used"])
+
+
+def _pending_amount_changed(obj):
+    _unused_pending(obj)["amt"] = "1"
+
+
+def _pending_without_inscription(obj):
+    pendings = obj["brc20"]["pendings"]
+    pendings.append({**_unused_pending(obj), "id": f"{'00' * 32}i0", "amt": "1"})
+    pendings.sort(key=lambda p: p["id"])  # in id order, as the canonical form is
+
+
 NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # read_sections' first check
 
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
@@ -470,6 +507,10 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
     "mint_relabelled_text": (_mint_relabelled_text, None,
                              "is labelled 'text', its content is 'brc20_mint'"),
     "negative_vout": (_negative_vout, None, "vout -1 is not a non-negative integer"),
+    "pending_amount_is_not_its_inscriptions": (_pending_amount_changed, None,
+                                               "is not the transfer its inscription inscribes"),
+    "pending_names_no_inscription": (_pending_without_inscription, None,
+                                     "is not the transfer its inscription inscribes"),
     # canonical bytes are ASCII, so offsets in the decoded text are byte offsets
     "raw_utf8": (_recipient_not_ascii,
                  lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"),

@@ -3,8 +3,9 @@ regex literal in the package ends in an unescaped `$`, JSON is decoded only
 where bytes enter the package, a `UtxoEntry` is made only from a block's
 values or a snapshot's, only `chain.tx_fee` raises `NegativeFee`, the UTXO
 set is written only where a block or a snapshot is committed to it, an
-output's JSON shape is spelled only in `chain`, and every function and method
-of the package is reached from the package.
+output's JSON shape is spelled only in `chain`, every function and method
+of the package is reached from the package, and the package holds no
+`assert` statement.
 
 No linter is a dependency of this project, so these are stdlib `ast` scans.
 An imported name counts as used if it appears anywhere in the module as a
@@ -26,7 +27,8 @@ and whether an offer can still settle is `trade.settleable`'s to say.
 `chain.tx_fee` is the one fee rule, so building a block, settling a trade and
 indexing price a tx alike. Code that nothing in the package reaches is
 deleted; what only the benchmark reaches is listed in BENCHMARK_ONLY until
-the benchmark stops reaching it.
+the benchmark stops reaching it. `python -O` strips `assert` statements, so
+every check in the package raises instead.
 """
 
 import ast
@@ -92,6 +94,26 @@ re.search(r"c\\$", s)
 re.sub("d", "$", s)
 """
     assert dollar_anchored_regexes(source) == [(1, "a$"), (3, r"c\\$")]
+
+
+def assert_lines(source: str) -> list[int]:
+    """The lines of each `assert` statement in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_assert_statement(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_scan_finds_assert_statements():
+    source = """assert x
+def f(y):
+    if y:
+        assert y > 0, "positive"
+    return AssertionError, "assert y"
+"""
+    assert assert_lines(source) == [1, 4]
 
 
 JSON_DECODERS = {

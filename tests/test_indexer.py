@@ -215,7 +215,7 @@ def test_scenario_round_trip_matches_abstract_interpreter():
     script = [{"action": "deploy", "tick": "ordi", "max": "100000",
                "lim": "1000", "deployer": "alice"}]
     naive_events = [("deploy", "ordi", "100000", "1000", None, None)]
-    handles = {}
+    handles = []
     for i in range(20):
         who = rng.choice(addrs)
         roll = rng.random()
@@ -230,14 +230,14 @@ def test_scenario_round_trip_matches_abstract_interpreter():
             script.append({"action": "transfer_inscribe", "tick": "ordi",
                            "amt": amt, "owner": who, "id": handle})
             naive_events.append(("inscribe", "ordi", amt, who, handle))
-            handles[handle] = who
+            handles.append(handle)
         elif handles:
-            handle, owner = rng.choice(sorted(handles.items()))
-            del handles[handle]
+            handle = rng.choice(sorted(handles))
+            handles.remove(handle)
             to = rng.choice(addrs)
             script.append({"action": "transfer_send", "inscription": handle,
                            "to": to})
-            naive_events.append(("settle", handle, owner, to))
+            naive_events.append(("settle", handle, to))
 
     state = IndexState()
     state.index_blocks(compile_blocks(script, seed=17))
