@@ -277,8 +277,8 @@ class Brc20Ledger:
 
     def check_invariants(self) -> None:
         """Raise InvariantViolation unless every tick's supply and every
-        holder's earmarks are consistent, and `unused` holds exactly the
-        unused pendings. Regroups the unused pendings from `pendings` rather
+        holder's earmarks are consistent, every balance is of a deployed tick,
+        and `unused` holds exactly the unused pendings. Regroups the unused pendings from `pendings` rather
         than trusting `unused` or any running total."""
         grouped: dict[tuple[str, str], dict[str, PendingTransfer]] = {}
         for pending in self.pendings.values():
@@ -287,6 +287,9 @@ class Brc20Ledger:
                     pending.inscription_id] = pending
         for tick in self.ticks:
             self._check_tick(tick)
+        undeployed = sorted(self.balances.keys() - self.ticks.keys())
+        if undeployed:
+            raise errors.InvariantViolation(f"{undeployed[0]}: balances of a tick no deploy made")
         for (tick, addr), records in grouped.items():
             self._check_holder(tick, addr, records)
         if grouped != self.unused:

@@ -10,15 +10,17 @@ command) included; a bare `ordlite` prints its help.
 Only ordlite writes the data dir's snapshot: `index`, `trade` and
 `snapshot load`, which validates the file it takes in. Every snapshot, the
 data dir's and `snapshot load`'s alike, is decoded by `indexer.read_sections`,
-which raises CorruptSnapshot (exit 1) on any other layout. Writes decode every
-section; `snapshot save` copies the bytes. Each write says what it changes:
-`index` and `trade settle` change most sections and write the whole snapshot
-(`save_state`), while `trade offer` and `trade accept` change only the offer
-book (`changing_offers`), so they write the bytes they read with only the
-`offers` section's value replaced. A refused write saves nothing, and loses
-nothing by that: `trade` refuses before it changes the state, so a dead offer
-keeps its status, and `trade accept` checks the offer before the buyer's
-funding. Reads decode only the sections they need:
+which raises CorruptSnapshot (exit 1) on any other layout. `snapshot save`
+copies the bytes. `index` and the `trade` commands share one write path:
+`load_state` decodes every section into a state that logs what it changes,
+and `save_state` writes the bytes read with only that spliced in
+(`IndexState.spliced_bytes`), so every byte of a record no write changed is
+copied: `trade offer` and `trade accept` re-encode the offer book and the
+BTC deltas, and `index` and `trade settle` also the ledger and the UTXO and
+inscription records their blocks touched. A refused write saves nothing, and
+loses nothing by that: `trade` refuses before it changes the state, so a
+dead offer keeps its status, and `trade accept` checks the offer before the
+buyer's funding. Reads decode only the sections they need:
 `brc20` decodes "brc20" and `inscriptions` stops after "inscriptions";
 `snapshot hash` decodes only "tip_height" and `sat` "tip_height" and
 "utxos", both found from the end of the file (`read_sections`'s `first`).
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -51,6 +52,8 @@ def snapshot_path(data_dir) -> Path:
 
 
 def load_state(data_dir) -> IndexState:
+    """The data dir's state for a write: it logs what it changes, for
+    `save_state`."""
     return IndexState.decode(read_snapshot(data_dir))
 
 
@@ -73,22 +76,10 @@ def write_data_dir(data_dir, data: bytes) -> str:
 
 
 def save_state(data_dir, state: IndexState) -> str:
-    """Save the whole snapshot into data_dir; return its hash."""
-    return write_data_dir(data_dir, state.snapshot_bytes())
-
-
-@contextmanager
-def changing_offers(data_dir):
-    """The data dir's state, for a command that changes nothing but its
-    offer book. When the block exits normally, the bytes read are written
-    back with only the `offers` section's value replaced by the state's;
-    when it raises, nothing is written."""
-    data = read_snapshot(data_dir)
-    spans: dict = {}
-    state = IndexState.decode(data, spans)
-    yield state
-    write_data_dir(data_dir, indexer.splice_section(data, spans, "offers",
-                                                    state.offers_json()))
+    """Write a state `load_state` gave into data_dir as the bytes it was
+    read from with what it changed spliced in (`IndexState.spliced_bytes`);
+    return their hash."""
+    return write_data_dir(data_dir, state.spliced_bytes())
 
 
 @click.group()
@@ -169,8 +160,9 @@ def trade_group():
 @click.argument("ask", type=int)
 @click.pass_obj
 def trade_offer(obj, seller, inscription_id, ask):
-    with changing_offers(obj["data_dir"]) as state:
-        offer = trade.create_offer(state, seller, inscription_id, ask)
+    state = load_state(obj["data_dir"])
+    offer = trade.create_offer(state, seller, inscription_id, ask)
+    save_state(obj["data_dir"], state)
     emit({"offer_id": offer.id, "status": offer.status,
           "psbt": offer.psbt.to_json()})
 
@@ -181,11 +173,12 @@ def trade_offer(obj, seller, inscription_id, ask):
 @click.option("--fee", type=int, default=trade.DEFAULT_FEE, show_default=True)
 @click.pass_obj
 def trade_accept(obj, offer_id, buyer, fee):
-    with changing_offers(obj["data_dir"]) as state:
-        offer = trade.get_offer(state, offer_id)
-        trade.check_acceptable(state, offer, fee)
-        funding = trade.select_funding(state, buyer, offer.ask + fee)
-        psbt = trade.accept_offer(state, offer, buyer, funding, fee)
+    state = load_state(obj["data_dir"])
+    offer = trade.get_offer(state, offer_id)
+    trade.check_acceptable(state, offer, fee)
+    funding = trade.select_funding(state, buyer, offer.ask + fee)
+    psbt = trade.accept_offer(state, offer, buyer, funding, fee)
+    save_state(obj["data_dir"], state)
     emit({"offer_id": offer.id, "status": offer.status, "psbt": psbt.to_json()})
 
 

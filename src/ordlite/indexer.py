@@ -39,12 +39,21 @@ wrote. `next_number`, each `genesis_satpoint` and each offer's
 `inscription_id` are written from the state, which does not keep them.
 
 `IndexState.to_json` builds every section and `snapshot_bytes` encodes them
-all. A write that changes one section need not re-encode the rest:
-`read_sections` reports where each section's value lies in the bytes it
-decoded, and `splice_section` replaces one value there with its canonical
-encoding and copies every other byte. The `offers` section, the one the CLI
-splices, has one builder, `IndexState.offers_json`, which `to_json` uses too,
-so both paths write the same bytes.
+all; that full encoding is the spec. A CLI write need not re-encode what it
+did not change. `decode(data)` gives a state with a ChangeLog:
+`read_sections` reports where each section's value lies in data, and the
+state logs the key of every UTXO and inscription record it writes, at the
+writes that already exist: `apply_block`'s commit (the outputs it creates and
+the ones it spends), `_place` and the delete of a lost inscription's location.
+An `IndexState()`, as the in-memory index job and the scenario compiler make,
+logs nothing. `spliced_bytes` hands data, the spans and the changes to
+`splice`, which re-encodes each logged record, puts a new one at its key's
+sorted place, deletes a spent one, and copies every byte of a record no
+write changed. `offers` and `btc_deltas` are re-encoded on every write and
+`brc20`, `next_number` and `tip_height` once a block was applied. Each
+record and section has one builder, `_utxo_json`, `_inscription_json`,
+`offers_json` and the ledger's `to_json`, which `to_json` uses too, so both
+paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -114,14 +124,91 @@ def read_sections(data: bytes, last: str, spans: dict | None = None,
     return sections
 
 
-def splice_section(data: bytes, spans: dict, key: str, value) -> bytes:
-    """Snapshot bytes `data` with the value of section `key`, which
-    `read_sections` put at spans[key], replaced by value's canonical
-    encoding; every other byte is copied as it is. The result is the canonical
-    encoding of the snapshot whose section `key` is value, as the section's
-    encoding is the same inside the whole snapshot and on its own."""
-    start, end = spans[key]
-    return b"".join((data[:start], chain.canonical_dumps(value).encode(), data[end:]))
+# A record head in `utxos` or `inscriptions`: its key, "<txid>:<vout>" or
+# "<txid>i<k>", in quotes, then a colon. The byte before it is the `{` or `,`
+# that separates the record from what comes before.
+_RECORD_HEAD = re.compile(rb'"([0-9a-f]{64}[:i][0-9]+)":')
+# An inscription id, as `_extract_reveals` makes it: "<txid>i<k>"
+_INSCRIPTION_ID = re.compile(r"[0-9a-f]{64}i[0-9]+")
+
+
+def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
+    """Snapshot bytes `data`, whose sections `read_sections` put at `spans`,
+    with the value of each section in `values` replaced by its canonical
+    encoding, and in each section in `records` (section -> {key: value, or
+    None for no record}) each named record re-encoded, put at its key's
+    sorted place or deleted; every other byte is copied as it is. A None
+    for a key the bytes do not hold changes nothing. The result is the
+    canonical encoding of the snapshot so changed, as a value's encoding is
+    the same inside the whole snapshot and on its own.
+
+    Only `utxos` and `inscriptions` take records. In them `_RECORD_HEAD`
+    matches only a record's head: every `"` inside a string is escaped, so
+    the quote after the key's last digit ends a string, and the colon after
+    it makes that string a key; a record key holds no quote, so the match
+    is the whole key; and the keys inside a record are field names, none of
+    a record key's shape. No user chooses a record key (an outpoint or an
+    inscription id). Records are in `canonical_dumps` order, Python string
+    order, so `<txid>:10` comes before `<txid>:2`, and each key is found by
+    bisecting the section's bytes."""
+    pieces, pos = [], 0
+    view = memoryview(data)
+    for key in SECTIONS:
+        if key in values:
+            new = chain.canonical_dumps(values[key]).encode()
+        elif records.get(key):
+            new = _splice_records(data, *spans[key], records[key])
+        else:
+            continue
+        start, end = spans[key]
+        pieces += (view[pos:start], new)
+        pos = end
+    pieces.append(view[pos:])
+    return b"".join(pieces)
+
+
+def _splice_records(data: bytes, start: int, end: int, records: dict) -> bytes:
+    """The object encoded at data[start:end] with records spliced in (see
+    `splice`): each run of old records between two named keys is copied."""
+    close = end - 1  # the closing brace
+    view, runs = memoryview(data), []
+    cursor = start  # the separator before the first record not yet copied, or close
+    for key in sorted(records):
+        k = key.encode()
+        head = _seek(data, cursor, close, k)
+        sep = close if head is None else head.start() - 1
+        if sep - cursor > 1:
+            runs.append(view[cursor + 1:sep])
+        cursor = sep
+        if head is not None and head.group(1) == k:  # the old record: skip it
+            after = _RECORD_HEAD.search(data, head.end(), close)
+            cursor = close if after is None else after.start() - 1
+        if records[key] is not None:
+            runs.append(b'"%s":%s' % (k, chain.canonical_dumps(records[key]).encode()))
+    if close - cursor > 1:
+        runs.append(view[cursor + 1:close])
+    return b"{" + b",".join(runs) + b"}"
+
+
+def _seek(data: bytes, lo: int, hi: int, key: bytes):
+    """The `_RECORD_HEAD` match of the first record in data[lo:hi] whose key
+    is not below key, or None. Every record head before lo is below key.
+    A probe matches the first head after a midpoint; once few bytes are left
+    unsearched, the heads after lo are tried in turn."""
+    found, bound = None, hi  # no head lies in [hi, bound)
+    while hi - lo > 256:
+        mid = (lo + hi) // 2
+        head = _RECORD_HEAD.search(data, mid, bound)
+        if head is None or head.group(1) >= key:
+            if head is not None:
+                found, bound = head, head.start()
+            hi = mid
+        else:
+            lo = head.end()
+    for head in _RECORD_HEAD.finditer(data, lo, bound):
+        if head.group(1) >= key:
+            return head
+    return found
 
 
 def write_snapshot(path, data: bytes) -> str:
@@ -176,6 +263,33 @@ def _utxo_json(entry: chain.UtxoEntry) -> dict:
     return obj
 
 
+def _inscription_json(ins: Inscription, point: SatPoint | None) -> dict:
+    """An inscription's snapshot record, point its location (None: lost)."""
+    return {
+        "number": ins.number,
+        "content_type": ins.content_type,
+        "body": ins.body.hex(),
+        "kind": ins.kind,
+        "genesis_sat": ins.genesis_sat,
+        # a reveal binds to the first sat of its tx's first output
+        "genesis_satpoint": f"{ins.id.rpartition('i')[0]}:0:0",
+        "satpoint": None if point is None else str(point),
+        "height": ins.height,
+    }
+
+
+class ChangeLog:
+    """What a state `IndexState.decode` made has changed since: the keys of
+    the UTXO and inscription records it wrote, and whether it applied a
+    block, beside the bytes it was decoded from and their section spans."""
+
+    def __init__(self, data: bytes, spans: dict):
+        self.data, self.spans = data, spans
+        self.outpoints: set[OutPoint] = set()
+        self.inscription_ids: set[str] = set()
+        self.applied_block = False
+
+
 def _created_outputs(txs, created: dict):
     """(outpoint, ranges) of every output of txs, in order, made as walked."""
     for tx in txs:
@@ -207,6 +321,8 @@ class IndexState:
         self.offers: dict[str, trade.Offer] = {}
         self.btc_deltas: dict[str, int] = {}  # trade settlement accounting
         self.diagnostics: list[str] = []
+        # what the state changed since `decode` made it from bytes; else None
+        self.changes: ChangeLog | None = None
 
     # --- block pipeline ---
 
@@ -230,6 +346,11 @@ class IndexState:
                 if txout.script_kind == "plain":
                     plain[txout.recipient].remove(tin.prevout)
         self.tip_height = block.height
+        changes = self.changes
+        if changes is not None:
+            changes.applied_block = True
+            changes.outpoints.update(created)
+            changes.outpoints.update(tin.prevout for tx in block.txs for tin in tx.inputs)
         if burned:
             self.diagnostics.append(
                 f"height {block.height}: {ordinals.range_total(burned)} sats burned "
@@ -247,6 +368,8 @@ class IndexState:
     def _place(self, ins_id: str, satpoint: SatPoint) -> None:
         self.location[ins_id] = satpoint
         self.by_outpoint.setdefault(satpoint.outpoint, []).append(ins_id)
+        if self.changes is not None:
+            self.changes.inscription_ids.add(ins_id)
 
     def _track_moved_inscriptions(self, tx: chain.Transaction,
                                   coinbase: chain.Transaction, created: dict) -> None:
@@ -257,6 +380,8 @@ class IndexState:
                                           _created_outputs((tx, coinbase), created))
             if new_point is None:
                 del self.location[ins_id]
+                if self.changes is not None:
+                    self.changes.inscription_ids.add(ins_id)
                 self.diagnostics.append(f"inscription {ins_id} lost (sat burned)")
                 self.ledger.cancel_pending(ins_id)
                 continue
@@ -316,36 +441,44 @@ class IndexState:
         """The snapshot as plain data; its order is set by `canonical_dumps`,
         which sorts every dict's keys. It is read-only: each UTXO record
         holds its entry's own `sat_ranges` list."""
+        location = self.location
         return {
             "tip_height": self.tip_height,
             "next_number": len(self.inscriptions),
             "utxos": {str(op): _utxo_json(e) for op, e in self.utxos.entries.items()},
-            "inscriptions": {
-                ins.id: {
-                    "number": ins.number,
-                    "content_type": ins.content_type,
-                    "body": ins.body.hex(),
-                    "kind": ins.kind,
-                    "genesis_sat": ins.genesis_sat,
-                    # a reveal binds to the first sat of its tx's first output
-                    "genesis_satpoint": f"{ins.id.rpartition('i')[0]}:0:0",
-                    "satpoint": str(self.location[ins.id]) if ins.id in self.location else None,
-                    "height": ins.height,
-                }
-                for ins in self.inscriptions.values()
-            },
+            "inscriptions": {ins.id: _inscription_json(ins, location.get(ins.id))
+                             for ins in self.inscriptions.values()},
             "brc20": self.ledger.to_json(),
             "offers": self.offers_json(),
             "btc_deltas": dict(self.btc_deltas),
         }
 
     def offers_json(self) -> dict:
-        """The snapshot's `offers` section, for `to_json` and for a write that
-        splices in only this section (`splice_section`)."""
+        """The snapshot's `offers` section, for `to_json` and `spliced_bytes`."""
         return {oid: o.to_json() for oid, o in self.offers.items()}
 
     def snapshot_bytes(self) -> bytes:
         return chain.canonical_dumps(self.to_json()).encode()
+
+    def spliced_bytes(self) -> bytes:
+        """`snapshot_bytes()` of a state `decode` made, built by `splice`
+        from the bytes it was decoded from: `offers` and `btc_deltas`
+        are re-encoded; once a block was applied, so are `brc20`,
+        `next_number`, `tip_height` and every UTXO and inscription record its
+        `changes` name; every other byte is copied."""
+        changes = self.changes
+        values = {"offers": self.offers_json(), "btc_deltas": dict(self.btc_deltas)}
+        records = {}
+        if changes.applied_block:
+            values.update(brc20=self.ledger.to_json(), next_number=len(self.inscriptions),
+                          tip_height=self.tip_height)
+            entries, location = self.utxos.entries, self.location
+            records["utxos"] = {str(op): _utxo_json(entries[op]) if op in entries else None
+                                for op in changes.outpoints}
+            records["inscriptions"] = {
+                ins_id: _inscription_json(self.inscriptions[ins_id], location.get(ins_id))
+                for ins_id in changes.inscription_ids}
+        return splice(changes.data, changes.spans, values, records)
 
     def snapshot_hash(self) -> str:
         return hashlib.sha256(self.snapshot_bytes()).hexdigest()
@@ -377,20 +510,22 @@ class IndexState:
         return state
 
     @classmethod
-    def decode(cls, data: bytes, spans: dict | None = None) -> "IndexState":
-        """The state in snapshot bytes, decoded by `read_sections` as reads are
-        (which fills `spans`, when given)."""
+    def decode(cls, data: bytes) -> "IndexState":
+        """The state in snapshot bytes, decoded by `read_sections` as reads are.
+        It keeps a ChangeLog of data, so `spliced_bytes` can write it back."""
         # Decoding allocates the whole state and frees none of it, so cyclic
         # collections during it find nothing; the objects they promote would
         # only bring the next full collection, over the caller's whole heap,
         # sooner. Pause the collector for the decode.
-        enabled = gc.isenabled()
+        enabled, spans = gc.isenabled(), {}
         gc.disable()
         try:
-            return cls.from_json(read_sections(data, SECTIONS[-1], spans))
+            state = cls.from_json(read_sections(data, SECTIONS[-1], spans))
         finally:
             if enabled:
                 gc.enable()
+        state.changes = ChangeLog(data, spans)
+        return state
 
     @classmethod
     def from_untrusted(cls, data: bytes) -> "IndexState":
@@ -413,7 +548,7 @@ class IndexState:
         its value and share no sat with another's; the inscriptions are
         numbered 0..n-1 and every located one is on its genesis sat, in an
         unspent output, and its kind is the one its content type and body
-        classify as; the ledger's invariants hold in full, its index of
+        classify as, and its id is "<txid>i<k>"; the ledger's invariants hold in full, its index of
         unused pendings included; every pending, used or not, names a
         transfer inscription of its tick and amount (`check_pendings`);
         every offer passes `trade.check_offer`;
@@ -437,6 +572,8 @@ class IndexState:
             raise errors.CorruptSnapshot("inscription numbers are not 0..n-1")
         transfers = {}  # inscription id -> its transfer op
         for ins in self.inscriptions.values():
+            if not _INSCRIPTION_ID.fullmatch(ins.id):  # `splice` finds records by key
+                raise errors.CorruptSnapshot(f"inscription id {ins.id!r} is not <txid>i<k>")
             kind, op = classify_envelope(envelope.Envelope(ins.content_type, ins.body))
             if ins.kind != kind:
                 raise errors.CorruptSnapshot(

@@ -25,9 +25,10 @@ funding costs that payer's outputs, not the whole UTXO set.
 
 `create_offer` and `accept_offer` change only `state.offers` (the offers'
 statuses and PSBTs), never the chain, the ledger or `btc_deltas`: `ordlite
-trade offer` and `trade accept` rely on this and write back only the
-snapshot's `offers` section. `broadcast_and_settle` mines a block and books
-BTC deltas, so `trade settle` writes the whole snapshot.
+trade offer` and `trade accept` rely on this, as their write re-encodes
+only what the state logged and the `offers` and `btc_deltas` sections.
+`broadcast_and_settle` mines a block, which the state logs, and books BTC
+deltas, so `trade settle` writes those too.
 """
 
 from __future__ import annotations

@@ -106,29 +106,40 @@ def test_snapshot_save_load(runner, workdir, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["index", "snapshot save", "snapshot load",
-                                     "trade offer", "trade accept"])
+                                     "trade offer", "trade accept", "trade settle"])
 def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
-    """A write encodes the snapshot at most once: `snapshot save` copies the
-    bytes, and `trade offer` and `trade accept` re-encode only the offers
-    section, yet write what the full encoding of the same op would."""
+    """A write encodes the snapshot at most once, and only `snapshot load`,
+    which checks that the file is canonical, encodes it whole: `snapshot save`
+    copies the bytes, and `index` and the trade commands splice what they
+    changed into the bytes they read, yet write what the full encoding of
+    the same op would."""
     written = workdir / "data" / cli_module.SNAPSHOT_FILE
     saved = workdir / "saved.json"
     if command == "index":
         run(runner, workdir, "scenario", str(workdir / "script.json"),
             "-o", str(workdir / "blocks.jsonl"))
         args = ["index", str(workdir / "blocks.jsonl")]
+        mirror = IndexState()
+        with open(workdir / "blocks.jsonl") as fp:
+            mirror.index_blocks(chain.read_blocks_jsonl(fp))
+        expected = mirror.snapshot_bytes()
     elif command.startswith("trade"):
         oid = offered(runner, workdir)
+        if command == "trade settle":
+            run(runner, workdir, "trade", "accept", oid, "miner")
         mirror = IndexState.decode(written.read_bytes())
         listed = mirror.offers[oid]
         if command == "trade offer":  # a second ask, which cancels the open offer
             args = ["trade", "offer", "alice", listed.inscription_id, "2000"]
             trade.create_offer(mirror, "alice", listed.inscription_id, 2000)
-        else:
+        elif command == "trade accept":
             args = ["trade", "accept", oid, "miner"]
             fee = trade.DEFAULT_FEE
             trade.accept_offer(mirror, listed, "miner",
                                trade.select_funding(mirror, "miner", listed.ask + fee), fee)
+        else:
+            args = ["trade", "settle", oid]
+            trade.broadcast_and_settle(mirror, listed, "miner")
         expected = mirror.snapshot_bytes()
     else:
         indexed(runner, workdir)
@@ -148,11 +159,11 @@ def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
     if command == "snapshot save":  # a copy of the data dir's bytes
         assert calls == []
         assert written.read_bytes() == (workdir / "data" / cli_module.SNAPSHOT_FILE).read_bytes()
-    elif command.startswith("trade"):  # the read bytes, offers section re-encoded
+    elif command == "snapshot load":  # its canonical check
+        assert len(calls) == 1
+    else:  # the read bytes, with what the command changed spliced in
         assert calls == []
         assert written.read_bytes() == expected
-    else:
-        assert len(calls) == 1
     digest = hashlib.sha256(written.read_bytes()).hexdigest()
     assert digest == IndexState.decode(written.read_bytes()).snapshot_hash()
     if not command.startswith("trade"):  # a trade command prints no hash
@@ -476,6 +487,16 @@ def _pending_without_inscription(obj):
     pendings.sort(key=lambda p: p["id"])  # in id order, as the canonical form is
 
 
+def _inscription_renamed(obj):
+    """A mint inscription keyed by a name, its derived genesis satpoint to match."""
+    ins_id = next(i for i, ins in obj["inscriptions"].items() if ins["kind"] == "brc20_mint")
+    obj["inscriptions"]["zz"] = {**obj["inscriptions"].pop(ins_id), "genesis_satpoint": ":0:0"}
+
+
+def _balances_of_an_undeployed_tick(obj):
+    obj["brc20"]["balances"]["zzzz"] = {"mallory": "5"}
+
+
 NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # read_sections' first check
 
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
@@ -484,6 +505,10 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
     "inscription_on_missing_outpoint": (_on_missing_outpoint, None, "not unspent"),
     "inscription_past_output_value": (_past_its_value, None, "not on its genesis sat"),
     "minted_does_not_match_balances": (_minted_mismatch, None, "balances sum to"),
+    "balances_of_an_undeployed_tick": (_balances_of_an_undeployed_tick, None,
+                                       "zzzz: balances of a tick no deploy made"),
+    "inscription_id_is_a_name": (_inscription_renamed, None,
+                                 "inscription id 'zz' is not <txid>i<k>"),
     "next_number_is_not_the_count": (_next_number_off_by_one, None, "not in canonical form"),
     "genesis_satpoint_moved": (_genesis_satpoint_moved, None, "not in canonical form"),
     "two_inscriptions_share_a_number": (_number_repeated, None, "numbers are not 0..n-1"),

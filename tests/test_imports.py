@@ -2,7 +2,8 @@
 regex literal in the package ends in an unescaped `$`, JSON is decoded only
 where bytes enter the package, a `UtxoEntry` is made only from a block's
 values or a snapshot's, only `chain.tx_fee` raises `NegativeFee`, the UTXO
-set is written only where a block or a snapshot is committed to it, an
+set, the inscriptions and their locations are written only where a block
+or a snapshot is committed to them, an
 output's JSON shape is spelled only in `chain`, every function and method
 of the package is reached from the package, and the package holds no
 `assert` statement.
@@ -16,7 +17,9 @@ from the first. `ordinals.assign_ordinals` alone turns a block into UTXO
 entries, which `IndexState.apply_block` commits as they are; a second maker
 could give an output other ranges. `IndexState.apply_block` and
 `IndexState.from_json` alone write the UTXO set, so the recipient -> plain
-outpoints index they keep with it cannot drift from it. `chain.txout_to_json`
+outpoints index they keep with it cannot drift from it; they and the other
+writers of the inscriptions and their locations log what they write, which is
+all a CLI write re-encodes. `chain.txout_to_json`
 and `txout_from_json` own the output shape, so no other module names its
 `"script_kind"` key. No `raise` follows a call of `.apply_block(` in a
 function's body: a caller checks everything before it commits a block, so
@@ -236,22 +239,38 @@ UTXO_SET_WRITERS = {
     "indexer.IndexState.apply_block",  # a block's UTXO delta, with the plain-outpoint index
     "indexer.IndexState.from_json",  # a snapshot's UTXOs, with the plain-outpoint index
 }
+# A CLI write splices only the records its state's ChangeLog names, so every
+# writer of the UTXO set (above), the locations or the inscriptions must log
+# what it writes (from_json apart: it builds the state the log starts from).
+STATE_WRITERS = {
+    "location": {
+        "indexer.IndexState._place",  # a reveal or a move, logged
+        "indexer.IndexState._track_moved_inscriptions",  # the lost inscription's delete, logged
+    },
+    "inscriptions": {
+        "indexer.IndexState._extract_reveals",  # a reveal, logged by `_place`
+        "indexer.IndexState.from_json",  # a snapshot's inscriptions
+    },
+}
 WRITE_METHODS = {"update", "pop", "popitem", "clear", "setdefault"}
 
 
-def utxo_set_writers(source: str, module: str) -> set[str]:
+def state_writers(source: str, module: str, dotted: str) -> set[str]:
     """The dotted names of the scopes (the module, at top level) that write
-    the UTXO set: assign or delete an item of `<x>.utxos.entries` or
-    `utxos.entries`, or call its update, pop, popitem, clear or setdefault,
-    directly or through a name the scope itself binds to it."""
+    the dict `dotted` names, an attribute (`location` matches `<x>.location`) or one under
+    a named owner (`utxos.entries` matches `<x>.utxos.entries` and
+    `utxos.entries`): assign or delete an item of it, or call its update,
+    pop, popitem, clear or setdefault, directly or through a name the scope
+    itself binds to it."""
     found = set()
+    *owner, attr = dotted.split(".")
 
-    def is_entries(node, aliases) -> bool:
+    def is_written(node, aliases) -> bool:
         if isinstance(node, ast.Name):
             return node.id in aliases
-        return (isinstance(node, ast.Attribute) and node.attr == "entries"
-                and "utxos" in (getattr(node.value, "attr", None),
-                                getattr(node.value, "id", None)))
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and (not owner or owner[0] in (getattr(node.value, "attr", None),
+                                               getattr(node.value, "id", None))))
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -265,11 +284,11 @@ def utxo_set_writers(source: str, module: str) -> set[str]:
                     pairs = (zip(target.elts, n.value.elts) if isinstance(target, ast.Tuple)
                              and isinstance(n.value, ast.Tuple) else [(target, n.value)])
                     aliases.update(t.id for t, v in pairs
-                                   if isinstance(t, ast.Name) and is_entries(v, ()))
+                                   if isinstance(t, ast.Name) and is_written(v, ()))
         if any(isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del))
-               and is_entries(n.value, aliases)
+               and is_written(n.value, aliases)
                or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-               and n.func.attr in WRITE_METHODS and is_entries(n.func.value, aliases)
+               and n.func.attr in WRITE_METHODS and is_written(n.func.value, aliases)
                for n in nodes):
             found.add(scope)
     visit(ast.parse(source), module)
@@ -277,8 +296,16 @@ def utxo_set_writers(source: str, module: str) -> set[str]:
 
 
 def test_utxo_set_is_written_only_by_apply_block_and_snapshot_decoding():
-    found = set().union(*(utxo_set_writers(path.read_text(), path.stem) for path in SOURCES))
+    found = set().union(*(state_writers(path.read_text(), path.stem, "utxos.entries")
+                          for path in SOURCES))
     assert found == UTXO_SET_WRITERS
+
+
+@pytest.mark.parametrize("target", ["location", "inscriptions"])
+def test_locations_and_inscriptions_are_written_only_where_the_change_log_sees(target):
+    found = set().union(*(state_writers(path.read_text(), path.stem, target)
+                          for path in SOURCES))
+    assert found == STATE_WRITERS[target]
 
 
 def test_scan_finds_utxo_set_writers():
@@ -305,7 +332,35 @@ def reads(s, op):
             s.utxos.pop(op), {op: 1}.update(entries))
 TOP = x.utxos.entries.setdefault(k, v)
 """
-    assert utxo_set_writers(source, "m") == {"m", "m.f", "m.g", "m.h", "m.i", "m.C.j"}
+    assert state_writers(source, "m", "utxos.entries") == {"m", "m.f", "m.g", "m.h", "m.i", "m.C.j"}
+
+
+def test_scan_finds_location_and_inscription_writers():
+    source = """def f(s, i, p):
+    s.location[i] = p
+def g(self, i):
+    del self.location[i]
+def h(state, x):
+    state.inscriptions.update(x)
+def i(self, k):
+    location, other = self.location, {}
+    location.pop(k)
+    other.pop(k)
+class C:
+    def j(self, k):
+        self.inscriptions.setdefault(k, None)
+        def inner(location, k):
+            location.pop(k)
+        return inner
+def reads(s, i):
+    location = s.location
+    location[i].outpoint = 1
+    return (s.location.get(i), i in s.inscriptions, s.changes.inscription_ids.add(i),
+            s.inscription.pop(i), {i: 1}.update(location), s.by_outpoint.pop(i))
+TOP = x.location.clear()
+"""
+    assert state_writers(source, "m", "location") == {"m", "m.f", "m.g", "m.i"}
+    assert state_writers(source, "m", "inscriptions") == {"m.h", "m.C.j"}
 
 
 def commits_a_block(node) -> bool:
