@@ -344,6 +344,25 @@ class Brc20Ledger:
                 raise errors.CorruptSnapshot(
                     f"pending {ins_id} is not the transfer its inscription inscribes")
 
+    def check_located(self, located) -> None:
+        """Raise CorruptSnapshot unless the inscription of every unused pending
+        is in located: indexing voids the pending of an inscription whose sat
+        is burned (`cancel_pending`), as none can ever settle it."""
+        for ins_id, pending in self.pendings.items():
+            if not pending.used and ins_id not in located:
+                raise errors.CorruptSnapshot(f"unused pending {ins_id} is not located")
+
+    def check_deploys(self, deploys: dict) -> None:
+        """Raise CorruptSnapshot unless every tick's deploy_id names an
+        inscription in deploys (id -> (its deploy op, its height)) whose body
+        gives that tick, max and lim, revealed at the tick's height."""
+        for tick, state in self.ticks.items():
+            op = Brc20Op(DEPLOY, tick, max=state.max, lim=state.lim)
+            if deploys.get(state.deploy_inscription_id) != (op, state.deploy_height):
+                raise errors.CorruptSnapshot(
+                    f"tick {tick} is not what its deploy {state.deploy_inscription_id} "
+                    f"inscribes")
+
     def to_json(self) -> dict:
         return {
             "ticks": {tick: s.to_json() for tick, s in self.ticks.items()},

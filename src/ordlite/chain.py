@@ -89,10 +89,11 @@ class UtxoSet:
     """Map OutPoint -> UtxoEntry. Written only by IndexState.apply_block
     and IndexState.from_json (snapshot loading), which keep the state's
     recipient -> plain outpoints index with it; tests/test_imports.py checks
-    that no other function writes it."""
+    that no other function writes it. `entries` is a dict, or for a state
+    `IndexState.decode` made, a map backed by the snapshot bytes."""
 
-    def __init__(self):
-        self.entries: dict[OutPoint, UtxoEntry] = {}
+    def __init__(self, entries=None):
+        self.entries: dict[OutPoint, UtxoEntry] = {} if entries is None else entries
 
     def __contains__(self, outpoint):
         return outpoint in self.entries

@@ -12,12 +12,14 @@ Only ordlite writes the data dir's snapshot: `index`, `trade` and
 data dir's and `snapshot load`'s alike, is decoded by `indexer.read_sections`,
 which raises CorruptSnapshot (exit 1) on any other layout. `snapshot save`
 copies the bytes. `index` and the `trade` commands share one write path:
-`load_state` decodes every section into a state that logs what it changes,
-and `save_state` writes the bytes read with only that spliced in
-(`IndexState.spliced_bytes`), so every byte of a record no write changed is
-copied: `trade offer` and `trade accept` re-encode the offer book and the
-BTC deltas, and `index` and `trade settle` also the ledger and the UTXO and
-inscription records their blocks touched. A refused write saves nothing, and
+`load_state` decodes the ledger, the offer book, the BTC deltas and the two
+counters whole into a state that finds each UTXO and inscription record in
+the bytes the first time it reads it and logs what it writes
+(`IndexState.decode`), and `save_state` writes the bytes read with only that
+spliced in (`IndexState.spliced_bytes`), so every byte of a record no write
+changed is copied: `trade offer` and `trade accept` re-encode the offer book
+and the BTC deltas, and `index` and `trade settle` also the ledger and the
+UTXO and inscription records their blocks touched. A refused write saves nothing, and
 loses nothing by that: `trade` refuses before it changes the state, so a
 dead offer keeps its status, and `trade accept` checks the offer before the
 buyer's funding. Reads decode only the sections they need:
@@ -52,8 +54,8 @@ def snapshot_path(data_dir) -> Path:
 
 
 def load_state(data_dir) -> IndexState:
-    """The data dir's state for a write: it logs what it changes, for
-    `save_state`."""
+    """The data dir's state for a write: it decodes only the records it
+    reads, and logs what it writes, for `save_state`."""
     return IndexState.decode(read_snapshot(data_dir))
 
 

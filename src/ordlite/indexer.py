@@ -29,31 +29,33 @@ receiver, even when a later tx in the block spends it as fee.
 
 The snapshot is canonical JSON: `chain.canonical_dumps` sorts every key, so
 its top-level sections always come in SECTIONS order. `read_sections`, which
-checks that layout and nothing more, is the one snapshot decoder: reads decode
-the sections they need, `IndexState.decode` all of them. The tail,
-`tip_height` and `utxos`, holds no key a user chose, so `read_sections` can
-find it from the end and skip every section before it. Bytes from outside
-the data dir enter only through `IndexState.from_untrusted`, which decodes
-them so and then validates them; the data dir then holds only bytes ordlite
-wrote. `next_number`, each `genesis_satpoint` and each offer's
-`inscription_id` are written from the state, which does not keep them.
+checks that layout and nothing more, is the one snapshot decoder of sections:
+reads decode the sections they need. The tail, `tip_height` and `utxos`,
+holds no key a user chose, so `read_sections` can find it from the end and
+skip every section before it. Bytes from outside the data dir enter only
+through `IndexState.from_untrusted`, which decodes every section whole and
+then validates the state; the data dir then holds only bytes ordlite wrote.
+`next_number`, each `genesis_satpoint` and each offer's `inscription_id` are
+written from the state, which does not keep them.
 
 `IndexState.to_json` builds every section and `snapshot_bytes` encodes them
-all; that full encoding is the spec. A CLI write need not re-encode what it
-did not change. `decode(data)` gives a state with a ChangeLog:
-`read_sections` reports where each section's value lies in data, and the
-state logs the key of every UTXO and inscription record it writes, at the
-writes that already exist: `apply_block`'s commit (the outputs it creates and
-the ones it spends), `_place` and the delete of a lost inscription's location.
-An `IndexState()`, as the in-memory index job and the scenario compiler make,
-logs nothing. `spliced_bytes` hands data, the spans and the changes to
-`splice`, which re-encodes each logged record, puts a new one at its key's
-sorted place, deletes a spent one, and copies every byte of a record no
-write changed. `offers` and `btc_deltas` are re-encoded on every write and
+all; that full encoding is the spec. A CLI write need not decode or
+re-encode what it does not touch. `decode(data)` decodes `brc20`,
+`btc_deltas`, `next_number`, `offers` and `tip_height` whole, and keeps the
+UTXO set, the inscriptions, their locations and the two derived indexes as
+`_Lazy` maps over the bytes: each finds a key's value there on its first
+lookup (`_Source`) and keeps every write in an overlay, its change log. An
+`IndexState()`, as the in-memory index job and the scenario compiler make,
+holds plain dicts, and `apply_block` runs the same code on either.
+`spliced_bytes` hands data, the spans and the overlays' records to `splice`,
+which re-encodes each written record, puts a new one at its key's sorted
+place, deletes a spent one, and copies every byte of a record no write
+changed. `offers` and `btc_deltas` are re-encoded on every write and
 `brc20`, `next_number` and `tip_height` once a block was applied. Each
 record and section has one builder, `_utxo_json`, `_inscription_json`,
 `offers_json` and the ledger's `to_json`, which `to_json` uses too, so both
-paths write the same bytes.
+paths write the same bytes; `_utxo_from_json` and `_inscription_from_json`
+read a record back on both paths.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import json
 import os
 import re
 from collections import defaultdict
+from collections.abc import MutableMapping, MutableSet
 from dataclasses import dataclass
 
 from . import brc20, chain, envelope, errors, ordinals, trade
@@ -77,14 +80,14 @@ _DECODER = json.JSONDecoder()
 
 
 def read_sections(data: bytes, last: str, spans: dict | None = None,
-                  first: str = SECTIONS[0]) -> dict:
+                  first: str = SECTIONS[0], skip=()) -> dict:
     """Decode a snapshot ordlite wrote, section by section, from `first` up to
     and including `last`. A layout that is not SECTIONS in canonical form raises
     CorruptSnapshot; the decoded values are trusted as they are. When `spans`
-    is given, it gets each decoded section's (start, end) offsets in data, the
-    slice its value is encoded in. Canonical bytes are ASCII, as
-    `canonical_dumps` escapes everything else, and other bytes are refused,
-    so an offset in the decoded text is the same offset in data.
+    is given, it gets each section's (start, end) offsets in data, the slice
+    its value is encoded in. Canonical bytes are ASCII, as `canonical_dumps`
+    escapes everything else, and other bytes are refused, so an offset in the
+    decoded text is the same offset in data.
 
     `first` is SECTIONS[0], or "tip_height" to find the tail from the end and
     decode nothing before it. After `offers` no key is one a user chose, and a
@@ -92,7 +95,12 @@ def read_sections(data: bytes, last: str, spans: dict | None = None,
     the last `,"tip_height":` before it heads `tip_height`. A tail read checks
     that the bytes are ASCII and start with `{"brc20":`, that `tip_height`
     ends at that `utxos` head and, when it reads `utxos`, that the closing
-    brace follows it."""
+    brace follows it.
+
+    The sections in `skip`, "inscriptions" or "utxos", are found but not
+    decoded. No key inside `inscriptions` is one a user chose, so the first
+    `,"next_number":` after its head ends it; `utxos` ends at the closing
+    brace."""
     sections: dict = {}
     pos = 0
     from_end = first != SECTIONS[0]
@@ -110,7 +118,14 @@ def read_sections(data: bytes, last: str, spans: dict | None = None,
             if not text.startswith(head, pos):
                 raise errors.CorruptSnapshot(f"expected {head!r} at offset {pos}")
             start = pos + len(head)
-            sections[key], pos = _DECODER.raw_decode(text, start)
+            if key not in skip:
+                sections[key], pos = _DECODER.raw_decode(text, start)
+            elif key == SECTIONS[-1]:
+                pos = len(text) - 1
+            else:
+                pos = text.find(',"next_number":', start)
+                if pos < 0:
+                    raise errors.CorruptSnapshot("no next_number head")
             if spans is not None:
                 spans[key] = (start, pos)
             if from_end and key == "tip_height" and pos != tail:
@@ -278,16 +293,221 @@ def _inscription_json(ins: Inscription, point: SatPoint | None) -> dict:
     }
 
 
-class ChangeLog:
-    """What a state `IndexState.decode` made has changed since: the keys of
-    the UTXO and inscription records it wrote, and whether it applied a
-    block, beside the bytes it was decoded from and their section spans."""
+def _utxo_from_json(obj: dict) -> chain.UtxoEntry:
+    """The entry of a UTXO's snapshot record; the mirror of `_utxo_json`."""
+    return chain.UtxoEntry(chain.txout_from_json(obj), [tuple(r) for r in obj["sat_ranges"]])
 
-    def __init__(self, data: bytes, spans: dict):
-        self.data, self.spans = data, spans
-        self.outpoints: set[OutPoint] = set()
-        self.inscription_ids: set[str] = set()
-        self.applied_block = False
+
+def _inscription_from_json(ins_id: str, obj: dict) -> Inscription:
+    """The inscription of its snapshot record; the mirror of `_inscription_json`."""
+    return Inscription(ins_id, obj["number"], obj["content_type"], bytes.fromhex(obj["body"]),
+                       obj["kind"], obj["genesis_sat"], obj["height"])
+
+
+def _satpoint(text: str, outpoints: dict) -> SatPoint:
+    """The SatPoint "<txid>:<vout>:<offset>" names, its outpoint taken from
+    outpoints (str -> OutPoint) when it is there."""
+    key, _, offset = text.rpartition(":")
+    return SatPoint(outpoints.get(key) or OutPoint.parse(key), int(offset))
+
+
+_ABSENT = object()  # what a `_Lazy` map holds for a key it has no value of
+
+
+class _Lazy(MutableMapping):
+    """A map backed by snapshot bytes, for a state `IndexState.decode` made.
+    A key is looked up in the bytes, by `find(key)`, the first time it is
+    asked for, and what was found is kept in `found`; `find` gives _ABSENT
+    for a key the bytes hold no value of. Every write, a delete included
+    (as _ABSENT), goes to `written`, which is so the change log of the map.
+    Iteration takes every (key, value) pair the bytes hold, from
+    `find_all()`, once. `count` is the number of keys, when known."""
+
+    def __init__(self, find, find_all, count=None):
+        self.find, self.find_all, self.count = find, find_all, count
+        self.found: dict = {}
+        self.written: dict = {}
+
+    def __getitem__(self, key):
+        value = self.written.get(key)
+        if value is None:
+            value = self.found.get(key)
+            if value is None:
+                value = self.found[key] = self.find(key)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
+
+    def __setitem__(self, key, value):
+        if self.count is not None and key not in self:
+            self.count += 1
+        self.written[key] = value
+
+    def __delitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        self.written[key] = _ABSENT
+        if self.count is not None:
+            self.count -= 1
+
+    def __iter__(self):
+        if self.find_all is not None:
+            for key, value in self.find_all():
+                self.found.setdefault(key, value)  # a value found or changed earlier stays
+            # every key the bytes hold is in `found` now
+            self.find, self.find_all = (lambda key: _ABSENT), None
+        merged = {**self.found, **self.written}
+        return iter([key for key, value in merged.items() if value is not _ABSENT])
+
+    def __len__(self):
+        if self.count is None:
+            self.count = sum(1 for _ in self)
+        return self.count
+
+
+class _Source:
+    """The snapshot bytes a state `IndexState.decode` made was read from,
+    with their section spans and tip height, and what finds a `_Lazy` map's
+    values in them. Each finder answers as the bytes do; once a key is
+    written, its map answers from its overlay instead:
+    - a UTXO or an inscription record: `_seek` bisects its section for the
+      record's head (see `splice`)
+    - the inscriptions on an outpoint: a location is the only place
+      `"satpoint":"<txid>:<vout>:` occurs in `inscriptions`, as every `"` in a
+      string is escaped and `genesis_satpoint` has no `"` before `satpoint`.
+      An outpoint's inscriptions change only when it is spent, which pops it
+      from the map, or when it is created, and the bytes locate no
+      inscription on an outpoint that is not yet created.
+    - a recipient's plain outpoints: `_plain_records` over `utxos`, which
+      `_Outpoints` corrects by what was added and removed since."""
+
+    def __init__(self, data: bytes, spans: dict, tip_height: int):
+        self.data, self.spans, self.tip_height = data, spans, tip_height
+        self.text = data.decode("ascii")  # `read_sections` checked that it is
+        self.whole: dict = {}  # section -> its records, once `records` decoded them
+        self.found: dict = {}  # (section, key) -> its record as `record` found it, or None
+
+    def record(self, section: str, key: str):
+        """The decoded record of key in section, or None."""
+        if section in self.whole:
+            return self.whole[section].get(key)
+        found = self.found.get((section, key), _ABSENT)
+        if found is _ABSENT:
+            start, end = self.spans[section]
+            k = key.encode()
+            head = _seek(self.data, start, end - 1, k)
+            found = self.found[section, key] = (
+                None if head is None or head.group(1) != k else self.value_at(head.end()))
+        return found
+
+    def records(self, section: str) -> dict:
+        """Every record of section, decoded."""
+        if section not in self.whole:
+            self.whole[section] = self.value_at(self.spans[section][0])
+        return self.whole[section]
+
+    def value_at(self, pos: int):
+        """The JSON value that starts at pos, decoded: a record or a section
+        `read_sections` found without decoding it. Bytes that are not JSON
+        there raise CorruptSnapshot, as `read_sections` does."""
+        try:
+            return _DECODER.raw_decode(self.text, pos)[0]
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+            raise errors.CorruptSnapshot(str(exc)) from exc
+
+    # per map: the finder of one key's value, and the finder of every pair
+    def utxo(self, op: OutPoint):
+        obj = self.record("utxos", str(op))
+        return _ABSENT if obj is None else _utxo_from_json(obj)
+
+    def utxos(self):
+        return ((OutPoint.parse(key), _utxo_from_json(obj))
+                for key, obj in self.records("utxos").items())
+
+    def inscription(self, ins_id: str):
+        obj = self.record("inscriptions", ins_id)
+        return _ABSENT if obj is None else _inscription_from_json(ins_id, obj)
+
+    def inscriptions(self):
+        return ((ins_id, _inscription_from_json(ins_id, obj))
+                for ins_id, obj in self.records("inscriptions").items())
+
+    def location(self, ins_id: str):
+        obj = self.record("inscriptions", ins_id)
+        return _ABSENT if obj is None or obj["satpoint"] is None else _satpoint(obj["satpoint"], {})
+
+    def locations(self):
+        return ((ins_id, _satpoint(obj["satpoint"], {}))
+                for ins_id, obj in self.records("inscriptions").items() if obj["satpoint"])
+
+    def ids_on(self, op: OutPoint):
+        """The ids of the inscriptions located on op, in key order, or _ABSENT.
+        The search is for `<txid>:<vout>:`, which is rare, and keeps the hits
+        that follow `"satpoint":"`."""
+        data, (start, end) = self.data, self.spans["inscriptions"]
+        needle = b"%s:" % str(op).encode()
+        ids, pos = [], data.find(needle, start, end)
+        while pos >= 0:
+            if data.startswith(b'"satpoint":"', pos - 12):
+                head = data.rfind(b'":{', start, pos)  # the end of the record's key
+                ids.append(data[data.rfind(b'"', start, head) + 1:head].decode())
+            pos = data.find(needle, pos + len(needle), end)
+        return ids or _ABSENT
+
+    def plain(self, recipient: str) -> set:
+        """recipient's plain outpoints: the keys of the records `_plain_records`
+        finds, each the string before the record's `:{`."""
+        data, (start, end) = self.data, self.spans["utxos"]
+        found = set()
+        for m in _plain_records(recipient).finditer(data, start, end):
+            close = m.start() - 2  # the quote that ends the record's key
+            found.add(OutPoint.parse(data[data.rfind(b'"', start, close) + 1:close].decode()))
+        return found
+
+
+class _Outpoints(MutableSet):
+    """A recipient's unspent plain outpoints in a state `IndexState.decode`
+    made: those the bytes name (`_Source.plain`), with what was added and
+    removed since in `changed` (outpoint -> whether it is in the set). A
+    membership test reads the outpoint's record; only iteration searches
+    `utxos`, so the commit step, which adds and removes, never does."""
+
+    def __init__(self, source: _Source, recipient: str):
+        self.source, self.recipient = source, recipient
+        self.changed: dict[OutPoint, bool] = {}
+
+    def __contains__(self, op):
+        present = self.changed.get(op)
+        if present is None:
+            obj = self.source.record("utxos", str(op))
+            txout = None if obj is None else chain.txout_from_json(obj)
+            present = (txout is not None and txout.recipient == self.recipient
+                       and txout.script_kind == "plain")
+        return present
+
+    def add(self, op):
+        self.changed[op] = True
+
+    def discard(self, op):
+        self.changed[op] = False
+
+    def __iter__(self):
+        ops = self.source.plain(self.recipient)
+        for op, present in self.changed.items():
+            (ops.add if present else ops.discard)(op)
+        return iter(ops)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
+def _plain_records(recipient: str) -> re.Pattern:
+    """What matches each plain UTXO record of recipient in `utxos` up to its
+    script kind, as `_utxo_json` encodes it. Only a record's value starts
+    with `{` there, and every `"` in a string is escaped, so it matches
+    nothing else."""
+    return re.compile(rb'\{"recipient":%s,"sat_ranges":[\[\],0-9]*,"script_kind":"plain"'
+                      % re.escape(chain.canonical_dumps(recipient).encode()))
 
 
 def _created_outputs(txs, created: dict):
@@ -306,7 +526,10 @@ class IndexState:
     inscriptions on it) and `plain_outpoints` (recipient -> its unspent plain
     outpoints). `apply_block` keeps `plain_outpoints` in the step that commits
     the UTXO delta and `from_json` builds it in the loop that loads the UTXO
-    set; nothing else writes the UTXO set, so the index cannot drift from it."""
+    set; nothing else writes the UTXO set, so the index cannot drift from it.
+    A state `decode` made holds its UTXO set, inscriptions, locations and
+    both indexes as `_Lazy` maps over its snapshot bytes, which `apply_block`
+    reads and writes as it does dicts."""
 
     def __init__(self):
         self.tip_height = -1
@@ -321,8 +544,8 @@ class IndexState:
         self.offers: dict[str, trade.Offer] = {}
         self.btc_deltas: dict[str, int] = {}  # trade settlement accounting
         self.diagnostics: list[str] = []
-        # what the state changed since `decode` made it from bytes; else None
-        self.changes: ChangeLog | None = None
+        # the bytes `decode` made this state from; None for a state built in memory
+        self.source: _Source | None = None
 
     # --- block pipeline ---
 
@@ -346,11 +569,6 @@ class IndexState:
                 if txout.script_kind == "plain":
                     plain[txout.recipient].remove(tin.prevout)
         self.tip_height = block.height
-        changes = self.changes
-        if changes is not None:
-            changes.applied_block = True
-            changes.outpoints.update(created)
-            changes.outpoints.update(tin.prevout for tx in block.txs for tin in tx.inputs)
         if burned:
             self.diagnostics.append(
                 f"height {block.height}: {ordinals.range_total(burned)} sats burned "
@@ -368,8 +586,6 @@ class IndexState:
     def _place(self, ins_id: str, satpoint: SatPoint) -> None:
         self.location[ins_id] = satpoint
         self.by_outpoint.setdefault(satpoint.outpoint, []).append(ins_id)
-        if self.changes is not None:
-            self.changes.inscription_ids.add(ins_id)
 
     def _track_moved_inscriptions(self, tx: chain.Transaction,
                                   coinbase: chain.Transaction, created: dict) -> None:
@@ -380,8 +596,6 @@ class IndexState:
                                           _created_outputs((tx, coinbase), created))
             if new_point is None:
                 del self.location[ins_id]
-                if self.changes is not None:
-                    self.changes.inscription_ids.add(ins_id)
                 self.diagnostics.append(f"inscription {ins_id} lost (sat burned)")
                 self.ledger.cancel_pending(ins_id)
                 continue
@@ -464,82 +678,109 @@ class IndexState:
         """`snapshot_bytes()` of a state `decode` made, built by `splice`
         from the bytes it was decoded from: `offers` and `btc_deltas`
         are re-encoded; once a block was applied, so are `brc20`,
-        `next_number`, `tip_height` and every UTXO and inscription record its
-        `changes` name; every other byte is copied."""
-        changes = self.changes
+        `next_number`, `tip_height` and every UTXO and inscription record
+        written since, as the `written` overlays of `utxos.entries`,
+        `inscriptions` and `location` name them; every other byte is copied."""
+        source = self.source
         values = {"offers": self.offers_json(), "btc_deltas": dict(self.btc_deltas)}
         records = {}
-        if changes.applied_block:
+        if self.tip_height != source.tip_height:
             values.update(brc20=self.ledger.to_json(), next_number=len(self.inscriptions),
                           tip_height=self.tip_height)
-            entries, location = self.utxos.entries, self.location
-            records["utxos"] = {str(op): _utxo_json(entries[op]) if op in entries else None
-                                for op in changes.outpoints}
+            records["utxos"] = {str(op): None if e is _ABSENT else _utxo_json(e)
+                                for op, e in self.utxos.entries.written.items()}
+            location = self.location
             records["inscriptions"] = {
                 ins_id: _inscription_json(self.inscriptions[ins_id], location.get(ins_id))
-                for ins_id in changes.inscription_ids}
-        return splice(changes.data, changes.spans, values, records)
+                for ins_id in self.inscriptions.written.keys() | location.written.keys()}
+        return splice(source.data, source.spans, values, records)
 
     def snapshot_hash(self) -> str:
         return hashlib.sha256(self.snapshot_bytes()).hexdigest()
 
+    def _read_whole(self, obj: dict) -> None:
+        """Take the sections every decode decodes whole from obj."""
+        self.tip_height = obj["tip_height"]
+        self.ledger = brc20.Brc20Ledger.from_json(obj["brc20"])
+        self.offers = {oid: trade.Offer.from_json(oid, o) for oid, o in obj["offers"].items()}
+        self.btc_deltas = dict(obj["btc_deltas"])
+
     @classmethod
     def from_json(cls, obj: dict) -> "IndexState":
         state = cls()
-        state.tip_height = obj["tip_height"]
+        state._read_whole(obj)
         outpoints: dict[str, OutPoint] = {}  # a location shares its UTXO's key
         plain = state.plain_outpoints
         for key, e in obj["utxos"].items():
             op = outpoints[key] = OutPoint.parse(key)
-            txout = chain.txout_from_json(e)
-            state.utxos.entries[op] = chain.UtxoEntry(txout, [tuple(r) for r in e["sat_ranges"]])
-            if txout.script_kind == "plain":
-                plain[txout.recipient].add(op)
+            entry = state.utxos.entries[op] = _utxo_from_json(e)
+            if entry.txout.script_kind == "plain":
+                plain[entry.txout.recipient].add(op)
         for ins_id, i in obj["inscriptions"].items():
-            state.inscriptions[ins_id] = Inscription(
-                ins_id, i["number"], i["content_type"], bytes.fromhex(i["body"]),
-                i["kind"], i["genesis_sat"], i["height"])
+            state.inscriptions[ins_id] = _inscription_from_json(ins_id, i)
             if i["satpoint"]:
-                key, _, offset = i["satpoint"].rpartition(":")
-                state._place(ins_id, SatPoint(outpoints.get(key) or OutPoint.parse(key),
-                                              int(offset)))
-        state.ledger = brc20.Brc20Ledger.from_json(obj["brc20"])
-        state.offers = {oid: trade.Offer.from_json(oid, o)
-                        for oid, o in obj["offers"].items()}
-        state.btc_deltas = dict(obj["btc_deltas"])
+                state._place(ins_id, _satpoint(i["satpoint"], outpoints))
         return state
 
     @classmethod
     def decode(cls, data: bytes) -> "IndexState":
-        """The state in snapshot bytes, decoded by `read_sections` as reads are.
-        It keeps a ChangeLog of data, so `spliced_bytes` can write it back."""
-        # Decoding allocates the whole state and frees none of it, so cyclic
-        # collections during it find nothing; the objects they promote would
-        # only bring the next full collection, over the caller's whole heap,
-        # sooner. Pause the collector for the decode.
-        enabled, spans = gc.isenabled(), {}
-        gc.disable()
-        try:
-            state = cls.from_json(read_sections(data, SECTIONS[-1], spans))
-        finally:
-            if enabled:
-                gc.enable()
-        state.changes = ChangeLog(data, spans)
+        """The state in snapshot bytes ordlite wrote, for a CLI write.
+        `read_sections` decodes `brc20`, `btc_deltas`, `next_number`, `offers`
+        and `tip_height`, and finds `inscriptions` and `utxos` without decoding
+        them. The UTXO set, the inscriptions, their locations and the two
+        derived indexes are `_Lazy` maps over the bytes (see `_Source`), so a
+        write decodes only the records it reads, and `spliced_bytes` writes
+        back only the ones it wrote."""
+        spans: dict = {}
+        obj = read_sections(data, SECTIONS[-1], spans, skip=("inscriptions", "utxos"))
+        state = cls()
+        state._read_whole(obj)
+        source = state.source = _Source(data, spans, state.tip_height)
+
+        # the derived indexes, when iterated, are derived from the maps they index
+        def all_plain():
+            plain: dict = {}
+            for op, entry in entries.items():
+                if entry.txout.script_kind == "plain":
+                    plain.setdefault(entry.txout.recipient, set()).add(op)
+            return plain.items()
+
+        def all_located():
+            located: dict = {}
+            for ins_id, point in location.items():
+                located.setdefault(point.outpoint, []).append(ins_id)
+            return located.items()
+
+        entries = _Lazy(source.utxo, source.utxos)
+        state.utxos = chain.UtxoSet(entries)
+        state.plain_outpoints = _Lazy(lambda recipient: _Outpoints(source, recipient), all_plain)
+        state.inscriptions = _Lazy(source.inscription, source.inscriptions, obj["next_number"])
+        location = state.location = _Lazy(source.location, source.locations)
+        state.by_outpoint = _Lazy(source.ids_on, all_located)
         return state
 
     @classmethod
     def from_untrusted(cls, data: bytes) -> "IndexState":
-        """The state in snapshot bytes from outside the data dir, validated.
-        Bytes of the wrong shape, which `from_json` or `validate` trip over,
-        raise CorruptSnapshot too."""
+        """The state in snapshot bytes from outside the data dir, every section
+        decoded whole and validated. Bytes of the wrong shape, which
+        `from_json` or `validate` trip over, raise CorruptSnapshot too."""
+        # Decoding allocates the whole state and frees none of it, so cyclic
+        # collections during it find nothing; the objects they promote would
+        # only bring the next full collection, over the caller's whole heap,
+        # sooner. Pause the collector for the decode.
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            state = cls.decode(data)
+            state = cls.from_json(read_sections(data, SECTIONS[-1]))
             state.validate(data)
         except errors.CorruptSnapshot:
             raise
         except (ValueError, RecursionError, LookupError, TypeError, AttributeError,
                 errors.OrdliteError) as exc:
             raise errors.CorruptSnapshot(f"{type(exc).__name__}: {exc}") from exc
+        finally:
+            if enabled:
+                gc.enable()
         return state
 
     def validate(self, data: bytes) -> None:
@@ -548,12 +789,15 @@ class IndexState:
         its value and share no sat with another's; the inscriptions are
         numbered 0..n-1 and every located one is on its genesis sat, in an
         unspent output, and its kind is the one its content type and body
-        classify as, and its id is "<txid>i<k>"; the ledger's invariants hold in full, its index of
-        unused pendings included; every pending, used or not, names a
-        transfer inscription of its tick and amount (`check_pendings`);
-        every offer passes `trade.check_offer`;
-        and `data` is this state's canonical bytes, so no stored value
-        disagrees with what the state derives."""
+        classify as, and its id is "<txid>i<k>"; the ledger's invariants hold
+        in full, its index of unused pendings included; every pending, used or
+        not, names a transfer inscription of its tick and amount
+        (`check_pendings`), and every unused one a located inscription
+        (`check_located`); every tick's deploy_id names a deploy inscription
+        of its tick, max and lim, revealed at its height (`check_deploys`);
+        every offer passes `trade.check_offer`; and `data` is this state's
+        canonical bytes, so no stored value disagrees with what the state
+        derives."""
         spans = []
         for op, entry in self.utxos.entries.items():
             for r in entry.sat_ranges:
@@ -570,7 +814,7 @@ class IndexState:
         numbers = sorted(ins.number for ins in self.inscriptions.values())
         if numbers != list(range(len(numbers))) or any(type(n) is not int for n in numbers):
             raise errors.CorruptSnapshot("inscription numbers are not 0..n-1")
-        transfers = {}  # inscription id -> its transfer op
+        transfers, deploys = {}, {}  # inscription id -> its op (and height)
         for ins in self.inscriptions.values():
             if not _INSCRIPTION_ID.fullmatch(ins.id):  # `splice` finds records by key
                 raise errors.CorruptSnapshot(f"inscription id {ins.id!r} is not <txid>i<k>")
@@ -580,6 +824,8 @@ class IndexState:
                     f"inscription {ins.id} is labelled {ins.kind!r}, its content is {kind!r}")
             if kind == "brc20_transfer":
                 transfers[ins.id] = op
+            elif kind == "brc20_deploy":
+                deploys[ins.id] = (op, ins.height)
         for ins_id, point in self.location.items():
             entry = self.utxos.get(point.outpoint)
             if entry is None:
@@ -594,6 +840,8 @@ class IndexState:
         except errors.InvariantViolation as exc:
             raise errors.CorruptSnapshot(f"ledger: {exc}") from exc
         self.ledger.check_pendings(transfers)
+        self.ledger.check_located(self.location)
+        self.ledger.check_deploys(deploys)
         for oid, offer in self.offers.items():
             trade.check_offer(oid, offer)
         if self.snapshot_bytes() != data:

@@ -20,8 +20,9 @@ settle; every refusal is decided before anything changes, so a dead offer
 keeps its status. `funding_outputs` reads the state's derived index of each
 recipient's unspent plain outpoints, `IndexState.plain_outpoints`, which
 `IndexState.apply_block` keeps as it commits a block and
-`IndexState.from_json` builds as it loads the UTXO set, so finding a payer's
-funding costs that payer's outputs, not the whole UTXO set.
+`IndexState.from_json` builds as it loads the UTXO set (a state
+`IndexState.decode` made finds a payer's in the snapshot bytes), so finding a
+payer's funding decodes that payer's outputs, not the whole UTXO set.
 
 `create_offer` and `accept_offer` change only `state.offers` (the offers'
 statuses and PSBTs), never the chain, the ledger or `btc_deltas`: `ordlite

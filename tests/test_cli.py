@@ -109,10 +109,11 @@ def test_snapshot_save_load(runner, workdir, tmp_path):
                                      "trade offer", "trade accept", "trade settle"])
 def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
     """A write encodes the snapshot at most once, and only `snapshot load`,
-    which checks that the file is canonical, encodes it whole: `snapshot save`
-    copies the bytes, and `index` and the trade commands splice what they
-    changed into the bytes they read, yet write what the full encoding of
-    the same op would."""
+    which checks that the file is canonical, decodes and encodes it whole:
+    `snapshot save` copies the bytes, and `index` and the trade commands
+    decode only the records they read and splice what they changed into the
+    bytes they read, yet write what the full encoding of the same op
+    would."""
     written = workdir / "data" / cli_module.SNAPSHOT_FILE
     saved = workdir / "saved.json"
     if command == "index":
@@ -148,21 +149,27 @@ def test_write_command_serializes_once(runner, workdir, monkeypatch, command):
         else:
             run(runner, workdir, "snapshot", "save", str(saved))
             args = ["snapshot", "load", str(saved)]
-    calls = []
-    to_json = IndexState.to_json
+    calls, decodes = [], []
+    to_json, from_json = IndexState.to_json, IndexState.from_json.__func__
 
     def counted(self):
         calls.append(self)
         return to_json(self)
+
+    def counted_decode(cls, obj):
+        decodes.append(obj)
+        return from_json(cls, obj)
     monkeypatch.setattr(IndexState, "to_json", counted)
+    monkeypatch.setattr(IndexState, "from_json", classmethod(counted_decode))
     out = json.loads(run(runner, workdir, *args).output)
+    monkeypatch.undo()
     if command == "snapshot save":  # a copy of the data dir's bytes
-        assert calls == []
+        assert calls == decodes == []
         assert written.read_bytes() == (workdir / "data" / cli_module.SNAPSHOT_FILE).read_bytes()
-    elif command == "snapshot load":  # its canonical check
-        assert len(calls) == 1
+    elif command == "snapshot load":  # its whole decode and its canonical check
+        assert len(calls) == len(decodes) == 1
     else:  # the read bytes, with what the command changed spliced in
-        assert calls == []
+        assert calls == decodes == []
         assert written.read_bytes() == expected
     digest = hashlib.sha256(written.read_bytes()).hexdigest()
     assert digest == IndexState.decode(written.read_bytes()).snapshot_hash()
@@ -493,6 +500,19 @@ def _inscription_renamed(obj):
     obj["inscriptions"]["zz"] = {**obj["inscriptions"].pop(ins_id), "genesis_satpoint": ":0:0"}
 
 
+def _unused_pending_lost(obj):
+    """An unused pending's inscription marked lost, as a burn of its sat would."""
+    obj["inscriptions"][_unused_pending(obj)["id"]]["satpoint"] = None
+
+
+def _deploy_id_names_no_inscription(obj):
+    obj["brc20"]["ticks"]["ordi"]["deploy_id"] = f"{'00' * 32}i0"
+
+
+def _deploy_height_above_tip(obj):
+    obj["brc20"]["ticks"]["ordi"]["height"] = obj["tip_height"] + 1
+
+
 def _balances_of_an_undeployed_tick(obj):
     obj["brc20"]["balances"]["zzzz"] = {"mallory": "5"}
 
@@ -536,6 +556,11 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
                                                "is not the transfer its inscription inscribes"),
     "pending_names_no_inscription": (_pending_without_inscription, None,
                                      "is not the transfer its inscription inscribes"),
+    "unused_pending_not_located": (_unused_pending_lost, None, "is not located"),
+    "deploy_id_names_no_inscription": (_deploy_id_names_no_inscription, None,
+                                       "tick ordi is not what its deploy"),
+    "deploy_height_above_tip": (_deploy_height_above_tip, None,
+                                "tick ordi is not what its deploy"),
     # canonical bytes are ASCII, so offsets in the decoded text are byte offsets
     "raw_utf8": (_recipient_not_ascii,
                  lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"),
@@ -704,6 +729,22 @@ def test_write_on_a_corrupt_data_dir_is_corrupt(workdir, monkeypatch, capsys, co
     code, err = main_exits(monkeypatch, capsys, workdir / "data", *args)
     assert (code, err["error"]) == (1, "CorruptSnapshot")
     assert snapshot.read_bytes() == content.encode()
+
+
+def test_write_reading_a_record_that_is_not_json_is_corrupt(runner, workdir, monkeypatch,
+                                                           capsys):
+    """A write decodes a record only when it reads it; a record that is not
+    JSON is then `CorruptSnapshot`, as a section that is not JSON is."""
+    offered(runner, workdir)
+    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
+    transfer = json.loads(run(runner, workdir, "inscriptions").output)[-1]["id"]
+    text = snapshot.read_text()
+    snapshot.write_text(text.replace(f'"{transfer}":{{"body":"', f'"{transfer}":{{"body":'))
+    before = snapshot.read_bytes()
+    code, err = main_exits(monkeypatch, capsys, workdir / "data", "trade", "offer", "alice",
+                           transfer, "2000")
+    assert (code, err["error"]) == (1, "CorruptSnapshot")
+    assert snapshot.read_bytes() == before
 
 
 READS = (("sat", "0"), ("inscriptions",), ("brc20", "tick", "ordi"),

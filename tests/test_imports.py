@@ -13,13 +13,16 @@ An imported name counts as used if it appears anywhere in the module as a
 name (an attribute chain's root included). A pattern ending in `$` also
 matches before a trailing newline; `fullmatch` does not. Every snapshot has
 one decoder, `indexer.read_sections`; a second one could read it differently
-from the first. `ordinals.assign_ordinals` alone turns a block into UTXO
-entries, which `IndexState.apply_block` commits as they are; a second maker
-could give an output other ranges. `IndexState.apply_block` and
-`IndexState.from_json` alone write the UTXO set, so the recipient -> plain
-outpoints index they keep with it cannot drift from it; they and the other
-writers of the inscriptions and their locations log what they write, which is
-all a CLI write re-encodes. `chain.txout_to_json`
+from the first; a CLI write's state decodes the records it reads
+(`indexer._Source.value_at`) from the bytes `read_sections` found them in.
+`ordinals.assign_ordinals` alone turns a block into UTXO entries, which
+`IndexState.apply_block` commits as they are; a second maker could give an
+output other ranges. `IndexState.apply_block` and `IndexState.from_json`
+alone write the UTXO set, so the recipient -> plain outpoints index they keep
+with it cannot drift from it. The UTXO set, the inscriptions and their
+locations of a CLI write's state keep what was written to them, which is all
+the write re-encodes, so each of their writers must be one a block's or a
+snapshot's commit runs. `chain.txout_to_json`
 and `txout_from_json` own the output shape, so no other module names its
 `"script_kind"` key. No `raise` follows a call of `.apply_block(` in a
 function's body: a caller checks everything before it commits a block, so
@@ -123,6 +126,7 @@ JSON_DECODERS = {
     "chain.read_blocks_jsonl",  # a JSONL block file
     "brc20.parse_brc20",  # an inscription body
     "indexer.read_sections",  # a snapshot, the data dir's or a file from elsewhere
+    "indexer._Source.value_at",  # a record, or a section read_sections skipped, of the data dir's
     "scenario.load_script",  # a scenario script
 }
 
@@ -173,7 +177,7 @@ class C:
 
 UTXO_ENTRY_MAKERS = {
     "ordinals.assign_ordinals.create",  # a block's UTXO delta
-    "indexer.IndexState.from_json",  # a snapshot's UTXOs
+    "indexer._utxo_from_json",  # a snapshot's UTXO record
 }
 
 
@@ -239,16 +243,16 @@ UTXO_SET_WRITERS = {
     "indexer.IndexState.apply_block",  # a block's UTXO delta, with the plain-outpoint index
     "indexer.IndexState.from_json",  # a snapshot's UTXOs, with the plain-outpoint index
 }
-# A CLI write splices only the records its state's ChangeLog names, so every
-# writer of the UTXO set (above), the locations or the inscriptions must log
-# what it writes (from_json apart: it builds the state the log starts from).
+# A CLI write splices only the records written to its state's maps since it
+# decoded them, so every writer of the UTXO set (above), the locations or the
+# inscriptions must be one that applying a block, or decoding a snapshot, runs.
 STATE_WRITERS = {
     "location": {
-        "indexer.IndexState._place",  # a reveal or a move, logged
-        "indexer.IndexState._track_moved_inscriptions",  # the lost inscription's delete, logged
+        "indexer.IndexState._place",  # a reveal, a move or a snapshot's location
+        "indexer.IndexState._track_moved_inscriptions",  # the lost inscription's delete
     },
     "inscriptions": {
-        "indexer.IndexState._extract_reveals",  # a reveal, logged by `_place`
+        "indexer.IndexState._extract_reveals",  # a reveal
         "indexer.IndexState.from_json",  # a snapshot's inscriptions
     },
 }
@@ -302,7 +306,7 @@ def test_utxo_set_is_written_only_by_apply_block_and_snapshot_decoding():
 
 
 @pytest.mark.parametrize("target", ["location", "inscriptions"])
-def test_locations_and_inscriptions_are_written_only_where_the_change_log_sees(target):
+def test_locations_and_inscriptions_are_written_only_by_commits(target):
     found = set().union(*(state_writers(path.read_text(), path.stem, target)
                           for path in SOURCES))
     assert found == STATE_WRITERS[target]
@@ -355,7 +359,7 @@ class C:
 def reads(s, i):
     location = s.location
     location[i].outpoint = 1
-    return (s.location.get(i), i in s.inscriptions, s.changes.inscription_ids.add(i),
+    return (s.location.get(i), i in s.inscriptions, s.location.written.get(i),
             s.inscription.pop(i), {i: 1}.update(location), s.by_outpoint.pop(i))
 TOP = x.location.clear()
 """

@@ -1,11 +1,15 @@
-"""`index`, `trade settle`, `trade offer` and `trade accept` write the bytes
-they read with only what they changed spliced in (`IndexState.spliced_bytes`).
-After every block of each benchmark workload's first seed-101 chain, spliced
-bytes must equal the full encoding. On those chains, and on a hand-built one
-that gathers the splice's edge cases, every write made through the CLI must
-leave the data dir holding the full encoding of a mirror state that made the
-same calls through the API, and bytes that pass the checks `snapshot load`
-makes; no such write may encode the whole snapshot."""
+"""`index`, `trade settle`, `trade offer` and `trade accept` decode only the
+records they read (`IndexState.decode`) and write the bytes they read with
+only what they changed spliced in (`IndexState.spliced_bytes`). Before every
+block of each benchmark workload's first seed-101 chain, a decoded state
+must answer every lookup the block makes as the whole decode does, and
+after it its spliced bytes must equal the full encoding. On those chains,
+on a hand-built one that gathers the splice's edge cases, and on one whose
+names hold the byte patterns lookups search for, every write made through
+the CLI must leave the data dir holding the full encoding of a mirror state
+that made the same calls through the API, and bytes that pass the checks
+`snapshot load` makes; no such write may decode or encode the whole
+snapshot."""
 
 import importlib
 import json
@@ -14,10 +18,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import coinbase, spend, txid
+from conftest import coinbase, send_then_recreate, spend, txid
 from ordlite import chain, cli, envelope, errors, indexer, trade
 from ordlite.chain import Block, OutPoint, Transaction, TxIn, TxOut
-from ordlite.indexer import ChangeLog, IndexState
+from ordlite.indexer import IndexState
 from ordlite.scenario import ScenarioCompiler
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -29,11 +33,12 @@ WIDE_BUYER = "bücher-☃"
 
 
 def write(data_dir: Path, mirror: IndexState, args, api) -> dict:
-    """Run the write command args on data_dir, which must not build the whole
-    snapshot (`to_json`), and api on the mirror; check the bytes written and
-    return what the command printed."""
+    """Run the write command args on data_dir, which must neither decode the
+    whole snapshot (`from_json`) nor build it (`to_json`), and api on the
+    mirror; check the bytes written and return what the command printed."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(IndexState, "to_json", refuse_to_json)
+        patch.setattr(IndexState, "to_json", refuse_whole)
+        patch.setattr(IndexState, "from_json", refuse_whole)
         result = CliRunner().invoke(cli.cli, ["--data-dir", str(data_dir), *args])
     assert result.exit_code == 0, (args, result.output, result.exception)
     api(mirror)
@@ -43,8 +48,8 @@ def write(data_dir: Path, mirror: IndexState, args, api) -> dict:
     return json.loads(result.output)
 
 
-def refuse_to_json(state):
-    raise AssertionError("a CLI write encoded the whole snapshot")
+def refuse_whole(*args):
+    raise AssertionError("a CLI write decoded or encoded the whole snapshot")
 
 
 def offer(data_dir, mirror, ins_id, ask) -> str:
@@ -110,40 +115,61 @@ def test_trade_writes_equal_the_full_encoding(workload, monkeypatch, tmp_path):
         assert json.dumps(WIDE_BUYER).encode() in cli.snapshot_path(data_dir).read_bytes()
 
 
-def encoded(state: IndexState) -> tuple[bytes, dict]:
-    """state's snapshot bytes, section by section, with each section's span
-    in them, as `read_sections` reports it, without decoding them again."""
-    obj = state.to_json()
-    pieces, spans, pos = [], {}, 0
-    for key in indexer.SECTIONS:
-        head = ("{" if key == indexer.SECTIONS[0] else ",") + f'"{key}":'
-        value = chain.canonical_dumps(obj[key])
-        spans[key] = (pos + len(head), pos + len(head) + len(value))
-        pieces += (head, value)
-        pos = spans[key][1]
-    return ("".join(pieces) + "}").encode(), spans
+def lookup_keys(state: IndexState, block) -> dict:
+    """The keys of every lookup applying block makes of state's maps: the
+    outpoints the block spends and creates, the recipients of both, and the
+    inscriptions on the spent outpoints and those the block may reveal."""
+    spent = [tin.prevout for tx in block.txs for tin in tx.inputs]
+    made = [OutPoint(tx.txid, k) for tx in block.txs for k in range(len(tx.outputs))]
+    entries = state.utxos.entries
+    ids = {f"{tx.txid}i{k}" for tx in block.txs for k in range(len(tx.inputs))}
+    ids.update(i for op in spent for i in state.by_outpoint.get(op, ()))
+    return {"outpoints": spent + made, "spent": spent, "ids": sorted(ids),
+            "recipients": sorted({entries[op].txout.recipient for op in spent if op in entries}
+                                 | {out.recipient for tx in block.txs for out in tx.outputs})}
+
+
+def answers(state: IndexState, keys: dict) -> dict:
+    """What state's maps answer to the lookups keys name."""
+    return {
+        "utxos": [(op in state.utxos, state.utxos.get(op)) for op in keys["outpoints"]],
+        "plain": [set(state.plain_outpoints.get(r, ())) for r in keys["recipients"]],
+        "by_outpoint": [state.by_outpoint.get(op) for op in keys["spent"]],
+        "inscriptions": [(i in state.inscriptions, state.inscriptions.get(i))
+                         for i in keys["ids"]],
+        "location": [state.location.get(i) for i in keys["ids"]],
+    }
 
 
 @pytest.mark.parametrize("workload", ["cli_mix", "range_shred", "transfer_web"])
 def test_spliced_bytes_equal_the_full_encoding_after_every_block(workload, monkeypatch,
                                                                   tmp_path):
-    """Each block is applied to a state that logs its changes against the
-    previous block's bytes, as a CLI write's state does. The full encoding
-    after every block is most of this test's time, so only each workload's
-    first chain is walked."""
+    """Before every block, a state `decode` makes of the previous block's
+    bytes answers every lookup the block's application makes as the whole
+    decode of those bytes does. Both then apply the block: the decoded state
+    still answers as the whole one does, its spliced bytes equal the whole
+    one's full encoding, and so does its own full encoding, which iterates
+    its maps, after every tenth block and the last. Only each workload's
+    first chain is walked, as this is most of this test's time."""
     monkeypatch.syspath_prepend(str(BENCH))
     session = importlib.import_module("session")
     inputs = session.setup_chain(workload, SEED, 0, tmp_path)
-    state = IndexState()
-    data, spans = encoded(state)
+    data = IndexState().snapshot_bytes()
     with open(inputs.blocks_path) as fp:
         for block in chain.read_blocks_jsonl(fp):
-            state.changes = ChangeLog(data, spans)
+            state = IndexState.decode(data)
+            whole = IndexState.from_json(indexer.read_sections(data, indexer.SECTIONS[-1]))
+            keys = lookup_keys(whole, block)
+            assert answers(state, keys) == answers(whole, keys), block.height
             state.apply_block(block)
-            spliced = state.spliced_bytes()
-            data, spans = encoded(state)
-            assert spliced == data, block.height
-    assert data == state.snapshot_bytes()
+            whole.apply_block(block)
+            assert answers(state, keys) == answers(whole, keys), block.height
+            data = whole.snapshot_bytes()
+            assert state.spliced_bytes() == data, block.height
+            if block.height % 10 == 0:
+                assert state.snapshot_bytes() == data, block.height
+    assert state.snapshot_bytes() == data
+    assert len(state.inscriptions) == len(whole.inscriptions)
     IndexState.from_untrusted(data)
 
 
@@ -245,14 +271,94 @@ def test_hand_built_chain_writes_equal_the_full_encoding(tmp_path):
 
 def test_in_memory_indexing_keeps_no_change_log(tmp_path):
     """The index job and `scenario` compile index into an `IndexState()`,
-    which logs nothing, so what they keep does not grow with the chain."""
+    whose maps are plain dicts with no overlay of writes, so what they keep
+    does not grow with the chain."""
     builder = IndexState()
     hand_built_index_files(builder)
-    assert builder.changes is None
     compiler = ScenarioCompiler(SEED)
     compiler.compile([{"action": "deploy", "tick": "ordi", "max": "2100000", "lim": "1000",
                        "deployer": "alice"},
                       {"action": "mint", "tick": "ordi", "amt": "1000", "minter": "alice"}])
-    assert compiler.state.changes is None
+    for state in (builder, compiler.state):
+        assert state.source is None
+        assert all(type(m) is dict for m in (state.utxos.entries, state.inscriptions,
+                                              state.location, state.by_outpoint))
     cli.snapshot_path(tmp_path).write_bytes(compiler.state.snapshot_bytes())
-    assert cli.load_state(tmp_path).changes is not None  # a CLI write's state logs
+    loaded = cli.load_state(tmp_path)  # a CLI write's state logs its writes
+    assert loaded.source is not None and loaded.location.written == {}
+
+
+# Byte patterns a CLI write's state finds records by, each inside a string:
+# a recipient named like the rest of a plain UTXO record of "h001", a PSBT
+# signer (and so a BRC-20 holder and a `btc_deltas` address) named like the
+# `next_number` section's head, and a content type holding a location's
+# pattern for the first output of the fan below.
+ADVERSARIAL = 'h001","sat_ranges":[[0,1]],"script_kind":"plain'
+SIGNER = "next_number"
+ADV_FAN = txid("adversarial fan")
+ADV_TYPE = f'text/x"satpoint":"{ADV_FAN}:0:'
+
+
+def reveal(builder: IndexState, blocks: list, label: str, funding: OutPoint,
+           content_type: str, body: str) -> str:
+    """Inscribe body from alice's output funding in a block that builder
+    applies and blocks gets; return the inscription's id."""
+    value = builder.utxos.require(funding).txout.value
+    witness = tuple(envelope.build_envelope(content_type, body.encode()))
+    tx = Transaction(txid(label), (TxIn(funding, witness),),
+                     (TxOut(546, "alice", "p2tr_inscription"), TxOut(value - 1_546, "alice")))
+    blocks.append(hand_block(builder, [tx], f"{label} cb"))
+    return f"{tx.txid}i0"
+
+
+def test_lazy_lookups_are_not_misled_by_patterns_in_names(tmp_path):
+    """A CLI write's state finds a recipient's plain outpoints, the end of
+    `inscriptions` and the inscriptions on an outpoint by byte patterns (see
+    `indexer._Source`). Here each pattern also occurs inside a string, where
+    its quotes are escaped, and no write may take it for the real one."""
+    builder = IndexState()
+    genesis = Block(0, (coinbase(0, chain.block_subsidy(0), "alice", "adv cb0"),))
+    builder.apply_block(genesis)
+    # h001's outputs 0 and 2 fund its purchase; a search that took ADVERSARIAL's
+    # output 1 for one of h001's would fund it with outputs 0 and 1
+    fan = Transaction(ADV_FAN, (TxIn(OutPoint(genesis.txs[0].txid, 0)),), (
+        TxOut(40_000, "h001"), TxOut(100_000, ADVERSARIAL), TxOut(40_000, "h001"),
+        TxOut(1_000_000, SIGNER), *(TxOut(1_000_000, "alice") for _ in range(5))))
+    blocks = [genesis, hand_block(builder, [fan], "adv cb1")]
+    bodies = ['{"lim":"1000","max":"21000","op":"deploy","p":"brc-20","tick":"wide"}',
+              '{"amt":"1000","op":"mint","p":"brc-20","tick":"wide"}',
+              '{"amt":"100","op":"transfer","p":"brc-20","tick":"wide"}',
+              '{"amt":"100","op":"transfer","p":"brc-20","tick":"wide"}']
+    ids = [reveal(builder, blocks, f"adv brc20 {k}", OutPoint(ADV_FAN, 4 + k), "text/plain",
+                  body) for k, body in enumerate(bodies)]
+    text = reveal(builder, blocks, "adv text", OutPoint(ADV_FAN, 8), ADV_TYPE, "hi")
+    # the text's reveal output 0 goes to bob, and a tx reusing the reveal's
+    # txid re-creates it: the text's `genesis_satpoint` names that outpoint,
+    # which the next block spends
+    blocks += send_then_recreate(builder, text)
+    recreated = OutPoint(text.rpartition("i")[0], 0)
+    blocks.append(hand_block(builder, [spend("adv respend", [recreated],
+                                             [TxOut(400, "carol")])], "adv respend cb"))
+
+    data_dir, mirror = tmp_path / "data", IndexState()
+    for n, block in enumerate(blocks):
+        index(data_dir, mirror, tmp_path / f"adv{n}.jsonl", block)
+    assert mirror.snapshot_bytes() == builder.snapshot_bytes()
+    for ins_id, buyer in ((ids[2], "h001"), (ids[3], SIGNER)):
+        oid = offer(data_dir, mirror, ins_id, 50_000)
+        if buyer == "h001":
+            assert trade.select_funding(mirror, buyer, 50_000 + trade.DEFAULT_FEE) == \
+                [OutPoint(ADV_FAN, 0), OutPoint(ADV_FAN, 2)]
+        accept(data_dir, mirror, oid, buyer)
+        write(data_dir, mirror, ["trade", "settle", oid],
+              lambda m: trade.broadcast_and_settle(m, m.offers[oid], buyer))
+    obj = json.loads(cli.snapshot_path(data_dir).read_bytes())
+    assert obj["utxos"][f"{ADV_FAN}:1"]["recipient"] == ADVERSARIAL
+    assert obj["inscriptions"][text]["content_type"] == ADV_TYPE
+    assert obj["inscriptions"][text]["satpoint"] is not None
+    for section in ("brc20", "btc_deltas", "offers"):  # the head's pattern, before and after it
+        assert f',"{SIGNER}":' in chain.canonical_dumps(obj[section]), section
+    state = IndexState.decode(cli.snapshot_path(data_dir).read_bytes())
+    for name in ("h001", ADVERSARIAL, SIGNER, "alice", "bob", "carol"):
+        assert sorted(trade.funding_outputs(state, name)) == \
+            sorted(trade.funding_outputs(mirror, name)), name
