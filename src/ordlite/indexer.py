@@ -321,12 +321,14 @@ class _Lazy(MutableMapping):
     for a key the bytes hold no value of. Every write, a delete included
     (as _ABSENT), goes to `written`, which is so the change log of the map.
     Iteration takes every (key, value) pair the bytes hold, from
-    `find_all()`, once. `count` is the number of keys, when known."""
+    `find_all()`, once; a map with no `find_all` cannot be iterated.
+    `count` is the number of keys, when known."""
 
     def __init__(self, find, find_all, count=None):
         self.find, self.find_all, self.count = find, find_all, count
         self.found: dict = {}
         self.written: dict = {}
+        self.complete = False  # whether `found` holds every key the bytes hold
 
     def __getitem__(self, key):
         value = self.written.get(key)
@@ -351,11 +353,12 @@ class _Lazy(MutableMapping):
             self.count -= 1
 
     def __iter__(self):
-        if self.find_all is not None:
+        if not self.complete:
+            if self.find_all is None:
+                raise TypeError("this map is only looked up by key")
             for key, value in self.find_all():
                 self.found.setdefault(key, value)  # a value found or changed earlier stays
-            # every key the bytes hold is in `found` now
-            self.find, self.find_all = (lambda key: _ABSENT), None
+            self.find, self.complete = (lambda key: _ABSENT), True
         merged = {**self.found, **self.written}
         return iter([key for key, value in merged.items() if value is not _ABSENT])
 
@@ -443,13 +446,15 @@ class _Source:
     def ids_on(self, op: OutPoint):
         """The ids of the inscriptions located on op, in key order, or _ABSENT.
         The search is for `<txid>:<vout>:`, which is rare, and keeps the hits
-        that follow `"satpoint":"`."""
+        that follow `"satpoint":"`. A hit's record starts at the last
+        `":{"body":"` before it: `body`, hex, is a record's first field, and
+        `{"` occurs in no string, where every `"` is escaped."""
         data, (start, end) = self.data, self.spans["inscriptions"]
         needle = b"%s:" % str(op).encode()
         ids, pos = [], data.find(needle, start, end)
         while pos >= 0:
             if data.startswith(b'"satpoint":"', pos - 12):
-                head = data.rfind(b'":{', start, pos)  # the end of the record's key
+                head = data.rfind(b'":{"body":"', start, pos)  # the end of the record's key
                 ids.append(data[data.rfind(b'"', start, head) + 1:head].decode())
             pos = data.find(needle, pos + len(needle), end)
         return ids or _ABSENT
@@ -528,8 +533,8 @@ class IndexState:
     the UTXO delta and `from_json` builds it in the loop that loads the UTXO
     set; nothing else writes the UTXO set, so the index cannot drift from it.
     A state `decode` made holds its UTXO set, inscriptions, locations and
-    both indexes as `_Lazy` maps over its snapshot bytes, which `apply_block`
-    reads and writes as it does dicts."""
+    both indexes, which it only looks up by key, as `_Lazy` maps over its
+    snapshot bytes, which `apply_block` reads and writes as it does dicts."""
 
     def __init__(self):
         self.tip_height = -1
@@ -736,27 +741,12 @@ class IndexState:
         state = cls()
         state._read_whole(obj)
         source = state.source = _Source(data, spans, state.tip_height)
-
-        # the derived indexes, when iterated, are derived from the maps they index
-        def all_plain():
-            plain: dict = {}
-            for op, entry in entries.items():
-                if entry.txout.script_kind == "plain":
-                    plain.setdefault(entry.txout.recipient, set()).add(op)
-            return plain.items()
-
-        def all_located():
-            located: dict = {}
-            for ins_id, point in location.items():
-                located.setdefault(point.outpoint, []).append(ins_id)
-            return located.items()
-
-        entries = _Lazy(source.utxo, source.utxos)
-        state.utxos = chain.UtxoSet(entries)
-        state.plain_outpoints = _Lazy(lambda recipient: _Outpoints(source, recipient), all_plain)
+        state.utxos = chain.UtxoSet(_Lazy(source.utxo, source.utxos))
+        # the derived indexes are only looked up by key (`trade.funding_outputs`)
+        state.plain_outpoints = _Lazy(lambda recipient: _Outpoints(source, recipient), None)
         state.inscriptions = _Lazy(source.inscription, source.inscriptions, obj["next_number"])
-        location = state.location = _Lazy(source.location, source.locations)
-        state.by_outpoint = _Lazy(source.ids_on, all_located)
+        state.location = _Lazy(source.location, source.locations)
+        state.by_outpoint = _Lazy(source.ids_on, None)
         return state
 
     @classmethod

@@ -286,17 +286,20 @@ def test_in_memory_indexing_keeps_no_change_log(tmp_path):
     cli.snapshot_path(tmp_path).write_bytes(compiler.state.snapshot_bytes())
     loaded = cli.load_state(tmp_path)  # a CLI write's state logs its writes
     assert loaded.source is not None and loaded.location.written == {}
+    for index in (loaded.plain_outpoints, loaded.by_outpoint):  # looked up by key only
+        with pytest.raises(TypeError):
+            list(index)
 
 
 # Byte patterns a CLI write's state finds records by, each inside a string:
 # a recipient named like the rest of a plain UTXO record of "h001", a PSBT
 # signer (and so a BRC-20 holder and a `btc_deltas` address) named like the
-# `next_number` section's head, and a content type holding a location's
-# pattern for the first output of the fan below.
+# `next_number` section's head, and a content type holding a record's `":{`
+# and a location's pattern for the first output of the fan below.
 ADVERSARIAL = 'h001","sat_ranges":[[0,1]],"script_kind":"plain'
 SIGNER = "next_number"
 ADV_FAN = txid("adversarial fan")
-ADV_TYPE = f'text/x"satpoint":"{ADV_FAN}:0:'
+ADV_TYPE = f'text/x":{{"satpoint":"{ADV_FAN}:0:'
 
 
 def reveal(builder: IndexState, blocks: list, label: str, funding: OutPoint,
@@ -339,6 +342,11 @@ def test_lazy_lookups_are_not_misled_by_patterns_in_names(tmp_path):
     recreated = OutPoint(text.rpartition("i")[0], 0)
     blocks.append(hand_block(builder, [spend("adv respend", [recreated],
                                              [TxOut(400, "carol")])], "adv respend cb"))
+    # bob sends the text on: the write finds it among the inscriptions on his output
+    sent = OutPoint(txid(f"send {text}"), 0)
+    blocks.append(hand_block(builder, [spend("adv resend", [sent],
+                                             [TxOut(546, "carol", "p2tr_inscription")])],
+                             "adv resend cb"))
 
     data_dir, mirror = tmp_path / "data", IndexState()
     for n, block in enumerate(blocks):
