@@ -24,6 +24,12 @@ runs `check_touched` after each block, which checks only what the block
 changed; `check_invariants` checks the whole ledger, `unused` included, and
 runs when a snapshot is loaded from outside the data dir. Both apply the same
 rules, one function per rule.
+
+`pendings` and `unused` are any mutable mappings: a ledger built in memory or
+by `from_json` holds dicts, and one a CLI command decodes from snapshot bytes
+(`from_tables`, called by `indexer`) holds maps that look each key up in the
+bytes and keep what is written to them. So every change to a pending is a
+store into `pendings`, never only a change of a field in place.
 """
 
 from __future__ import annotations
@@ -150,6 +156,18 @@ class PendingTransfer:
     used: bool = False
 
 
+def pending_json(pending: PendingTransfer) -> dict:
+    """A pending's element of the snapshot's `pendings` list."""
+    return {"id": pending.inscription_id, "tick": pending.tick,
+            "amt": format_amount(pending.amt), "owner": pending.owner, "used": pending.used}
+
+
+def pending_from_json(obj: dict) -> PendingTransfer:
+    """The pending of its `pendings` element; the mirror of `pending_json`."""
+    return PendingTransfer(obj["id"], obj["tick"], parse_amount(obj["amt"]), obj["owner"],
+                           obj["used"])
+
+
 class Brc20Ledger:
     """Off-chain state: tick registry, raw balances, pending transfers."""
 
@@ -252,8 +270,10 @@ class Brc20Ledger:
             self.diagnostics.append(f"pending {inscription_id} voided: inscribed sat burned")
 
     def _use(self, pending: PendingTransfer) -> None:
-        """Mark an unused pending used and drop it from `unused`."""
+        """Mark an unused pending used, stored back into `pendings`, and drop
+        it from `unused`."""
         pending.used = True
+        self.pendings[pending.inscription_id] = pending
         key = (pending.tick, pending.owner)
         records = self.unused[key]
         del records[pending.inscription_id]
@@ -363,23 +383,57 @@ class Brc20Ledger:
                     f"tick {tick} is not what its deploy {state.deploy_inscription_id} "
                     f"inscribes")
 
+    def check_deployed(self, deploys: dict) -> None:
+        """Raise CorruptSnapshot unless the tick of every inscription in
+        deploys (as for `check_deploys`) is in `ticks`: the first deploy of a
+        tick always applies."""
+        for ins_id, (op, _) in deploys.items():
+            if op.tick not in self.ticks:
+                raise errors.CorruptSnapshot(f"deploy {ins_id} of tick {op.tick} deployed nothing")
+
+    def check_first_deploys(self, deploys: dict) -> None:
+        """Raise CorruptSnapshot unless each tick's deploy_id is the first
+        inscription of that tick in deploys (as for `check_deploys`, in
+        number order): `apply_deploy` refuses every later one (TickExists)."""
+        first: dict[str, str] = {}
+        for ins_id, (op, _) in deploys.items():
+            first.setdefault(op.tick, ins_id)
+        for tick, state in self.ticks.items():
+            if first.get(tick, state.deploy_inscription_id) != state.deploy_inscription_id:
+                raise errors.CorruptSnapshot(
+                    f"tick {tick} names deploy {state.deploy_inscription_id}, "
+                    f"not its first, {first[tick]}")
+
     def to_json(self) -> dict:
+        return {**self.tables_json(),
+                "pendings": sorted((pending_json(p) for p in self.pendings.values()),
+                                   key=lambda p: p["id"])}
+
+    def tables_json(self) -> dict:
+        """The snapshot's `ticks` and `balances`, which `to_json` holds too."""
         return {
             "ticks": {tick: s.to_json() for tick, s in self.ticks.items()},
             "balances": {
                 tick: {addr: format_amount(v) for addr, v in bal.items()}
                 for tick, bal in self.balances.items()
             },
-            "pendings": sorted(
-                ({"id": p.inscription_id, "tick": p.tick,
-                  "amt": format_amount(p.amt), "owner": p.owner, "used": p.used}
-                 for p in self.pendings.values()),
-                key=lambda p: p["id"]),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Brc20Ledger":
+        ledger = cls.from_tables(obj, {}, {})
+        for p in obj["pendings"]:
+            pending = ledger.pendings[p["id"]] = pending_from_json(p)
+            if not pending.used:
+                ledger.unused.setdefault((pending.tick, pending.owner), {})[p["id"]] = pending
+        return ledger
+
+    @classmethod
+    def from_tables(cls, obj: dict, pendings, unused) -> "Brc20Ledger":
+        """The ledger of obj's `ticks` and `balances`, holding the mappings
+        given as its `pendings` and `unused`."""
         ledger = cls()
+        ledger.pendings, ledger.unused = pendings, unused
         for tick, s in obj["ticks"].items():
             ledger.ticks[tick] = TickState(
                 parse_amount(s["max"]), parse_amount(s["lim"]),
@@ -387,9 +441,4 @@ class Brc20Ledger:
                 s["deploy_id"], s["height"])
         for tick, bal in obj["balances"].items():
             ledger.balances[tick] = {a: parse_amount(v) for a, v in bal.items()}
-        for p in obj["pendings"]:
-            pending = ledger.pendings[p["id"]] = PendingTransfer(
-                p["id"], p["tick"], parse_amount(p["amt"]), p["owner"], p["used"])
-            if not pending.used:
-                ledger.unused.setdefault((pending.tick, pending.owner), {})[p["id"]] = pending
         return ledger

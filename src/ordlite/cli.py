@@ -12,20 +12,25 @@ Only ordlite writes the data dir's snapshot: `index`, `trade` and
 data dir's and `snapshot load`'s alike, is decoded by `indexer.read_sections`,
 which raises CorruptSnapshot (exit 1) on any other layout. `snapshot save`
 copies the bytes. `index` and the `trade` commands share one write path:
-`load_state` decodes the ledger, the offer book, the BTC deltas and the two
-counters whole into a state that finds each UTXO and inscription record in
-the bytes the first time it reads it and logs what it writes
-(`IndexState.decode`), and `save_state` writes the bytes read with only that
-spliced in (`IndexState.spliced_bytes`), so every byte of a record no write
-changed is copied: `trade offer` and `trade accept` re-encode the offer book
-and the BTC deltas, and `index` and `trade settle` also the ledger and the
-UTXO and inscription records their blocks touched. A refused write saves nothing, and
+`load_state` decodes the ledger's ticks and balances, the offer book, the
+BTC deltas and the two counters whole into a state that finds each UTXO,
+inscription and pending record in the bytes the first time it reads it and
+logs what it writes (`IndexState.decode`), and `save_state` writes the
+bytes read with only that spliced in (`IndexState.spliced_bytes`), so every
+byte of a record no write changed is copied: `trade offer` and
+`trade accept` re-encode the offer book and the BTC deltas, and `index` and
+`trade settle` also the ledger's ticks and balances and the UTXO,
+inscription and pending records their blocks touched. Only `index`,
+`snapshot save` and `snapshot load` print, and so hash, the bytes they
+write. A refused write saves nothing, and
 loses nothing by that: `trade` refuses before it changes the state, so a
 dead offer keeps its status, and `trade accept` checks the offer before the
 buyer's funding. Reads decode only the sections they need:
-`brc20` decodes "brc20" and `inscriptions` stops after "inscriptions";
-`snapshot hash` decodes only "tip_height" and `sat` "tip_height" and
-"utxos", both found from the end of the file (`read_sections`'s `first`).
+`brc20` decodes the ledger's ticks and balances and looks each pending up
+in the bytes, as a write does (`read_ledger`), and `inscriptions` stops
+after "inscriptions"; `snapshot hash` decodes only "tip_height" and `sat`
+"tip_height" and "utxos", both found from the end of the file
+(`read_sections`'s `first`).
 With no snapshot, every command reads EMPTY_SNAPSHOT, an empty index's bytes.
 """
 
@@ -66,22 +71,24 @@ def read_snapshot(data_dir) -> bytes:
 
 
 def read_ledger(data_dir) -> Brc20Ledger:
-    sections = indexer.read_sections(read_snapshot(data_dir), "brc20")
-    return Brc20Ledger.from_json(sections["brc20"])
+    """The data dir's BRC-20 ledger, decoded as a write decodes it: its ticks
+    and balances whole, each pending looked up by key (`indexer.read_ledger`)."""
+    return indexer.read_ledger(read_snapshot(data_dir))
 
 
-def write_data_dir(data_dir, data: bytes) -> str:
-    """Make data into data_dir's snapshot (see `indexer.write_snapshot`);
-    return its hash."""
+def write_data_dir(data_dir, data: bytes) -> None:
+    """Make data into data_dir's snapshot (see `indexer.write_snapshot`)."""
     Path(data_dir).mkdir(parents=True, exist_ok=True)
-    return indexer.write_snapshot(snapshot_path(data_dir), data)
+    indexer.write_snapshot(snapshot_path(data_dir), data)
 
 
-def save_state(data_dir, state: IndexState) -> str:
+def save_state(data_dir, state: IndexState) -> bytes:
     """Write a state `load_state` gave into data_dir as the bytes it was
     read from with what it changed spliced in (`IndexState.spliced_bytes`);
-    return their hash."""
-    return write_data_dir(data_dir, state.spliced_bytes())
+    return those bytes."""
+    data = state.spliced_bytes()
+    write_data_dir(data_dir, data)
+    return data
 
 
 @click.group()
@@ -100,8 +107,8 @@ def index(obj, blocks):
     state = load_state(obj["data_dir"])
     with open(blocks) as fp:
         state.index_blocks(chain.read_blocks_jsonl(fp))
-    digest = save_state(obj["data_dir"], state)
-    emit({"tip_height": state.tip_height, "hash": digest,
+    data = save_state(obj["data_dir"], state)
+    emit({"tip_height": state.tip_height, "hash": hashlib.sha256(data).hexdigest(),
           "diagnostics": state.diagnostics + state.ledger.diagnostics})
 
 
@@ -226,8 +233,9 @@ def snapshot_hash(obj):
 @click.argument("path", type=click.Path())
 @click.pass_obj
 def snapshot_save(obj, path):
-    digest = indexer.write_snapshot(path, read_snapshot(obj["data_dir"]))
-    emit({"saved": str(path), "hash": digest})
+    data = read_snapshot(obj["data_dir"])
+    indexer.write_snapshot(path, data)
+    emit({"saved": str(path), "hash": hashlib.sha256(data).hexdigest()})
 
 
 @snapshot.command("load")
@@ -237,8 +245,8 @@ def snapshot_load(obj, path):
     """Validate a snapshot file and make it the data dir's snapshot."""
     data = Path(path).read_bytes()
     state = IndexState.from_untrusted(data)
-    digest = write_data_dir(obj["data_dir"], data)
-    emit({"loaded": str(path), "hash": digest,
+    write_data_dir(obj["data_dir"], data)
+    emit({"loaded": str(path), "hash": hashlib.sha256(data).hexdigest(),
           "tip_height": state.tip_height})
 
 

@@ -40,22 +40,28 @@ written from the state, which does not keep them.
 
 `IndexState.to_json` builds every section and `snapshot_bytes` encodes them
 all; that full encoding is the spec. A CLI write need not decode or
-re-encode what it does not touch. `decode(data)` decodes `brc20`,
-`btc_deltas`, `next_number`, `offers` and `tip_height` whole, and keeps the
-UTXO set, the inscriptions, their locations and the two derived indexes as
-`_Lazy` maps over the bytes: each finds a key's value there on its first
-lookup (`_Source`) and keeps every write in an overlay, its change log. An
+re-encode what it does not touch. `decode(data)` decodes `btc_deltas`,
+`next_number`, `offers`, `tip_height` and the ledger's `balances` and
+`ticks` whole, and keeps the UTXO set, the inscriptions, their locations,
+the ledger's pendings and the three derived indexes (plain outpoints,
+inscriptions by outpoint, unused pendings by tick and owner) as `_Lazy`
+maps over the bytes: each finds a key's value there on its first lookup
+(`_Source`) and keeps every write in an overlay, its change log. The
+`brc20` read commands decode the ledger the same way (`read_ledger`). An
 `IndexState()`, as the in-memory index job and the scenario compiler make,
 holds plain dicts, and `apply_block` runs the same code on either.
 `spliced_bytes` hands data, the spans and the overlays' records to `splice`,
 which re-encodes each written record, puts a new one at its key's sorted
 place, deletes a spent one, and copies every byte of a record no write
-changed. `offers` and `btc_deltas` are re-encoded on every write and
-`brc20`, `next_number` and `tip_height` once a block was applied. Each
-record and section has one builder, `_utxo_json`, `_inscription_json`,
-`offers_json` and the ledger's `to_json`, which `to_json` uses too, so both
-paths write the same bytes; `_utxo_from_json` and `_inscription_from_json`
-read a record back on both paths.
+changed. `offers` and `btc_deltas` are re-encoded on every write, and the
+ledger's `balances` and `ticks`, `next_number` and `tip_height` once a block
+was applied. Each record and section has one builder, `_utxo_json`,
+`_inscription_json`, `brc20.pending_json`, `offers_json` and the ledger's
+`tables_json`, which `to_json` uses too, so both paths write the same
+bytes; `_utxo_from_json`, `_inscription_from_json` and
+`brc20.pending_from_json` read a record back on both paths. Only the
+commands that print the snapshot's hash, `index`, `snapshot save` and
+`snapshot load`, compute it.
 """
 
 from __future__ import annotations
@@ -76,6 +82,11 @@ from .ordinals import SatPoint
 # The snapshot's top-level keys, in the order `canonical_dumps` writes them.
 SECTIONS = ("brc20", "btc_deltas", "inscriptions", "next_number", "offers",
             "tip_height", "utxos")
+# The fields of `brc20`, in canonical order, and the heads before each when
+# `read_sections` reads them in place of `brc20` (and the one after them)
+LEDGER = ("balances", "pendings", "ticks")
+_LEDGER_HEADS = {"balances": '{"brc20":{"balances":', "pendings": ',"pendings":',
+                 "ticks": ',"ticks":', "btc_deltas": '},"btc_deltas":'}
 _DECODER = json.JSONDecoder()
 
 
@@ -97,13 +108,23 @@ def read_sections(data: bytes, last: str, spans: dict | None = None,
     ends at that `utxos` head and, when it reads `utxos`, that the closing
     brace follows it.
 
-    The sections in `skip`, "inscriptions" or "utxos", are found but not
-    decoded. No key inside `inscriptions` is one a user chose, so the first
+    The sections in `skip`, "inscriptions", "pendings" or "utxos", are found
+    but not decoded. No key inside `inscriptions` is one a user chose, so the first
     `,"next_number":` after its head ends it; `utxos` ends at the closing
-    brace."""
+    brace.
+
+    With "pendings" in `skip`, a read from the start reads the fields of
+    `brc20`, LEDGER, in its place, as sections of their own, and skips
+    `pendings`: a `"` inside a string is escaped, and `]` occurs in that list
+    only at its end, so the first `],"ticks":{` after its head ends it."""
     sections: dict = {}
     pos = 0
     from_end = first != SECTIONS[0]
+    keys = SECTIONS[SECTIONS.index(first):]
+    heads = {key: ("{" if key == SECTIONS[0] else ",") + f'"{key}":' for key in keys}
+    if "pendings" in skip:
+        keys = LEDGER + keys[1:]
+        heads.update(_LEDGER_HEADS)
     try:
         text = data.decode("ascii")
         if from_end:
@@ -113,8 +134,8 @@ def read_sections(data: bytes, last: str, spans: dict | None = None,
             pos = text.rfind(',"tip_height":', 0, tail)
             if pos < 0:
                 raise errors.CorruptSnapshot("no tip_height head")
-        for key in SECTIONS[SECTIONS.index(first):]:
-            head = ("{" if key == SECTIONS[0] else ",") + f'"{key}":'
+        for key in keys:
+            head = heads[key]
             if not text.startswith(head, pos):
                 raise errors.CorruptSnapshot(f"expected {head!r} at offset {pos}")
             start = pos + len(head)
@@ -122,6 +143,10 @@ def read_sections(data: bytes, last: str, spans: dict | None = None,
                 sections[key], pos = _DECODER.raw_decode(text, start)
             elif key == SECTIONS[-1]:
                 pos = len(text) - 1
+            elif key == "pendings":
+                pos = text.find('],"ticks":{', start) + 1
+                if pos <= 0:
+                    raise errors.CorruptSnapshot("no ticks head")
             else:
                 pos = text.find(',"next_number":', start)
                 if pos < 0:
@@ -143,98 +168,115 @@ def read_sections(data: bytes, last: str, spans: dict | None = None,
 # "<txid>i<k>", in quotes, then a colon. The byte before it is the `{` or `,`
 # that separates the record from what comes before.
 _RECORD_HEAD = re.compile(rb'"([0-9a-f]{64}[:i][0-9]+)":')
+# The start of a pending's element in `pendings`, `{"amt":"<amt>","id":"<id>"`
+# (its fields in sorted order), which holds its key, the id. `{"` occurs in
+# no string, where every `"` is escaped, so it matches only there.
+_PENDING_HEAD = re.compile(rb'\{"amt":"[0-9.]+","id":"([0-9a-f]{64}i[0-9]+)"')
+# section -> what finds the head of each of its records
+_HEADS = {"inscriptions": _RECORD_HEAD, "pendings": _PENDING_HEAD, "utxos": _RECORD_HEAD}
 # An inscription id, as `_extract_reveals` makes it: "<txid>i<k>"
 _INSCRIPTION_ID = re.compile(r"[0-9a-f]{64}i[0-9]+")
 
 
 def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
-    """Snapshot bytes `data`, whose sections `read_sections` put at `spans`,
-    with the value of each section in `values` replaced by its canonical
-    encoding, and in each section in `records` (section -> {key: value, or
-    None for no record}) each named record re-encoded, put at its key's
-    sorted place or deleted; every other byte is copied as it is. A None
-    for a key the bytes do not hold changes nothing. The result is the
-    canonical encoding of the snapshot so changed, as a value's encoding is
-    the same inside the whole snapshot and on its own.
+    """Snapshot bytes `data`, whose sections (and ledger fields)
+    `read_sections` put at `spans`, with the value of each one in `values`
+    replaced by its canonical encoding, and in each one in `records`
+    (section -> {key: value, or None for no record}) each named record
+    re-encoded, put at its key's sorted place or deleted; every other byte
+    is copied as it is. A None for a key the bytes do not hold changes
+    nothing. The result is the canonical encoding of the snapshot so
+    changed, as a value's encoding is the same inside the whole snapshot
+    and on its own.
 
-    Only `utxos` and `inscriptions` take records. In them `_RECORD_HEAD`
-    matches only a record's head: every `"` inside a string is escaped, so
-    the quote after the key's last digit ends a string, and the colon after
-    it makes that string a key; a record key holds no quote, so the match
-    is the whole key; and the keys inside a record are field names, none of
-    a record key's shape. No user chooses a record key (an outpoint or an
-    inscription id). Records are in `canonical_dumps` order, Python string
-    order, so `<txid>:10` comes before `<txid>:2`, and each key is found by
+    Only `utxos`, `inscriptions` and the ledger's `pendings` list take
+    records, found by their `_HEADS` pattern. In the two objects
+    `_RECORD_HEAD` matches only a record's head: every `"` inside a string
+    is escaped, so the quote after the key's last digit ends a string, and
+    the colon after it makes that string a key; a record key holds no quote,
+    so the match is the whole key; and the keys inside a record are field
+    names, none of a record key's shape. No user chooses a record key (an
+    outpoint or an inscription id). A pending's key is its id. Records are
+    in `canonical_dumps` order, Python string order (`pendings` is sorted by
+    id), so `<txid>:10` comes before `<txid>:2`, and each key is found by
     bisecting the section's bytes."""
     pieces, pos = [], 0
     view = memoryview(data)
-    for key in SECTIONS:
-        if key in values:
-            new = chain.canonical_dumps(values[key]).encode()
-        elif records.get(key):
-            new = _splice_records(data, *spans[key], records[key])
-        else:
-            continue
+    changed = [key for key in (*values, *records) if key in values or records[key]]
+    for key in sorted(changed, key=lambda key: spans[key][0]):
         start, end = spans[key]
-        pieces += (view[pos:start], new)
+        pieces.append(view[pos:start])
+        if key in values:
+            pieces.append(chain.canonical_dumps(values[key]).encode())
+        else:
+            pieces += _splice_records(data, start, end, records[key], _HEADS[key])
         pos = end
     pieces.append(view[pos:])
     return b"".join(pieces)
 
 
-def _splice_records(data: bytes, start: int, end: int, records: dict) -> bytes:
-    """The object encoded at data[start:end] with records spliced in (see
-    `splice`): each run of old records between two named keys is copied."""
-    close = end - 1  # the closing brace
+def _splice_records(data: bytes, start: int, end: int, records: dict, pattern) -> list:
+    """The pieces that, joined, encode the object, or the list, at
+    data[start:end] with records spliced in (see `splice`): each run of old
+    records between two named keys is a piece of data, joined once, by
+    `splice`. A list's element holds its key, an object's record follows it."""
+    close = end - 1  # the closing brace or bracket
     view, runs = memoryview(data), []
+    listed = data[start:start + 1] == b"["
     cursor = start  # the separator before the first record not yet copied, or close
     for key in sorted(records):
         k = key.encode()
-        head = _seek(data, cursor, close, k)
+        head = _seek(data, cursor, close, k, pattern)
         sep = close if head is None else head.start() - 1
         if sep - cursor > 1:
             runs.append(view[cursor + 1:sep])
         cursor = sep
         if head is not None and head.group(1) == k:  # the old record: skip it
-            after = _RECORD_HEAD.search(data, head.end(), close)
+            after = pattern.search(data, head.end(), close)
             cursor = close if after is None else after.start() - 1
         if records[key] is not None:
-            runs.append(b'"%s":%s' % (k, chain.canonical_dumps(records[key]).encode()))
+            value = chain.canonical_dumps(records[key]).encode()
+            runs.append(value if listed else b'"%s":%s' % (k, value))
     if close - cursor > 1:
         runs.append(view[cursor + 1:close])
-    return b"{" + b",".join(runs) + b"}"
+    pieces = [view[start:start + 1]]
+    for run in runs:
+        pieces += (run, b",")
+    if runs:
+        pieces.pop()  # the separator after the last run
+    pieces.append(view[close:end])
+    return pieces
 
 
-def _seek(data: bytes, lo: int, hi: int, key: bytes):
-    """The `_RECORD_HEAD` match of the first record in data[lo:hi] whose key
-    is not below key, or None. Every record head before lo is below key.
-    A probe matches the first head after a midpoint; once few bytes are left
-    unsearched, the heads after lo are tried in turn."""
+def _seek(data: bytes, lo: int, hi: int, key: bytes, pattern=_RECORD_HEAD):
+    """The match of `pattern`, a record head, of the first record in
+    data[lo:hi] whose key is not below key, or None. Every record head
+    before lo is below key. A probe matches the first head after a
+    midpoint; once few bytes are left unsearched, the heads after lo are
+    tried in turn."""
     found, bound = None, hi  # no head lies in [hi, bound)
     while hi - lo > 256:
         mid = (lo + hi) // 2
-        head = _RECORD_HEAD.search(data, mid, bound)
+        head = pattern.search(data, mid, bound)
         if head is None or head.group(1) >= key:
             if head is not None:
                 found, bound = head, head.start()
             hi = mid
         else:
             lo = head.end()
-    for head in _RECORD_HEAD.finditer(data, lo, bound):
+    for head in pattern.finditer(data, lo, bound):
         if head.group(1) >= key:
             return head
     return found
 
 
-def write_snapshot(path, data: bytes) -> str:
-    """Write snapshot bytes to path and return their sha256 hex digest. They
-    go to `<path>.tmp` first, which then replaces path, so a failed write
-    leaves the old snapshot in place."""
+def write_snapshot(path, data: bytes) -> None:
+    """Write snapshot bytes to path. They go to `<path>.tmp` first, which
+    then replaces path, so a failed write leaves the old snapshot in place."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fp:
         fp.write(data)
     os.replace(tmp, path)
-    return hashlib.sha256(data).hexdigest()
 
 
 def sat_report(n: int, outputs) -> dict:
@@ -369,12 +411,13 @@ class _Lazy(MutableMapping):
 
 
 class _Source:
-    """The snapshot bytes a state `IndexState.decode` made was read from,
-    with their section spans and tip height, and what finds a `_Lazy` map's
-    values in them. Each finder answers as the bytes do; once a key is
-    written, its map answers from its overlay instead:
-    - a UTXO or an inscription record: `_seek` bisects its section for the
-      record's head (see `splice`)
+    """The snapshot bytes a state `IndexState.decode` made, or a ledger
+    `read_ledger` made, was read from, with their spans and tip height (None
+    if not read), and what finds a `_Lazy` map's values in them. Each finder
+    answers as the bytes do; once a key is written, its map answers from its
+    overlay instead:
+    - a UTXO, an inscription or a pending: `_seek` bisects its section for
+      the record's head (see `splice`)
     - the inscriptions on an outpoint: a location is the only place
       `"satpoint":"<txid>:<vout>:` occurs in `inscriptions`, as every `"` in a
       string is escaped and `genesis_satpoint` has no `"` before `satpoint`.
@@ -382,9 +425,13 @@ class _Source:
       from the map, or when it is created, and the bytes locate no
       inscription on an outpoint that is not yet created.
     - a recipient's plain outpoints: `_plain_records` over `utxos`, which
-      `_Outpoints` corrects by what was added and removed since."""
+      `_Outpoints` corrects by what was added and removed since.
+    - the unused pendings of a (tick, owner): the pendings whose elements
+      end in that owner, tick and `"used":false` (see `unused`). A pending is
+      written only when it is made, after its owner's unused pendings were
+      looked up, or used, after they were looked up to drop it."""
 
-    def __init__(self, data: bytes, spans: dict, tip_height: int):
+    def __init__(self, data: bytes, spans: dict, tip_height: int | None = None):
         self.data, self.spans, self.tip_height = data, spans, tip_height
         self.text = data.decode("ascii")  # `read_sections` checked that it is
         self.whole: dict = {}  # section -> its records, once `records` decoded them
@@ -398,9 +445,11 @@ class _Source:
         if found is _ABSENT:
             start, end = self.spans[section]
             k = key.encode()
-            head = _seek(self.data, start, end - 1, k)
+            head = _seek(self.data, start, end - 1, k, _HEADS[section])
             found = self.found[section, key] = (
-                None if head is None or head.group(1) != k else self.value_at(head.end()))
+                None if head is None or head.group(1) != k
+                # a pending's head starts its element, a record's ends at its value
+                else self.value_at(head.start() if section == "pendings" else head.end()))
         return found
 
     def records(self, section: str) -> dict:
@@ -459,6 +508,43 @@ class _Source:
             pos = data.find(needle, pos + len(needle), end)
         return ids or _ABSENT
 
+    def pending(self, ins_id: str):
+        obj = self.record("pendings", ins_id)
+        return _ABSENT if obj is None else brc20.pending_from_json(obj)
+
+    def pendings(self):
+        return ((obj["id"], brc20.pending_from_json(obj))
+                for obj in self.value_at(self.spans["pendings"][0]))
+
+    def unused(self, key: tuple[str, str], pendings: _Lazy):
+        """The unused pendings of key, (tick, owner), by id, or _ABSENT. The
+        search is for each element's tail, `,"owner":<owner>,"tick":<tick>,
+        "used":false}` (its last fields in sorted order, as JSON), which
+        occurs in no string, where every `"` is escaped; the id is the
+        string before it. Each pending is taken from pendings, decoded from
+        its element if pendings has not found it yet."""
+        tick, owner = key
+        data, (start, end) = self.data, self.spans["pendings"]
+        tail = b',"owner":%s,"tick":%s,"used":false}' % (
+            chain.canonical_dumps(owner).encode(), chain.canonical_dumps(tick).encode())
+        found, pos = {}, data.find(tail, start, end)
+        while pos >= 0:
+            ins_id = data[data.rfind(b'"', start, pos - 1) + 1:pos - 1].decode()
+            if ins_id not in pendings.found:
+                element = data.rfind(b'{"amt":"', start, pos)
+                pendings.found[ins_id] = brc20.pending_from_json(self.value_at(element))
+            found[ins_id] = pendings[ins_id]
+            pos = data.find(tail, pos + len(tail), end)
+        return found or _ABSENT
+
+    def ledger(self, obj: dict) -> brc20.Brc20Ledger:
+        """The ledger of the `balances` and `ticks` `read_sections` decoded in
+        obj: its `pendings` and `unused` are `_Lazy` maps over the bytes,
+        which `unused` is only looked up in by key."""
+        pendings = _Lazy(self.pending, self.pendings)
+        return brc20.Brc20Ledger.from_tables(
+            obj, pendings, _Lazy(lambda key: self.unused(key, pendings), None))
+
     def plain(self, recipient: str) -> set:
         """recipient's plain outpoints: the keys of the records `_plain_records`
         finds, each the string before the record's `:{`."""
@@ -515,6 +601,14 @@ def _plain_records(recipient: str) -> re.Pattern:
                       % re.escape(chain.canonical_dumps(recipient).encode()))
 
 
+def read_ledger(data: bytes) -> brc20.Brc20Ledger:
+    """The BRC-20 ledger in snapshot bytes ordlite wrote, for a read: decoded
+    as `IndexState.decode` decodes it, with its pendings looked up by key."""
+    spans: dict = {}
+    obj = read_sections(data, LEDGER[-1], spans, skip=("pendings",))
+    return _Source(data, spans).ledger(obj)
+
+
 def _created_outputs(txs, created: dict):
     """(outpoint, ranges) of every output of txs, in order, made as walked."""
     for tx in txs:
@@ -533,8 +627,9 @@ class IndexState:
     the UTXO delta and `from_json` builds it in the loop that loads the UTXO
     set; nothing else writes the UTXO set, so the index cannot drift from it.
     A state `decode` made holds its UTXO set, inscriptions, locations and
-    both indexes, which it only looks up by key, as `_Lazy` maps over its
-    snapshot bytes, which `apply_block` reads and writes as it does dicts."""
+    both indexes, which it only looks up by key, and its ledger's pendings
+    and their index of unused ones, as `_Lazy` maps over its snapshot bytes,
+    which `apply_block` reads and writes as it does dicts."""
 
     def __init__(self):
         self.tip_height = -1
@@ -682,16 +777,19 @@ class IndexState:
     def spliced_bytes(self) -> bytes:
         """`snapshot_bytes()` of a state `decode` made, built by `splice`
         from the bytes it was decoded from: `offers` and `btc_deltas`
-        are re-encoded; once a block was applied, so are `brc20`,
-        `next_number`, `tip_height` and every UTXO and inscription record
-        written since, as the `written` overlays of `utxos.entries`,
-        `inscriptions` and `location` name them; every other byte is copied."""
+        are re-encoded; once a block was applied, so are the ledger's
+        `ticks` and `balances`, `next_number`, `tip_height` and every
+        pending, UTXO and inscription record written since, as the `written`
+        overlays of `ledger.pendings`, `utxos.entries`, `inscriptions` and
+        `location` name them; every other byte is copied."""
         source = self.source
         values = {"offers": self.offers_json(), "btc_deltas": dict(self.btc_deltas)}
         records = {}
         if self.tip_height != source.tip_height:
-            values.update(brc20=self.ledger.to_json(), next_number=len(self.inscriptions),
+            values.update(self.ledger.tables_json(), next_number=len(self.inscriptions),
                           tip_height=self.tip_height)
+            records["pendings"] = {ins_id: brc20.pending_json(p)
+                                   for ins_id, p in self.ledger.pendings.written.items()}
             records["utxos"] = {str(op): None if e is _ABSENT else _utxo_json(e)
                                 for op, e in self.utxos.entries.written.items()}
             location = self.location
@@ -703,17 +801,17 @@ class IndexState:
     def snapshot_hash(self) -> str:
         return hashlib.sha256(self.snapshot_bytes()).hexdigest()
 
-    def _read_whole(self, obj: dict) -> None:
-        """Take the sections every decode decodes whole from obj."""
+    def _read_whole(self, obj: dict, ledger: brc20.Brc20Ledger) -> None:
+        """Take the sections every decode decodes whole from obj, and ledger."""
         self.tip_height = obj["tip_height"]
-        self.ledger = brc20.Brc20Ledger.from_json(obj["brc20"])
+        self.ledger = ledger
         self.offers = {oid: trade.Offer.from_json(oid, o) for oid, o in obj["offers"].items()}
         self.btc_deltas = dict(obj["btc_deltas"])
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexState":
         state = cls()
-        state._read_whole(obj)
+        state._read_whole(obj, brc20.Brc20Ledger.from_json(obj["brc20"]))
         outpoints: dict[str, OutPoint] = {}  # a location shares its UTXO's key
         plain = state.plain_outpoints
         for key, e in obj["utxos"].items():
@@ -730,17 +828,20 @@ class IndexState:
     @classmethod
     def decode(cls, data: bytes) -> "IndexState":
         """The state in snapshot bytes ordlite wrote, for a CLI write.
-        `read_sections` decodes `brc20`, `btc_deltas`, `next_number`, `offers`
-        and `tip_height`, and finds `inscriptions` and `utxos` without decoding
-        them. The UTXO set, the inscriptions, their locations and the two
-        derived indexes are `_Lazy` maps over the bytes (see `_Source`), so a
-        write decodes only the records it reads, and `spliced_bytes` writes
-        back only the ones it wrote."""
+        `read_sections` decodes `btc_deltas`, `next_number`, `offers`,
+        `tip_height` and the ledger's `balances` and `ticks`, and finds
+        `inscriptions`, `utxos` and the ledger's `pendings` without decoding
+        them. The UTXO set, the inscriptions, their locations, the pendings
+        and the three derived indexes are `_Lazy` maps over the bytes (see
+        `_Source`), so a write decodes only the records it reads, and
+        `spliced_bytes` writes back only the ones it wrote."""
         spans: dict = {}
-        obj = read_sections(data, SECTIONS[-1], spans, skip=("inscriptions", "utxos"))
+        obj = read_sections(data, SECTIONS[-1], spans,
+                            skip=("inscriptions", "pendings", "utxos"))
+        source = _Source(data, spans, obj["tip_height"])
         state = cls()
-        state._read_whole(obj)
-        source = state.source = _Source(data, spans, state.tip_height)
+        state._read_whole(obj, source.ledger(obj))
+        state.source = source
         state.utxos = chain.UtxoSet(_Lazy(source.utxo, source.utxos))
         # the derived indexes are only looked up by key (`trade.funding_outputs`)
         state.plain_outpoints = _Lazy(lambda recipient: _Outpoints(source, recipient), None)
@@ -779,12 +880,16 @@ class IndexState:
         its value and share no sat with another's; the inscriptions are
         numbered 0..n-1 and every located one is on its genesis sat, in an
         unspent output, and its kind is the one its content type and body
-        classify as, and its id is "<txid>i<k>"; the ledger's invariants hold
+        classify as, and its id is "<txid>i<k>"; their heights do not
+        decrease with the number, nor pass the tip; the ledger's invariants hold
         in full, its index of unused pendings included; every pending, used or
         not, names a transfer inscription of its tick and amount
         (`check_pendings`), and every unused one a located inscription
         (`check_located`); every tick's deploy_id names a deploy inscription
-        of its tick, max and lim, revealed at its height (`check_deploys`);
+        of its tick, max and lim, revealed at its height (`check_deploys`),
+        and that inscription is the first deploy of its tick
+        (`check_first_deploys`), and every deploy inscription's tick is
+        deployed (`check_deployed`);
         every offer passes `trade.check_offer`; and `data` is this state's
         canonical bytes, so no stored value disagrees with what the state
         derives."""
@@ -801,11 +906,19 @@ class IndexState:
         for (_, end, op), (start, _, other) in zip(spans, spans[1:]):
             if start < end:
                 raise errors.CorruptSnapshot(f"{op} and {other} share sat {start}")
-        numbers = sorted(ins.number for ins in self.inscriptions.values())
+        ordered = sorted(self.inscriptions.values(), key=lambda ins: ins.number)
+        numbers = [ins.number for ins in ordered]
         if numbers != list(range(len(numbers))) or any(type(n) is not int for n in numbers):
             raise errors.CorruptSnapshot("inscription numbers are not 0..n-1")
-        transfers, deploys = {}, {}  # inscription id -> its op (and height)
-        for ins in self.inscriptions.values():
+        height = 0
+        for ins in ordered:  # numbered in reveal order
+            if type(ins.height) is not int or not height <= ins.height <= self.tip_height:
+                raise errors.CorruptSnapshot(
+                    f"inscription {ins.id} has height {ins.height!r}, not between an earlier "
+                    f"one's ({height}) and the tip ({self.tip_height})")
+            height = ins.height
+        transfers, deploys = {}, {}  # inscription id -> its op (and height), by number
+        for ins in ordered:
             if not _INSCRIPTION_ID.fullmatch(ins.id):  # `splice` finds records by key
                 raise errors.CorruptSnapshot(f"inscription id {ins.id!r} is not <txid>i<k>")
             kind, op = classify_envelope(envelope.Envelope(ins.content_type, ins.body))
@@ -832,6 +945,8 @@ class IndexState:
         self.ledger.check_pendings(transfers)
         self.ledger.check_located(self.location)
         self.ledger.check_deploys(deploys)
+        self.ledger.check_deployed(deploys)
+        self.ledger.check_first_deploys(deploys)
         for oid, offer in self.offers.items():
             trade.check_offer(oid, offer)
         if self.snapshot_bytes() != data:
@@ -841,4 +956,6 @@ class IndexState:
         """Write the snapshot to path (see `write_snapshot`) and return its
         sha256 hex digest, which equals `snapshot_hash()`: the bytes are
         serialized once, for both."""
-        return write_snapshot(path, self.snapshot_bytes())
+        data = self.snapshot_bytes()
+        write_snapshot(path, data)
+        return hashlib.sha256(data).hexdigest()

@@ -517,6 +517,43 @@ def _balances_of_an_undeployed_tick(obj):
     obj["brc20"]["balances"]["zzzz"] = {"mallory": "5"}
 
 
+def _numbered(obj, number):
+    return next(i for i in obj["inscriptions"].values() if i["number"] == number)
+
+
+def _mint_height_above_tip(obj):
+    next(i for i in obj["inscriptions"].values()
+         if i["kind"] == "brc20_mint")["height"] = obj["tip_height"] + 5
+
+
+def _heights_swapped(obj):
+    """The mint's and the next inscription's heights swapped: the later one
+    is the lower."""
+    first, second = _numbered(obj, 1), _numbered(obj, 2)
+    assert first["height"] < second["height"]
+    first["height"], second["height"] = second["height"], first["height"]
+
+
+def _mint_made_a_deploy(obj, tick):
+    """The mint inscription's body made a deploy of tick; return its id."""
+    ins_id, ins = next(item for item in obj["inscriptions"].items()
+                       if item[1]["kind"] == "brc20_mint")
+    body = {"p": "brc-20", "op": "deploy", "tick": tick, "max": "2100000", "lim": "1000"}
+    ins.update(kind="brc20_deploy", body=json.dumps(body).encode().hex())
+    return ins_id
+
+
+def _later_deploy_named(obj):
+    """ordi's deploy_id and height those of a second deploy of ordi."""
+    ins_id = _mint_made_a_deploy(obj, "ordi")
+    obj["brc20"]["ticks"]["ordi"].update(deploy_id=ins_id,
+                                         height=obj["inscriptions"][ins_id]["height"])
+
+
+def _deploy_of_an_undeployed_tick(obj):
+    _mint_made_a_deploy(obj, "zzzz")
+
+
 NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # read_sections' first check
 
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
@@ -561,6 +598,12 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
                                        "tick ordi is not what its deploy"),
     "deploy_height_above_tip": (_deploy_height_above_tip, None,
                                 "tick ordi is not what its deploy"),
+    "inscription_height_above_tip": (_mint_height_above_tip, None,
+                                     "not between an earlier one's"),
+    "inscription_heights_decrease": (_heights_swapped, None, "not between an earlier one's"),
+    "deploy_id_is_not_the_first_deploy": (_later_deploy_named, None, "not its first"),
+    "deploy_of_an_undeployed_tick": (_deploy_of_an_undeployed_tick, None,
+                                     "of tick zzzz deployed nothing"),
     # canonical bytes are ASCII, so offsets in the decoded text are byte offsets
     "raw_utf8": (_recipient_not_ascii,
                  lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"),
@@ -801,7 +844,7 @@ def decoded_sections(monkeypatch) -> list:
 @pytest.mark.parametrize("args, sections", [
     (("sat", "0"), ["tip_height", "utxos"]),
     (("snapshot", "hash"), ["tip_height"]),
-    (("brc20", "tick", "ordi"), ["brc20"]),
+    (("brc20", "tick", "ordi"), ["balances", "ticks"]),  # the ledger without its pendings
     (("inscriptions",), ["brc20", "btc_deltas", "inscriptions"]),
 ], ids=["sat", "snapshot hash", "brc20 tick", "inscriptions"])
 def test_reads_decode_only_their_sections(runner, workdir, monkeypatch, args, sections):

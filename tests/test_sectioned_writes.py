@@ -20,6 +20,7 @@ from click.testing import CliRunner
 
 from conftest import coinbase, send_then_recreate, spend, txid
 from ordlite import chain, cli, envelope, errors, indexer, trade
+from ordlite.brc20 import Brc20Ledger
 from ordlite.chain import Block, OutPoint, Transaction, TxIn, TxOut
 from ordlite.indexer import IndexState
 from ordlite.scenario import ScenarioCompiler
@@ -34,11 +35,17 @@ WIDE_BUYER = "bücher-☃"
 
 def write(data_dir: Path, mirror: IndexState, args, api) -> dict:
     """Run the write command args on data_dir, which must neither decode the
-    whole snapshot (`from_json`) nor build it (`to_json`), and api on the
-    mirror; check the bytes written and return what the command printed."""
+    whole snapshot or ledger (`from_json`) nor build either (`to_json`), nor,
+    for a `trade` command, which prints none, hash the snapshot, and api on
+    the mirror; check the bytes written and return what the command
+    printed."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(IndexState, "to_json", refuse_whole)
-        patch.setattr(IndexState, "from_json", refuse_whole)
+        for owner in (IndexState, Brc20Ledger):
+            patch.setattr(owner, "to_json", refuse_whole)
+            patch.setattr(owner, "from_json", refuse_whole)
+        if args[0] == "trade":
+            for module in (cli, indexer):
+                patch.setattr(module, "hashlib", None)
         result = CliRunner().invoke(cli.cli, ["--data-dir", str(data_dir), *args])
     assert result.exit_code == 0, (args, result.output, result.exception)
     api(mirror)
@@ -117,20 +124,29 @@ def test_trade_writes_equal_the_full_encoding(workload, monkeypatch, tmp_path):
 
 def lookup_keys(state: IndexState, block) -> dict:
     """The keys of every lookup applying block makes of state's maps: the
-    outpoints the block spends and creates, the recipients of both, and the
-    inscriptions on the spent outpoints and those the block may reveal."""
+    outpoints the block spends and creates, the recipients of both, the
+    inscriptions on the spent outpoints and those the block may reveal, and
+    each (tick, holder) whose balance or pendings the block may change: a
+    recipient or a moved pending's owner, with a tick deployed or one of
+    those pendings'."""
     spent = [tin.prevout for tx in block.txs for tin in tx.inputs]
     made = [OutPoint(tx.txid, k) for tx in block.txs for k in range(len(tx.outputs))]
     entries = state.utxos.entries
     ids = {f"{tx.txid}i{k}" for tx in block.txs for k in range(len(tx.inputs))}
     ids.update(i for op in spent for i in state.by_outpoint.get(op, ()))
+    recipients = ({entries[op].txout.recipient for op in spent if op in entries}
+                  | {out.recipient for tx in block.txs for out in tx.outputs})
+    moved = [p for p in map(state.ledger.pendings.get, ids) if p is not None]
+    ticks = set(state.ledger.ticks) | {p.tick for p in moved}
     return {"outpoints": spent + made, "spent": spent, "ids": sorted(ids),
-            "recipients": sorted({entries[op].txout.recipient for op in spent if op in entries}
-                                 | {out.recipient for tx in block.txs for out in tx.outputs})}
+            "recipients": sorted(recipients),
+            "holders": sorted((tick, holder) for tick in ticks
+                              for holder in recipients | {p.owner for p in moved})}
 
 
 def answers(state: IndexState, keys: dict) -> dict:
     """What state's maps answer to the lookups keys name."""
+    ledger = state.ledger
     return {
         "utxos": [(op in state.utxos, state.utxos.get(op)) for op in keys["outpoints"]],
         "plain": [set(state.plain_outpoints.get(r, ())) for r in keys["recipients"]],
@@ -138,6 +154,9 @@ def answers(state: IndexState, keys: dict) -> dict:
         "inscriptions": [(i in state.inscriptions, state.inscriptions.get(i))
                          for i in keys["ids"]],
         "location": [state.location.get(i) for i in keys["ids"]],
+        "pendings": [ledger.pendings.get(i) for i in keys["ids"]],
+        "holders": [(ledger.pending_outgoing(*key), ledger.raw_balance(*key))
+                    for key in keys["holders"]],
     }
 
 
@@ -300,25 +319,33 @@ ADVERSARIAL = 'h001","sat_ranges":[[0,1]],"script_kind":"plain'
 SIGNER = "next_number"
 ADV_FAN = txid("adversarial fan")
 ADV_TYPE = f'text/x":{{"satpoint":"{ADV_FAN}:0:'
+# Owners of pendings, which are found by the end of their elements in
+# `pendings` (`,"owner":<owner>,"tick":<tick>,"used":false}`): a name that
+# is a prefix of another, names holding that end for another owner, the end
+# of the `pendings` list, and a pending's id field.
+HOLDERS = ("h00", "h001", 'h00","tick":"wide","used":false}', '],"ticks":{',
+           f'"id":"{txid("adv brc20 2")}i0"')
 
 
 def reveal(builder: IndexState, blocks: list, label: str, funding: OutPoint,
-           content_type: str, body: str) -> str:
-    """Inscribe body from alice's output funding in a block that builder
-    applies and blocks gets; return the inscription's id."""
+           content_type: str, body: str, owner: str = "alice") -> str:
+    """Inscribe body from alice's output funding, to owner, in a block that
+    builder applies and blocks gets, whose change goes to alice at output 1;
+    return the inscription's id."""
     value = builder.utxos.require(funding).txout.value
     witness = tuple(envelope.build_envelope(content_type, body.encode()))
     tx = Transaction(txid(label), (TxIn(funding, witness),),
-                     (TxOut(546, "alice", "p2tr_inscription"), TxOut(value - 1_546, "alice")))
+                     (TxOut(546, owner, "p2tr_inscription"), TxOut(value - 1_546, "alice")))
     blocks.append(hand_block(builder, [tx], f"{label} cb"))
     return f"{tx.txid}i0"
 
 
 def test_lazy_lookups_are_not_misled_by_patterns_in_names(tmp_path):
     """A CLI write's state finds a recipient's plain outpoints, the end of
-    `inscriptions` and the inscriptions on an outpoint by byte patterns (see
-    `indexer._Source`). Here each pattern also occurs inside a string, where
-    its quotes are escaped, and no write may take it for the real one."""
+    `inscriptions`, the inscriptions on an outpoint, the end of `pendings`
+    and an owner's unused pendings by byte patterns (see `indexer._Source`).
+    Here each pattern also occurs inside a string, where its quotes are
+    escaped, and no write or read may take it for the real one."""
     builder = IndexState()
     genesis = Block(0, (coinbase(0, chain.block_subsidy(0), "alice", "adv cb0"),))
     builder.apply_block(genesis)
@@ -326,7 +353,7 @@ def test_lazy_lookups_are_not_misled_by_patterns_in_names(tmp_path):
     # output 1 for one of h001's would fund it with outputs 0 and 1
     fan = Transaction(ADV_FAN, (TxIn(OutPoint(genesis.txs[0].txid, 0)),), (
         TxOut(40_000, "h001"), TxOut(100_000, ADVERSARIAL), TxOut(40_000, "h001"),
-        TxOut(1_000_000, SIGNER), *(TxOut(1_000_000, "alice") for _ in range(5))))
+        TxOut(1_000_000, SIGNER), *(TxOut(1_000_000, "alice") for _ in range(6))))
     blocks = [genesis, hand_block(builder, [fan], "adv cb1")]
     bodies = ['{"lim":"1000","max":"21000","op":"deploy","p":"brc-20","tick":"wide"}',
               '{"amt":"1000","op":"mint","p":"brc-20","tick":"wide"}',
@@ -347,11 +374,29 @@ def test_lazy_lookups_are_not_misled_by_patterns_in_names(tmp_path):
     blocks.append(hand_block(builder, [spend("adv resend", [sent],
                                              [TxOut(546, "carol", "p2tr_inscription")])],
                              "adv resend cb"))
+    # each holder mints 1000 and earmarks 100, then 900: the second transfer
+    # is valid only if no other holder's pending is counted as the holder's,
+    # and a third, of 1, would be valid only if one of the holder's own
+    # pendings were missed
+    funding = OutPoint(ADV_FAN, 9)
+    for amt in ("mint 1000", "transfer 100", "transfer 900", "transfer 1"):
+        op, amount = amt.split()
+        for holder in HOLDERS:
+            label = f"adv {holder} {amt}"
+            reveal(builder, blocks, label, funding, "text/plain",
+                   f'{{"amt":"{amount}","op":"{op}","p":"brc-20","tick":"wide"}}', holder)
+            funding = OutPoint(txid(label), 1)
 
     data_dir, mirror = tmp_path / "data", IndexState()
     for n, block in enumerate(blocks):
         index(data_dir, mirror, tmp_path / f"adv{n}.jsonl", block)
     assert mirror.snapshot_bytes() == builder.snapshot_bytes()
+    for holder in HOLDERS:
+        assert mirror.ledger.query_balance("wide", holder) == {"available": "0",
+                                                               "pending": "1000"}
+        read = CliRunner().invoke(cli.cli, ["--data-dir", str(data_dir), "brc20", "balance",
+                                            "wide", holder])
+        assert json.loads(read.output) == mirror.ledger.query_balance("wide", holder), holder
     for ins_id, buyer in ((ids[2], "h001"), (ids[3], SIGNER)):
         oid = offer(data_dir, mirror, ins_id, 50_000)
         if buyer == "h001":
