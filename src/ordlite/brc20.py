@@ -404,6 +404,17 @@ class Brc20Ledger:
                     f"tick {tick} names deploy {state.deploy_inscription_id}, "
                     f"not its first, {first[tick]}")
 
+    def check_minted(self, mints: dict[str, int]) -> None:
+        """Raise CorruptSnapshot unless every tick's minted is at most the sum
+        in mints (tick -> the amounts of its mint inscriptions numbered after
+        its first deploy): `apply_mint` adds no more than a mint inscribes,
+        and refuses a mint before its tick's deploy (UnknownTick)."""
+        for tick, state in self.ticks.items():
+            if state.minted > mints.get(tick, 0):
+                raise errors.CorruptSnapshot(
+                    f"tick {tick} has minted {format_amount(state.minted)}, more than its "
+                    f"mints inscribe, {format_amount(mints.get(tick, 0))}")
+
     def to_json(self) -> dict:
         return {**self.tables_json(),
                 "pendings": sorted((pending_json(p) for p in self.pendings.values()),

@@ -9,11 +9,12 @@ command) included; a bare `ordlite` prints its help.
 
 Only ordlite writes the data dir's snapshot: `index`, `trade` and
 `snapshot load`, which validates the file it takes in. Every snapshot, the
-data dir's and `snapshot load`'s alike, is decoded by `indexer.read_sections`,
-which raises CorruptSnapshot (exit 1) on any other layout. `snapshot save`
-copies the bytes. `index` and the `trade` commands share one write path:
-`load_state` decodes the ledger's ticks and balances, the offer book, the
-BTC deltas and the two counters whole into a state that finds each UTXO,
+data dir's and `snapshot load`'s alike, is read by one `indexer.Snapshot`,
+which decodes the bytes to text once and raises CorruptSnapshot (exit 1) on
+any other layout; each command then decodes only what it needs. `snapshot
+save` copies the bytes. `index` and the `trade` commands share one write
+path: `load_state` decodes the ledger's ticks and balances, the offer book,
+the BTC deltas and the two counters whole into a state that finds each UTXO,
 inscription and pending record in the bytes the first time it reads it and
 logs what it writes (`IndexState.decode`), and `save_state` writes the
 bytes read with only that spliced in (`IndexState.spliced_bytes`), so every
@@ -25,12 +26,10 @@ inscription and pending records their blocks touched. Only `index`,
 write. A refused write saves nothing, and
 loses nothing by that: `trade` refuses before it changes the state, so a
 dead offer keeps its status, and `trade accept` checks the offer before the
-buyer's funding. Reads decode only the sections they need:
-`brc20` decodes the ledger's ticks and balances and looks each pending up
-in the bytes, as a write does (`read_ledger`), and `inscriptions` stops
-after "inscriptions"; `snapshot hash` decodes only "tip_height" and `sat`
-"tip_height" and "utxos", both found from the end of the file
-(`read_sections`'s `first`).
+buyer's funding. Reads decode only what they print from: `brc20` the
+ledger's ticks and balances, with each pending looked up in the bytes as a
+write does (`Snapshot.ledger`), `inscriptions` the inscriptions, `sat` the
+UTXO set and `snapshot hash` the tip height.
 With no snapshot, every command reads EMPTY_SNAPSHOT, an empty index's bytes.
 """
 
@@ -72,8 +71,8 @@ def read_snapshot(data_dir) -> bytes:
 
 def read_ledger(data_dir) -> Brc20Ledger:
     """The data dir's BRC-20 ledger, decoded as a write decodes it: its ticks
-    and balances whole, each pending looked up by key (`indexer.read_ledger`)."""
-    return indexer.read_ledger(read_snapshot(data_dir))
+    and balances whole, each pending looked up by key (`Snapshot.ledger`)."""
+    return indexer.Snapshot(read_snapshot(data_dir)).ledger()
 
 
 def write_data_dir(data_dir, data: bytes) -> None:
@@ -119,8 +118,7 @@ def sat(obj, query):
     """Describe a sat given any notation (integer, name, decimal, degree,
     percentile such as 50%)."""
     n = ordinals.parse_sat_query(query)
-    utxos = indexer.read_sections(read_snapshot(obj["data_dir"]), "utxos",
-                                  first="tip_height")["utxos"]
+    utxos = indexer.Snapshot(read_snapshot(obj["data_dir"])).value("utxos")
     emit(indexer.sat_report(n, ((key, e["sat_ranges"]) for key, e in utxos.items())))
 
 
@@ -129,8 +127,7 @@ def sat(obj, query):
 @click.pass_obj
 def inscriptions(obj, height):
     """List inscriptions, optionally filtered by reveal height."""
-    data = read_snapshot(obj["data_dir"])
-    listed = indexer.read_sections(data, "inscriptions")["inscriptions"]
+    listed = indexer.Snapshot(read_snapshot(obj["data_dir"])).value("inscriptions")
     emit([{"id": ins_id, "number": i["number"], "kind": i["kind"],
            "content_type": i["content_type"], "height": i["height"],
            "genesis_sat": i["genesis_sat"], "satpoint": i["satpoint"]}
@@ -225,8 +222,7 @@ def snapshot():
 def snapshot_hash(obj):
     data = read_snapshot(obj["data_dir"])
     emit({"hash": hashlib.sha256(data).hexdigest(),
-          "tip_height": indexer.read_sections(data, "tip_height",
-                                              first="tip_height")["tip_height"]})
+          "tip_height": indexer.Snapshot(data).value("tip_height")})
 
 
 @snapshot.command("save")

@@ -28,13 +28,14 @@ a transfer inscription that moves twice in one block credits its first
 receiver, even when a later tx in the block spends it as fee.
 
 The snapshot is canonical JSON: `chain.canonical_dumps` sorts every key, so
-its top-level sections always come in SECTIONS order. `read_sections`, which
-checks that layout and nothing more, is the one snapshot decoder of sections:
-reads decode the sections they need. The tail, `tip_height` and `utxos`,
-holds no key a user chose, so `read_sections` can find it from the end and
-skip every section before it. Bytes from outside the data dir enter only
-through `IndexState.from_untrusted`, which decodes every section whole and
-then validates the state; the data dir then holds only bytes ordlite wrote.
+its top-level sections always come in SECTIONS order, and the ledger's
+fields in LEDGER order. `Snapshot` is its one reader, for the data dir's
+bytes and a file's alike: it decodes the bytes to text once, finds every
+section and ledger field going forward by one table of heads (HEADS), which
+checks the layout and nothing more, and decodes a section (`value`) or a
+record only when asked. Bytes from outside the data dir enter only through
+`IndexState.from_untrusted`, which decodes every section whole and then
+validates the state; the data dir then holds only bytes ordlite wrote.
 `next_number`, each `genesis_satpoint` and each offer's `inscription_id` are
 written from the state, which does not keep them.
 
@@ -46,8 +47,9 @@ re-encode what it does not touch. `decode(data)` decodes `btc_deltas`,
 the ledger's pendings and the three derived indexes (plain outpoints,
 inscriptions by outpoint, unused pendings by tick and owner) as `_Lazy`
 maps over the bytes: each finds a key's value there on its first lookup
-(`_Source`) and keeps every write in an overlay, its change log. The
-`brc20` read commands decode the ledger the same way (`read_ledger`). An
+(`Snapshot`: a keyed record by `_seek`, a derived lookup by
+`records_with`) and keeps every write in an overlay, its change log. The
+`brc20` read commands decode the ledger the same way (`Snapshot.ledger`). An
 `IndexState()`, as the in-memory index job and the scenario compiler make,
 holds plain dicts, and `apply_block` runs the same code on either.
 `spliced_bytes` hands data, the spans and the overlays' records to `splice`,
@@ -79,89 +81,32 @@ from . import brc20, chain, envelope, errors, ordinals, trade
 from .chain import OutPoint
 from .ordinals import SatPoint
 
-# The snapshot's top-level keys, in the order `canonical_dumps` writes them.
+# The snapshot's top-level keys, in the order `canonical_dumps` writes them,
+# and the fields of the first, the ledger
 SECTIONS = ("brc20", "btc_deltas", "inscriptions", "next_number", "offers",
             "tip_height", "utxos")
-# The fields of `brc20`, in canonical order, and the heads before each when
-# `read_sections` reads them in place of `brc20` (and the one after them)
 LEDGER = ("balances", "pendings", "ticks")
-_LEDGER_HEADS = {"balances": '{"brc20":{"balances":', "pendings": ',"pendings":',
-                 "ticks": ',"ticks":', "btc_deltas": '},"btc_deltas":'}
+# The head of each ledger field and later section, in the order canonical
+# bytes hold them. The first starts the snapshot; each other is the first
+# match after the one before it, as it cannot occur in the value before it,
+# for the reason its comment gives, and no head occurs in a string, where
+# every `"` is escaped. A head starts with the bracket that closes the value
+# before it, when that is an object or a list (`}}` closes `brc20` too), and
+# ends with the bracket that opens its own; one that ends in `:` heads an
+# integer.
+HEADS = {
+    "balances": '{"brc20":{"balances":{',
+    "pendings": '},"pendings":[',  # a balance is a string
+    "ticks": '],"ticks":{',  # a pending's keys are its field names
+    "btc_deltas": '}},"btc_deltas":{',  # a key in ticks is a 4-byte tick or a field name
+    "inscriptions": '},"inscriptions":{',  # a BTC delta is an integer
+    "next_number": '},"next_number":',  # a key in inscriptions is an id or a field name
+    "offers": ',"offers":{',  # next_number is an integer
+    "tip_height": '},"tip_height":',  # in offers a name keys only a signature, a string
+    "utxos": ',"utxos":{',  # tip_height is an integer
+}
+_INTEGER = re.compile(r"-?[0-9]+")
 _DECODER = json.JSONDecoder()
-
-
-def read_sections(data: bytes, last: str, spans: dict | None = None,
-                  first: str = SECTIONS[0], skip=()) -> dict:
-    """Decode a snapshot ordlite wrote, section by section, from `first` up to
-    and including `last`. A layout that is not SECTIONS in canonical form raises
-    CorruptSnapshot; the decoded values are trusted as they are. When `spans`
-    is given, it gets each section's (start, end) offsets in data, the slice
-    its value is encoded in. Canonical bytes are ASCII, as `canonical_dumps`
-    escapes everything else, and other bytes are refused, so an offset in the
-    decoded text is the same offset in data.
-
-    `first` is SECTIONS[0], or "tip_height" to find the tail from the end and
-    decode nothing before it. After `offers` no key is one a user chose, and a
-    `"` inside a string is escaped, so the last `,"utxos":` heads `utxos` and
-    the last `,"tip_height":` before it heads `tip_height`. A tail read checks
-    that the bytes are ASCII and start with `{"brc20":`, that `tip_height`
-    ends at that `utxos` head and, when it reads `utxos`, that the closing
-    brace follows it.
-
-    The sections in `skip`, "inscriptions", "pendings" or "utxos", are found
-    but not decoded. No key inside `inscriptions` is one a user chose, so the first
-    `,"next_number":` after its head ends it; `utxos` ends at the closing
-    brace.
-
-    With "pendings" in `skip`, a read from the start reads the fields of
-    `brc20`, LEDGER, in its place, as sections of their own, and skips
-    `pendings`: a `"` inside a string is escaped, and `]` occurs in that list
-    only at its end, so the first `],"ticks":{` after its head ends it."""
-    sections: dict = {}
-    pos = 0
-    from_end = first != SECTIONS[0]
-    keys = SECTIONS[SECTIONS.index(first):]
-    heads = {key: ("{" if key == SECTIONS[0] else ",") + f'"{key}":' for key in keys}
-    if "pendings" in skip:
-        keys = LEDGER + keys[1:]
-        heads.update(_LEDGER_HEADS)
-    try:
-        text = data.decode("ascii")
-        if from_end:
-            if not text.startswith('{"brc20":'):
-                raise errors.CorruptSnapshot("expected '{\"brc20\":' at offset 0")
-            tail = text.rfind(',"utxos":')
-            pos = text.rfind(',"tip_height":', 0, tail)
-            if pos < 0:
-                raise errors.CorruptSnapshot("no tip_height head")
-        for key in keys:
-            head = heads[key]
-            if not text.startswith(head, pos):
-                raise errors.CorruptSnapshot(f"expected {head!r} at offset {pos}")
-            start = pos + len(head)
-            if key not in skip:
-                sections[key], pos = _DECODER.raw_decode(text, start)
-            elif key == SECTIONS[-1]:
-                pos = len(text) - 1
-            elif key == "pendings":
-                pos = text.find('],"ticks":{', start) + 1
-                if pos <= 0:
-                    raise errors.CorruptSnapshot("no ticks head")
-            else:
-                pos = text.find(',"next_number":', start)
-                if pos < 0:
-                    raise errors.CorruptSnapshot("no next_number head")
-            if spans is not None:
-                spans[key] = (start, pos)
-            if from_end and key == "tip_height" and pos != tail:
-                raise errors.CorruptSnapshot(f"expected the utxos head at offset {pos}")
-            if key == last:
-                break
-    except (ValueError, RecursionError) as exc:  # not ASCII, not JSON, or nested too deep
-        raise errors.CorruptSnapshot(str(exc)) from exc
-    if key == SECTIONS[-1] and text[pos:] != "}":
-        raise errors.CorruptSnapshot(f"expected the closing brace at offset {pos}")
-    return sections
 
 
 # A record head in `utxos` or `inscriptions`: its key, "<txid>:<vout>" or
@@ -173,14 +118,14 @@ _RECORD_HEAD = re.compile(rb'"([0-9a-f]{64}[:i][0-9]+)":')
 # no string, where every `"` is escaped, so it matches only there.
 _PENDING_HEAD = re.compile(rb'\{"amt":"[0-9.]+","id":"([0-9a-f]{64}i[0-9]+)"')
 # section -> what finds the head of each of its records
-_HEADS = {"inscriptions": _RECORD_HEAD, "pendings": _PENDING_HEAD, "utxos": _RECORD_HEAD}
+_RECORD_HEADS = {"inscriptions": _RECORD_HEAD, "pendings": _PENDING_HEAD, "utxos": _RECORD_HEAD}
 # An inscription id, as `_extract_reveals` makes it: "<txid>i<k>"
 _INSCRIPTION_ID = re.compile(r"[0-9a-f]{64}i[0-9]+")
 
 
 def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
-    """Snapshot bytes `data`, whose sections (and ledger fields)
-    `read_sections` put at `spans`, with the value of each one in `values`
+    """Snapshot bytes `data`, whose sections (and ledger fields) `Snapshot`
+    found at `spans`, with the value of each one in `values`
     replaced by its canonical encoding, and in each one in `records`
     (section -> {key: value, or None for no record}) each named record
     re-encoded, put at its key's sorted place or deleted; every other byte
@@ -190,7 +135,7 @@ def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
     and on its own.
 
     Only `utxos`, `inscriptions` and the ledger's `pendings` list take
-    records, found by their `_HEADS` pattern. In the two objects
+    records, found by their `_RECORD_HEADS` pattern. In the two objects
     `_RECORD_HEAD` matches only a record's head: every `"` inside a string
     is escaped, so the quote after the key's last digit ends a string, and
     the colon after it makes that string a key; a record key holds no quote,
@@ -209,7 +154,7 @@ def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
         if key in values:
             pieces.append(chain.canonical_dumps(values[key]).encode())
         else:
-            pieces += _splice_records(data, start, end, records[key], _HEADS[key])
+            pieces += _splice_records(data, start, end, records[key], _RECORD_HEADS[key])
         pos = end
     pieces.append(view[pos:])
     return b"".join(pieces)
@@ -410,62 +355,124 @@ class _Lazy(MutableMapping):
         return self.count
 
 
-class _Source:
-    """The snapshot bytes a state `IndexState.decode` made, or a ledger
-    `read_ledger` made, was read from, with their spans and tip height (None
-    if not read), and what finds a `_Lazy` map's values in them. Each finder
-    answers as the bytes do; once a key is written, its map answers from its
+def _json(value) -> bytes:
+    """value's canonical JSON, as the snapshot encodes it."""
+    return chain.canonical_dumps(value).encode()
+
+
+class Snapshot:
+    """Snapshot bytes ordlite wrote, read in place: the one reader of the
+    data dir's snapshot, and of a file `snapshot load` takes in.
+
+    The bytes are decoded to ASCII text once; canonical bytes are ASCII, as
+    `canonical_dumps` escapes everything else, and other bytes are refused,
+    so an offset in the text is the same offset in the bytes. `spans` holds
+    each ledger field's and later section's (start, end) offsets, the slice
+    its value is encoded in, found going forward by HEADS. A layout that is
+    not that of canonical bytes raises CorruptSnapshot: a head missing, an
+    integer section that does not fill its span, or bytes after `utxos`.
+    The values are otherwise trusted until `value` decodes them.
+
+    It is also what finds a `_Lazy` map's values in the bytes, for a state
+    `IndexState.decode` made or a ledger `ledger` made. Each finder answers
+    as the bytes do; once a key is written, its map answers from its
     overlay instead:
     - a UTXO, an inscription or a pending: `_seek` bisects its section for
-      the record's head (see `splice`)
+      the record's head (see `splice`), unless `records_with` decoded it
     - the inscriptions on an outpoint: a location is the only place
-      `"satpoint":"<txid>:<vout>:` occurs in `inscriptions`, as every `"` in a
-      string is escaped and `genesis_satpoint` has no `"` before `satpoint`.
-      An outpoint's inscriptions change only when it is spent, which pops it
-      from the map, or when it is created, and the bytes locate no
-      inscription on an outpoint that is not yet created.
-    - a recipient's plain outpoints: `_plain_records` over `utxos`, which
-      `_Outpoints` corrects by what was added and removed since.
-    - the unused pendings of a (tick, owner): the pendings whose elements
-      end in that owner, tick and `"used":false` (see `unused`). A pending is
+      `"satpoint":"<txid>:<vout>:` occurs in `inscriptions`. An outpoint's
+      inscriptions change only when it is spent, which pops it from the
+      map, or when it is created, and the bytes locate no inscription on an
+      outpoint that is not yet created.
+    - a recipient's plain outpoints: its records in `utxos`, which start
+      `{"recipient":<recipient>,`; `_Outpoints` corrects them by what was
+      added and removed since.
+    - the unused pendings of a (tick, owner): the elements of `pendings`
+      that end `,"owner":<owner>,"tick":<tick>,"used":false}`. A pending is
       written only when it is made, after its owner's unused pendings were
       looked up, or used, after they were looked up to drop it."""
 
-    def __init__(self, data: bytes, spans: dict, tip_height: int | None = None):
-        self.data, self.spans, self.tip_height = data, spans, tip_height
-        self.text = data.decode("ascii")  # `read_sections` checked that it is
-        self.whole: dict = {}  # section -> its records, once `records` decoded them
-        self.found: dict = {}  # (section, key) -> its record as `record` found it, or None
+    def __init__(self, data: bytes):
+        self.data = data
+        try:
+            self.text = text = data.decode("ascii")
+        except ValueError as exc:
+            raise errors.CorruptSnapshot(str(exc)) from exc
+        if not text.startswith(HEADS["balances"]):
+            raise errors.CorruptSnapshot("expected '{\"%s\":' at offset 0" % SECTIONS[0])
+        self.spans: dict = {}
+        name, pos = None, 0
+        for following, head in HEADS.items():
+            at = text.find(head, pos)
+            if at < 0:
+                raise errors.CorruptSnapshot(f"no {head!r} after offset {pos}")
+            if name:
+                self.spans[name] = (pos, at + (head[0] in "]}"))
+            name, pos = following, at + len(head) - (head[-1] != ":")
+        if not text.endswith("}}"):
+            raise errors.CorruptSnapshot(f"expected the closing braces at offset {len(text) - 2}")
+        self.spans[name] = (pos, len(text) - 1)
+        for name, head in HEADS.items():
+            if head[-1] == ":" and not _INTEGER.fullmatch(text, *self.spans[name]):
+                raise errors.CorruptSnapshot(f"{name} at offset {self.spans[name][0]} "
+                                             f"is not an integer")
+        self.values: dict = {}  # section or field -> its value, once `value` decoded it
+        self.found: dict = {}  # (section, key) -> its decoded record, or None
+
+    def value(self, name: str):
+        """The decoded value of a section or ledger field; `brc20`'s is its
+        fields'. A value that does not fill its span raises CorruptSnapshot."""
+        if name == SECTIONS[0]:
+            return {field: self.value(field) for field in LEDGER}
+        if name not in self.values:
+            start, end = self.spans[name]
+            value, stop = self.value_at(start)
+            if stop != end:
+                raise errors.CorruptSnapshot(f"{name} does not end at offset {stop}")
+            self.values[name] = value
+        return self.values[name]
+
+    __getitem__ = value  # so `from_json` and `from_tables` read it as the snapshot's dict
+
+    def value_at(self, pos: int) -> tuple:
+        """The JSON value that starts at pos, decoded, and the offset after
+        it. Bytes that are not JSON there raise CorruptSnapshot."""
+        try:
+            return _DECODER.raw_decode(self.text, pos)
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+            raise errors.CorruptSnapshot(str(exc)) from exc
 
     def record(self, section: str, key: str):
         """The decoded record of key in section, or None."""
-        if section in self.whole:
-            return self.whole[section].get(key)
         found = self.found.get((section, key), _ABSENT)
         if found is _ABSENT:
             start, end = self.spans[section]
             k = key.encode()
-            head = _seek(self.data, start, end - 1, k, _HEADS[section])
+            head = _seek(self.data, start, end - 1, k, _RECORD_HEADS[section])
             found = self.found[section, key] = (
                 None if head is None or head.group(1) != k
                 # a pending's head starts its element, a record's ends at its value
-                else self.value_at(head.start() if section == "pendings" else head.end()))
+                else self.value_at(head.start() if section == "pendings" else head.end())[0])
         return found
 
-    def records(self, section: str) -> dict:
-        """Every record of section, decoded."""
-        if section not in self.whole:
-            self.whole[section] = self.value_at(self.spans[section][0])
-        return self.whole[section]
-
-    def value_at(self, pos: int):
-        """The JSON value that starts at pos, decoded: a record or a section
-        `read_sections` found without decoding it. Bytes that are not JSON
-        there raise CorruptSnapshot, as `read_sections` does."""
-        try:
-            return _DECODER.raw_decode(self.text, pos)[0]
-        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
-            raise errors.CorruptSnapshot(str(exc)) from exc
+    def records_with(self, section: str, needle: bytes) -> dict:
+        """The records of section whose bytes hold needle, by key, decoded and
+        kept for `record`. Records are flat objects, so the record that holds
+        a hit starts at the last `{"` before it: `{"` occurs in no string,
+        where every `"` is escaped."""
+        data, (lo, hi) = self.data, self.spans[section]
+        found, pos = {}, data.find(needle, lo, hi)
+        while pos >= 0:
+            start = data.rfind(b'{"', lo, pos + 2)
+            if section == "pendings":  # a pending's key is its id, in its head
+                key = _PENDING_HEAD.match(data, start).group(1).decode()
+            else:  # a record's key is the string before its value
+                key = data[data.rfind(b'"', lo, start - 2) + 1:start - 2].decode()
+            if self.found.get((section, key)) is None:
+                self.found[section, key] = self.value_at(start)[0]
+            found[key] = self.found[section, key]
+            pos = data.find(needle, pos + len(needle), hi)
+        return found
 
     # per map: the finder of one key's value, and the finder of every pair
     def utxo(self, op: OutPoint):
@@ -474,7 +481,7 @@ class _Source:
 
     def utxos(self):
         return ((OutPoint.parse(key), _utxo_from_json(obj))
-                for key, obj in self.records("utxos").items())
+                for key, obj in self.value("utxos").items())
 
     def inscription(self, ins_id: str):
         obj = self.record("inscriptions", ins_id)
@@ -482,7 +489,7 @@ class _Source:
 
     def inscriptions(self):
         return ((ins_id, _inscription_from_json(ins_id, obj))
-                for ins_id, obj in self.records("inscriptions").items())
+                for ins_id, obj in self.value("inscriptions").items())
 
     def location(self, ins_id: str):
         obj = self.record("inscriptions", ins_id)
@@ -490,80 +497,51 @@ class _Source:
 
     def locations(self):
         return ((ins_id, _satpoint(obj["satpoint"], {}))
-                for ins_id, obj in self.records("inscriptions").items() if obj["satpoint"])
+                for ins_id, obj in self.value("inscriptions").items() if obj["satpoint"])
 
     def ids_on(self, op: OutPoint):
-        """The ids of the inscriptions located on op, in key order, or _ABSENT.
-        The search is for `<txid>:<vout>:`, which is rare, and keeps the hits
-        that follow `"satpoint":"`. A hit's record starts at the last
-        `":{"body":"` before it: `body`, hex, is a record's first field, and
-        `{"` occurs in no string, where every `"` is escaped."""
-        data, (start, end) = self.data, self.spans["inscriptions"]
-        needle = b"%s:" % str(op).encode()
-        ids, pos = [], data.find(needle, start, end)
-        while pos >= 0:
-            if data.startswith(b'"satpoint":"', pos - 12):
-                head = data.rfind(b'":{"body":"', start, pos)  # the end of the record's key
-                ids.append(data[data.rfind(b'"', start, head) + 1:head].decode())
-            pos = data.find(needle, pos + len(needle), end)
-        return ids or _ABSENT
+        """The ids of the inscriptions located on op, in key order, or _ABSENT."""
+        ids = self.records_with("inscriptions", b'"satpoint":"%s:' % str(op).encode())
+        return list(ids) or _ABSENT
 
     def pending(self, ins_id: str):
         obj = self.record("pendings", ins_id)
         return _ABSENT if obj is None else brc20.pending_from_json(obj)
 
     def pendings(self):
-        return ((obj["id"], brc20.pending_from_json(obj))
-                for obj in self.value_at(self.spans["pendings"][0]))
+        return ((obj["id"], brc20.pending_from_json(obj)) for obj in self.value("pendings"))
 
     def unused(self, key: tuple[str, str], pendings: _Lazy):
-        """The unused pendings of key, (tick, owner), by id, or _ABSENT. The
-        search is for each element's tail, `,"owner":<owner>,"tick":<tick>,
-        "used":false}` (its last fields in sorted order, as JSON), which
-        occurs in no string, where every `"` is escaped; the id is the
-        string before it. Each pending is taken from pendings, decoded from
-        its element if pendings has not found it yet."""
+        """The unused pendings of key, (tick, owner), by id, taken from
+        pendings, or _ABSENT."""
         tick, owner = key
-        data, (start, end) = self.data, self.spans["pendings"]
-        tail = b',"owner":%s,"tick":%s,"used":false}' % (
-            chain.canonical_dumps(owner).encode(), chain.canonical_dumps(tick).encode())
-        found, pos = {}, data.find(tail, start, end)
-        while pos >= 0:
-            ins_id = data[data.rfind(b'"', start, pos - 1) + 1:pos - 1].decode()
-            if ins_id not in pendings.found:
-                element = data.rfind(b'{"amt":"', start, pos)
-                pendings.found[ins_id] = brc20.pending_from_json(self.value_at(element))
-            found[ins_id] = pendings[ins_id]
-            pos = data.find(tail, pos + len(tail), end)
+        needle = b',"owner":%s,"tick":%s,"used":false}' % (_json(owner), _json(tick))
+        found = {ins_id: pendings[ins_id] for ins_id in self.records_with("pendings", needle)}
         return found or _ABSENT
 
-    def ledger(self, obj: dict) -> brc20.Brc20Ledger:
-        """The ledger of the `balances` and `ticks` `read_sections` decoded in
-        obj: its `pendings` and `unused` are `_Lazy` maps over the bytes,
-        which `unused` is only looked up in by key."""
+    def ledger(self) -> brc20.Brc20Ledger:
+        """The ledger of the bytes: its `balances` and `ticks` decoded, its
+        `pendings` and `unused` `_Lazy` maps over the bytes, `unused` only
+        looked up by key."""
         pendings = _Lazy(self.pending, self.pendings)
         return brc20.Brc20Ledger.from_tables(
-            obj, pendings, _Lazy(lambda key: self.unused(key, pendings), None))
+            self, pendings, _Lazy(lambda key: self.unused(key, pendings), None))
 
     def plain(self, recipient: str) -> set:
-        """recipient's plain outpoints: the keys of the records `_plain_records`
-        finds, each the string before the record's `:{`."""
-        data, (start, end) = self.data, self.spans["utxos"]
-        found = set()
-        for m in _plain_records(recipient).finditer(data, start, end):
-            close = m.start() - 2  # the quote that ends the record's key
-            found.add(OutPoint.parse(data[data.rfind(b'"', start, close) + 1:close].decode()))
-        return found
+        """recipient's plain outpoints."""
+        records = self.records_with("utxos", b'{"recipient":%s,' % _json(recipient))
+        return {OutPoint.parse(key) for key, obj in records.items()
+                if chain.txout_from_json(obj).script_kind == "plain"}
 
 
 class _Outpoints(MutableSet):
     """A recipient's unspent plain outpoints in a state `IndexState.decode`
-    made: those the bytes name (`_Source.plain`), with what was added and
+    made: those the bytes name (`Snapshot.plain`), with what was added and
     removed since in `changed` (outpoint -> whether it is in the set). A
     membership test reads the outpoint's record; only iteration searches
     `utxos`, so the commit step, which adds and removes, never does."""
 
-    def __init__(self, source: _Source, recipient: str):
+    def __init__(self, source: Snapshot, recipient: str):
         self.source, self.recipient = source, recipient
         self.changed: dict[OutPoint, bool] = {}
 
@@ -590,23 +568,6 @@ class _Outpoints(MutableSet):
 
     def __len__(self):
         return sum(1 for _ in self)
-
-
-def _plain_records(recipient: str) -> re.Pattern:
-    """What matches each plain UTXO record of recipient in `utxos` up to its
-    script kind, as `_utxo_json` encodes it. Only a record's value starts
-    with `{` there, and every `"` in a string is escaped, so it matches
-    nothing else."""
-    return re.compile(rb'\{"recipient":%s,"sat_ranges":[\[\],0-9]*,"script_kind":"plain"'
-                      % re.escape(chain.canonical_dumps(recipient).encode()))
-
-
-def read_ledger(data: bytes) -> brc20.Brc20Ledger:
-    """The BRC-20 ledger in snapshot bytes ordlite wrote, for a read: decoded
-    as `IndexState.decode` decodes it, with its pendings looked up by key."""
-    spans: dict = {}
-    obj = read_sections(data, LEDGER[-1], spans, skip=("pendings",))
-    return _Source(data, spans).ledger(obj)
 
 
 def _created_outputs(txs, created: dict):
@@ -645,7 +606,7 @@ class IndexState:
         self.btc_deltas: dict[str, int] = {}  # trade settlement accounting
         self.diagnostics: list[str] = []
         # the bytes `decode` made this state from; None for a state built in memory
-        self.source: _Source | None = None
+        self.source: Snapshot | None = None
 
     # --- block pipeline ---
 
@@ -785,7 +746,7 @@ class IndexState:
         source = self.source
         values = {"offers": self.offers_json(), "btc_deltas": dict(self.btc_deltas)}
         records = {}
-        if self.tip_height != source.tip_height:
+        if self.tip_height != source.value("tip_height"):
             values.update(self.ledger.tables_json(), next_number=len(self.inscriptions),
                           tip_height=self.tip_height)
             records["pendings"] = {ins_id: brc20.pending_json(p)
@@ -827,25 +788,22 @@ class IndexState:
 
     @classmethod
     def decode(cls, data: bytes) -> "IndexState":
-        """The state in snapshot bytes ordlite wrote, for a CLI write.
-        `read_sections` decodes `btc_deltas`, `next_number`, `offers`,
-        `tip_height` and the ledger's `balances` and `ticks`, and finds
-        `inscriptions`, `utxos` and the ledger's `pendings` without decoding
-        them. The UTXO set, the inscriptions, their locations, the pendings
-        and the three derived indexes are `_Lazy` maps over the bytes (see
-        `_Source`), so a write decodes only the records it reads, and
-        `spliced_bytes` writes back only the ones it wrote."""
-        spans: dict = {}
-        obj = read_sections(data, SECTIONS[-1], spans,
-                            skip=("inscriptions", "pendings", "utxos"))
-        source = _Source(data, spans, obj["tip_height"])
+        """The state in snapshot bytes ordlite wrote, for a CLI write: its
+        `btc_deltas`, `next_number`, `offers`, `tip_height` and the ledger's
+        `balances` and `ticks` decoded, and its UTXO set, inscriptions,
+        locations, the ledger's pendings and the three derived indexes
+        `_Lazy` maps over the bytes (see `Snapshot`), so a write decodes only
+        the records it reads, and `spliced_bytes` writes back only the ones
+        it wrote."""
+        source = Snapshot(data)
         state = cls()
-        state._read_whole(obj, source.ledger(obj))
+        state._read_whole(source, source.ledger())
         state.source = source
         state.utxos = chain.UtxoSet(_Lazy(source.utxo, source.utxos))
         # the derived indexes are only looked up by key (`trade.funding_outputs`)
         state.plain_outpoints = _Lazy(lambda recipient: _Outpoints(source, recipient), None)
-        state.inscriptions = _Lazy(source.inscription, source.inscriptions, obj["next_number"])
+        state.inscriptions = _Lazy(source.inscription, source.inscriptions,
+                                   source.value("next_number"))
         state.location = _Lazy(source.location, source.locations)
         state.by_outpoint = _Lazy(source.ids_on, None)
         return state
@@ -862,7 +820,7 @@ class IndexState:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            state = cls.from_json(read_sections(data, SECTIONS[-1]))
+            state = cls.from_json(Snapshot(data))
             state.validate(data)
         except errors.CorruptSnapshot:
             raise
@@ -889,7 +847,8 @@ class IndexState:
         of its tick, max and lim, revealed at its height (`check_deploys`),
         and that inscription is the first deploy of its tick
         (`check_first_deploys`), and every deploy inscription's tick is
-        deployed (`check_deployed`);
+        deployed (`check_deployed`); every tick's minted is at most the sum
+        of its mint inscriptions numbered after its deploy (`check_minted`);
         every offer passes `trade.check_offer`; and `data` is this state's
         canonical bytes, so no stored value disagrees with what the state
         derives."""
@@ -918,6 +877,7 @@ class IndexState:
                     f"one's ({height}) and the tip ({self.tip_height})")
             height = ins.height
         transfers, deploys = {}, {}  # inscription id -> its op (and height), by number
+        mints = {}  # tick -> the amounts of its mints numbered after a deploy of it
         for ins in ordered:
             if not _INSCRIPTION_ID.fullmatch(ins.id):  # `splice` finds records by key
                 raise errors.CorruptSnapshot(f"inscription id {ins.id!r} is not <txid>i<k>")
@@ -929,6 +889,9 @@ class IndexState:
                 transfers[ins.id] = op
             elif kind == "brc20_deploy":
                 deploys[ins.id] = (op, ins.height)
+                mints.setdefault(op.tick, 0)
+            elif kind == "brc20_mint" and op.tick in mints:
+                mints[op.tick] += op.amt
         for ins_id, point in self.location.items():
             entry = self.utxos.get(point.outpoint)
             if entry is None:
@@ -947,6 +910,7 @@ class IndexState:
         self.ledger.check_deploys(deploys)
         self.ledger.check_deployed(deploys)
         self.ledger.check_first_deploys(deploys)
+        self.ledger.check_minted(mints)
         for oid, offer in self.offers.items():
             trade.check_offer(oid, offer)
         if self.snapshot_bytes() != data:

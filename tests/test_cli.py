@@ -554,7 +554,18 @@ def _deploy_of_an_undeployed_tick(obj):
     _mint_made_a_deploy(obj, "zzzz")
 
 
-NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # read_sections' first check
+def _minted_past_the_mints(obj):
+    """ordi's minted and alice's balance both raised to ordi's max: the
+    balances still sum to minted, and minted is within max, but the mint
+    inscriptions inscribe only 1000 of it."""
+    ordi, balances = obj["brc20"]["ticks"]["ordi"], obj["brc20"]["balances"]["ordi"]
+    rise = int(ordi["max"]) - int(ordi["minted"])
+    assert rise > 0
+    ordi["minted"] = ordi["max"]
+    balances["alice"] = str(int(balances["alice"]) + rise)
+
+
+NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # the snapshot reader's first check
 
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
     "range_total_off_by_one": (_value_off_by_one, None, "do not total"),
@@ -604,6 +615,8 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
     "deploy_id_is_not_the_first_deploy": (_later_deploy_named, None, "not its first"),
     "deploy_of_an_undeployed_tick": (_deploy_of_an_undeployed_tick, None,
                                      "of tick zzzz deployed nothing"),
+    "minted_past_the_mints": (_minted_past_the_mints, None,
+                              "tick ordi has minted 2100000, more than its mints inscribe"),
     # canonical bytes are ASCII, so offsets in the decoded text are byte offsets
     "raw_utf8": (_recipient_not_ascii,
                  lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"),
@@ -828,8 +841,8 @@ def test_read_commands_never_load_the_whole_state(runner, workdir, monkeypatch, 
 
 
 def decoded_sections(monkeypatch) -> list:
-    """The snapshot sections `read_sections` decodes from now on, in order,
-    each named by the head its value follows."""
+    """The snapshot sections the snapshot reader decodes from now on, in
+    order, each named by the head its value follows."""
     decoded = []
     decoder = indexer._DECODER
 
@@ -842,10 +855,10 @@ def decoded_sections(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("args, sections", [
-    (("sat", "0"), ["tip_height", "utxos"]),
+    (("sat", "0"), ["utxos"]),
     (("snapshot", "hash"), ["tip_height"]),
-    (("brc20", "tick", "ordi"), ["balances", "ticks"]),  # the ledger without its pendings
-    (("inscriptions",), ["brc20", "btc_deltas", "inscriptions"]),
+    (("brc20", "tick", "ordi"), ["ticks", "balances"]),  # the ledger without its pendings
+    (("inscriptions",), ["inscriptions"]),
 ], ids=["sat", "snapshot hash", "brc20 tick", "inscriptions"])
 def test_reads_decode_only_their_sections(runner, workdir, monkeypatch, args, sections):
     indexed(runner, workdir)
@@ -869,15 +882,25 @@ def _btc_deltas_first(text):
     return json.dumps({"btc_deltas": obj.pop("btc_deltas"), **obj}, separators=(",", ":"))
 
 
+def _bytes_after_the_last_section(text):
+    return text + "{}"
+
+
 @pytest.mark.parametrize("edit", [_drop_the_utxos_section, _section_between_the_tail_sections,
-                                  _btc_deltas_first])
-@pytest.mark.parametrize("args", [("sat", "0"), ("snapshot", "hash")], ids=" ".join)
+                                  _btc_deltas_first, _bytes_after_the_last_section])
+@pytest.mark.parametrize("args", [("sat", "0"), ("snapshot", "hash"), ("inscriptions",),
+                                  ("brc20", "tick", "ordi"), ("trade", "offer", "alice", "t1", "1"),
+                                  ("index", "empty.jsonl")], ids=" ".join)
 def test_tail_read_of_a_wrong_layout_is_corrupt(runner, workdir, monkeypatch, capsys, edit,
                                                 args):
+    """Every command that reads the data dir refuses a layout edit, though
+    it decodes none of the bytes edited."""
     indexed(runner, workdir)
     snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
     snapshot.write_text(edit(snapshot.read_text()))
     before = snapshot.read_bytes()
+    (workdir / "empty.jsonl").write_text("")
+    args = [str(workdir / a) if a.endswith(".jsonl") else a for a in args]
     code, err = main_exits(monkeypatch, capsys, workdir / "data", *args)
     assert (code, err["error"]) == (1, "CorruptSnapshot")
     assert snapshot.read_bytes() == before
@@ -890,13 +913,3 @@ def test_sat_parses_its_query_before_the_snapshot(workdir, monkeypatch, capsys):
     code, err = main_exits(monkeypatch, capsys, workdir / "data", "sat", "not a sat")
     assert (code, err["error"]) == (1, "BadSatQuery")
     assert snapshot.read_text() == "{not json"
-
-
-def test_sat_read_of_bytes_after_the_last_section_is_corrupt(runner, workdir, monkeypatch,
-                                                              capsys):
-    indexed(runner, workdir)
-    snapshot = workdir / "data" / cli_module.SNAPSHOT_FILE
-    snapshot.write_bytes(snapshot.read_bytes() + b"{}")
-    code, err = main_exits(monkeypatch, capsys, workdir / "data", "sat", "0")
-    assert code == 1
-    assert err["error"] == "CorruptSnapshot"

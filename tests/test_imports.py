@@ -12,9 +12,9 @@ No linter is a dependency of this project, so these are stdlib `ast` scans.
 An imported name counts as used if it appears anywhere in the module as a
 name (an attribute chain's root included). A pattern ending in `$` also
 matches before a trailing newline; `fullmatch` does not. Every snapshot has
-one decoder, `indexer.read_sections`; a second one could read it differently
-from the first; a CLI write's state decodes the records it reads
-(`indexer._Source.value_at`) from the bytes `read_sections` found them in.
+one reader, `indexer.Snapshot`, which decodes each section, and each record
+a CLI command reads, at one place (`value_at`); a second decoder could read
+it differently from the first.
 `ordinals.assign_ordinals` alone turns a block into UTXO entries, which
 `IndexState.apply_block` commits as they are; a second maker could give an
 output other ranges. `IndexState.apply_block` and `IndexState.from_json`
@@ -125,8 +125,7 @@ def f(y):
 JSON_DECODERS = {
     "chain.read_blocks_jsonl",  # a JSONL block file
     "brc20.parse_brc20",  # an inscription body
-    "indexer.read_sections",  # a snapshot, the data dir's or a file from elsewhere
-    "indexer._Source.value_at",  # a record, or a section read_sections skipped, of the data dir's
+    "indexer.Snapshot.value_at",  # a snapshot's section or record, the data dir's or a file's
     "scenario.load_script",  # a scenario script
 }
 

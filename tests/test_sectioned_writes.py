@@ -177,7 +177,7 @@ def test_spliced_bytes_equal_the_full_encoding_after_every_block(workload, monke
     with open(inputs.blocks_path) as fp:
         for block in chain.read_blocks_jsonl(fp):
             state = IndexState.decode(data)
-            whole = IndexState.from_json(indexer.read_sections(data, indexer.SECTIONS[-1]))
+            whole = IndexState.from_json(indexer.Snapshot(data))
             keys = lookup_keys(whole, block)
             assert answers(state, keys) == answers(whole, keys), block.height
             state.apply_block(block)
@@ -343,7 +343,7 @@ def reveal(builder: IndexState, blocks: list, label: str, funding: OutPoint,
 def test_lazy_lookups_are_not_misled_by_patterns_in_names(tmp_path):
     """A CLI write's state finds a recipient's plain outpoints, the end of
     `inscriptions`, the inscriptions on an outpoint, the end of `pendings`
-    and an owner's unused pendings by byte patterns (see `indexer._Source`).
+    and an owner's unused pendings by byte patterns (see `indexer.Snapshot`).
     Here each pattern also occurs inside a string, where its quotes are
     escaped, and no write or read may take it for the real one."""
     builder = IndexState()
