@@ -71,6 +71,11 @@ class Transaction(namedtuple("Transaction", "txid inputs outputs is_coinbase",
                              defaults=(False,))):
     __slots__ = ()
 
+    def __new__(cls, txid: str, inputs, outputs, is_coinbase: bool = False):
+        if not TXID_RE.fullmatch(txid):  # so its outpoints need no check of it
+            raise ValueError(f"bad txid {txid!r}")
+        return tuple.__new__(cls, (txid, inputs, outputs, is_coinbase))
+
     def output_total(self) -> int:
         return sum(o.value for o in self.outputs)
 
@@ -213,8 +218,6 @@ def tx_to_json(tx: Transaction) -> dict:
 
 
 def tx_from_json(obj: dict) -> Transaction:
-    if not TXID_RE.fullmatch(obj["txid"]):
-        raise ValueError(f"bad txid {obj['txid']!r}")
     is_coinbase = obj.get("coinbase", False)
     if type(is_coinbase) is not bool:
         raise ValueError(f"coinbase {is_coinbase!r} is not a boolean")

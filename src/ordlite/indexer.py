@@ -2,12 +2,12 @@
 
 For each block: check its structure; take its UTXO delta, `created`, from
 `ordinals.assign_ordinals`, which checks its values, and commit it in one
-step that also keeps the UTXO set's derived index of each recipient's unspent
-plain outpoints (`from_json` builds that index when it loads a snapshot, and
-`trade.funding_outputs` reads it); then, per tx and reading `created`, settle
-pending transfers whose inscribed sat moved, extract inscriptions and hand
-their BRC-20 operations to the ledger (`Brc20Ledger.apply`), which alone
-changes BRC-20 state.
+step that keeps the outputs it spends, `spent`, and the UTXO set's derived
+index of each recipient's unspent plain outpoints (`from_json` builds that
+index when it loads a snapshot, and `trade.funding_outputs` reads it); then,
+per tx, settle pending transfers whose inscribed sat moved, extract
+inscriptions and hand their BRC-20 operations to the ledger
+(`Brc20Ledger.apply`), which alone changes BRC-20 state.
 Protocol-level failures are recorded as diagnostics and never abort indexing;
 a chain-level failure raises ChainError or RangeValueMismatch before any commit.
 Each block ends with the ledger's `check_touched`, which checks the BRC-20
@@ -17,15 +17,17 @@ full `check_invariants` runs in `validate`, when a snapshot is loaded.
 
 Inscriptions are tracked per transaction, in block order, through an
 outpoint -> inscriptions index, as ord's InscriptionUpdater does: a tx moves
-exactly the inscriptions on the outpoints it spends. An inscription stays on
-its genesis sat, so it goes where `ordinals.assign_ordinals`, the only FIFO
-and fee-placement rule, put that sat. One `ordinals.find_sat` walk, the one
-`sat` queries use, searches the tx's outputs and then the coinbase's (the sat
-was spent as fee); if neither holds it, it was burned and the inscription is
-lost. Every moved inscription goes to the ledger's `settle` with the
-recipient of the output found; only an unused pending transfer settles, so
-a transfer inscription that moves twice in one block credits its first
-receiver, even when a later tx in the block spends it as fee.
+exactly the inscriptions on the outpoints it spends, each found by its
+offset, as FIFO keeps the order of sats. Its sat is at the values of the
+inputs before its own (from `spent`) plus its location's offset among the
+tx's input sats, so in the output whose running value first passes that;
+past the outputs it went to fee, at the start of the tx's fee among the
+coinbase's sats (`fee_at`) plus its offset into the fee; past the coinbase's
+outputs too it was burned, and the inscription is lost. No range is read.
+Every moved inscription goes to the ledger's `settle` with the recipient of
+the output found; only an unused pending transfer settles, so a transfer
+inscription that moves twice in one block credits its first receiver, even
+when a later tx in the block spends it as fee.
 
 The snapshot is canonical JSON: `chain.canonical_dumps` sorts every key, so
 its top-level sections always come in SECTIONS order, and the ledger's
@@ -570,12 +572,13 @@ class _Outpoints(MutableSet):
         return sum(1 for _ in self)
 
 
-def _created_outputs(txs, created: dict):
-    """(outpoint, ranges) of every output of txs, in order, made as walked."""
-    for tx in txs:
-        for k in range(len(tx.outputs)):
-            outpoint = OutPoint(tx.txid, k)
-            yield outpoint, created[outpoint].sat_ranges
+def _output_at(tx: chain.Transaction, pos: int) -> SatPoint | None:
+    """Where sat pos of tx's outputs, in order, lies; None past them."""
+    for k, txout in enumerate(tx.outputs):
+        if pos < txout.value:
+            return SatPoint(OutPoint._make((tx.txid, k)), pos)
+        pos -= txout.value
+    return None
 
 
 class IndexState:
@@ -614,7 +617,7 @@ class IndexState:
         """Validate and commit the next block; the only code that commits one.
         A chain error raises before anything is changed."""
         chain.validate_block(block, self.tip_height + 1)
-        created, burned = ordinals.assign_ordinals(block, self.utxos)
+        created, burned, fee_at = ordinals.assign_ordinals(block, self.utxos)
 
         # the commit: the UTXO set and its plain-outpoint index change together;
         # created first, as a tx may spend an output made in the block
@@ -624,22 +627,23 @@ class IndexState:
             txout = entry.txout
             if txout.script_kind == "plain":
                 plain[txout.recipient].add(op)
+        spent = {}  # outpoint -> the output it held, for tracking
         for tx in block.txs:
             for tin in tx.inputs:
-                txout = entries.pop(tin.prevout).txout
+                txout = spent[tin.prevout] = entries.pop(tin.prevout).txout
                 if txout.script_kind == "plain":
                     plain[txout.recipient].remove(tin.prevout)
         self.tip_height = block.height
         if burned:
             self.diagnostics.append(
-                f"height {block.height}: {ordinals.range_total(burned)} sats burned "
+                f"height {block.height}: {ordinals.prefix_sums(burned)[-1]} sats burned "
                 f"(coinbase underclaim)")
 
         # per tx, in order: settle moved inscriptions, then process reveals
-        coinbase = block.txs[0]
-        for tx in block.txs:
-            if not tx.is_coinbase:
-                self._track_moved_inscriptions(tx, coinbase, created)
+        # (a coinbase has no inputs: it moves and reveals nothing)
+        for k in range(1, len(block.txs)):
+            tx = block.txs[k]
+            self._track_moved_inscriptions(tx, spent, block.txs[0], fee_at[k - 1], created)
             self._extract_reveals(tx, block.height, created)
 
         self.ledger.check_touched()
@@ -648,22 +652,29 @@ class IndexState:
         self.location[ins_id] = satpoint
         self.by_outpoint.setdefault(satpoint.outpoint, []).append(ins_id)
 
-    def _track_moved_inscriptions(self, tx: chain.Transaction,
-                                  coinbase: chain.Transaction, created: dict) -> None:
-        moved = [ins_id for tin in tx.inputs
-                 for ins_id in self.by_outpoint.pop(tin.prevout, ())]
-        for ins_id in sorted(moved, key=lambda i: self.inscriptions[i].number):
-            new_point = ordinals.find_sat(self.inscriptions[ins_id].genesis_sat,
-                                          _created_outputs((tx, coinbase), created))
-            if new_point is None:
+    def _track_moved_inscriptions(self, tx: chain.Transaction, spent: dict,
+                                  coinbase: chain.Transaction, fee_start: int,
+                                  created: dict) -> None:
+        """Move the inscriptions on tx's inputs by offset (see the module
+        docstring); tx's fee starts at fee_start among the coinbase's sats."""
+        moved, base = [], 0  # base: where the input's first sat lies among the tx's
+        for tin in tx.inputs:
+            for ins_id in self.by_outpoint.pop(tin.prevout, ()):
+                moved.append((self.inscriptions[ins_id].number, ins_id,
+                              base + self.location[ins_id].offset))
+            base += spent[tin.prevout].value
+        for _, ins_id, pos in sorted(moved):
+            point = (_output_at(tx, pos)  # or spent as fee, on into the coinbase's pool
+                     or _output_at(coinbase, fee_start + pos - tx.output_total()))
+            if point is None:
                 del self.location[ins_id]
                 self.diagnostics.append(f"inscription {ins_id} lost (sat burned)")
                 self.ledger.cancel_pending(ins_id)
                 continue
-            self._place(ins_id, new_point)
+            self._place(ins_id, point)
             # from created: a later tx of the block may have spent the output
-            receiver = created[new_point.outpoint].txout.recipient
-            if self.ledger.settle(ins_id, receiver) and new_point.outpoint.txid != tx.txid:
+            receiver = created[point.outpoint].txout.recipient
+            if self.ledger.settle(ins_id, receiver) and point.outpoint.txid != tx.txid:
                 self.diagnostics.append(
                     f"pending {ins_id} spent to fee; settled to sat holder {receiver}")
 
@@ -681,7 +692,7 @@ class IndexState:
                 continue
             ins_id = f"{tx.txid}i{k}"
             k += 1
-            first_out = OutPoint(tx.txid, 0)
+            first_out = OutPoint._make((tx.txid, 0))
             first = created.get(first_out)
             if ins_id in self.inscriptions:  # the txid of a tx whose outputs are spent
                 reason = "reuses the id of an earlier inscription"
@@ -858,7 +869,7 @@ class IndexState:
                 if len(r) != 2 or not all(type(x) is int for x in r) or r[0] >= r[1]:
                     raise errors.CorruptSnapshot(f"{op}: bad sat range {list(r)}")
                 spans.append((*r, op))
-            if ordinals.range_total(entry.sat_ranges) != entry.txout.value:
+            if ordinals.prefix_sums(entry.sat_ranges)[-1] != entry.txout.value:
                 raise errors.CorruptSnapshot(
                     f"{op}: sat ranges do not total its value {entry.txout.value}")
         spans.sort()

@@ -7,26 +7,37 @@ it returns a block's UTXO delta, the finished `UtxoEntry` (output and ranges,
 fee sats included) of every output the block creates. It checks that every
 spent output's ranges hold its value, prices every tx through `chain.tx_fee`,
 the one fee rule, which checks that its inputs cover its outputs, and checks
-that the coinbase claims at most subsidy + fees. `find_sat` is the one walk
-that finds a sat among outputs' ranges: `sat` queries run it over a
-snapshot's UTXOs (`locate_sat` over a `UtxoSet`), and inscription tracking
-over the outputs a block creates.
+that the coinbase claims at most subsidy + fees. It works on prefix sums: a
+tx's input ranges, concatenated, are counted once, in C (`prefix_sums`); an
+input holds its value if the count rises by it over the input's ranges, and
+each output, which takes the sats from the sum of the values before it on, is
+one slice of them, found by bisecting the count, with its first and last range
+trimmed (`slice_ranges`). `find_sat` walks ranges for a sat, for `sat` queries
+over a snapshot's UTXOs (`locate_sat` over a `UtxoSet`) and for
+`IndexState.validate`; applying a block finds a moved sat by its offset.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter, sub
 
 from . import chain, errors
 from .chain import (CYCLE_BLOCKS, DIFFICULTY_PERIOD, HALVING_INTERVAL,
                     INITIAL_SUBSIDY, SUBSIDY_EPOCHS, OutPoint, block_subsidy)
 
-TOTAL_SUPPLY = sum(HALVING_INTERVAL * (INITIAL_SUBSIDY >> e)
-                   for e in range(SUBSIDY_EPOCHS))
+# the first sat of each halving epoch, then the total supply
+EPOCH_STARTS = tuple(accumulate((HALVING_INTERVAL * (INITIAL_SUBSIDY >> e)
+                                 for e in range(SUBSIDY_EPOCHS)), initial=0))
+TOTAL_SUPPLY = EPOCH_STARTS[-1]
 LAST_SAT = TOTAL_SUPPLY - 1  # 2099999997689999
 FINAL_SUPPLY_HEIGHT = SUBSIDY_EPOCHS * HALVING_INTERVAL  # subsidy is 0 from here
+
+_START, _END = itemgetter(0), itemgetter(1)  # of a (start, end) range
 
 RARITIES = ("common", "uncommon", "rare", "epic", "legendary", "mythic")
 
@@ -48,23 +59,15 @@ def start_sat_of_block(height: int) -> int:
     """Cumulative subsidy of blocks [0, height)."""
     if height < 0 or height > FINAL_SUPPLY_HEIGHT:
         raise errors.HeightBeyondSupply(str(height))
-    epoch = height // HALVING_INTERVAL
-    return (sum(HALVING_INTERVAL * (INITIAL_SUBSIDY >> e) for e in range(epoch))
-            + height % HALVING_INTERVAL * block_subsidy(height))
+    epoch, k = divmod(height, HALVING_INTERVAL)
+    return EPOCH_STARTS[epoch] + k * block_subsidy(height)
 
 
 def sat_to_decimal(n: int) -> tuple[int, int]:
     """(height, offset-within-block) of a sat."""
-    check_sat(n)
-    acc = 0
-    for e in range(SUBSIDY_EPOCHS):
-        subsidy = INITIAL_SUBSIDY >> e
-        epoch_total = HALVING_INTERVAL * subsidy
-        if acc + epoch_total > n:
-            k = (n - acc) // subsidy
-            return e * HALVING_INTERVAL + k, n - acc - k * subsidy
-        acc += epoch_total
-    raise AssertionError("unreachable for a valid sat")
+    epoch = bisect_right(EPOCH_STARTS, check_sat(n)) - 1
+    k, offset = divmod(n - EPOCH_STARTS[epoch], INITIAL_SUBSIDY >> epoch)
+    return epoch * HALVING_INTERVAL + k, offset
 
 
 def sat_from_decimal(height: int, offset: int) -> int:
@@ -203,83 +206,97 @@ def sat_info(n: int) -> dict:
 
 # --- FIFO range assignment ---
 
-def range_total(ranges) -> int:
-    return sum(end - start for start, end in ranges)
+def prefix_sums(ranges) -> list:
+    """prefix[k]: the sats in ranges[:k], for k up to len(ranges)."""
+    return [0, *accumulate(map(sub, map(_END, ranges), map(_START, ranges)))]
 
 
-def slice_ranges(input_ranges, output_values):
+def slice_ranges(ranges, output_values, prefix=None):
     """FIFO split: concatenated input ranges carved into outputs in order.
 
     Returns (per-output range lists, remainder ranges). The remainder holds
-    the fee sats, in order.
+    the fee sats, in order. An output takes the next sats [lo, hi) of the
+    concatenation: bisecting `prefix` (`prefix_sums(ranges)`) for hi, one
+    slice of ranges with its first and last range trimmed.
     """
-    ranges = list(input_ranges)
-    i = 0  # ranges[i] is the first range not yet carved out
-    outputs = []
-    for amount in output_values:
-        taken = []
-        while amount > 0:
-            if i >= len(ranges):
-                raise errors.RangeValueMismatch("ran out of sats")
-            start, end = ranges[i]
-            if end - start <= amount:
-                taken.append((start, end))
-                amount -= end - start
-                i += 1
-            else:
-                taken.append((start, start + amount))
-                ranges[i] = (start + amount, end)
-                amount = 0
-        outputs.append(taken)
-    return outputs, ranges[i:]
+    if prefix is None:
+        prefix = prefix_sums(ranges)
+    outputs, lo, a = [], 0, 0  # ranges[a] holds sat lo, if any range does
+    for value in output_values:
+        if not value:
+            outputs.append([])
+            continue
+        hi = lo + value
+        b = bisect_left(prefix, hi, a + 1)  # ranges[a:b] hold sats [lo, hi)
+        if b == len(prefix):
+            raise errors.RangeValueMismatch("ran out of sats")
+        start = ranges[a][0] + lo - prefix[a]
+        if b - a == 1:
+            outputs.append([(start, start + value)])
+        else:
+            taken = ranges[a:b]
+            taken[0] = (start, taken[0][1])
+            start, end = taken[-1]
+            taken[-1] = (start, end - prefix[b] + hi)
+            outputs.append(taken)
+        lo, a = hi, b - (prefix[b] > hi)
+    remainder = ranges[a:]
+    if remainder:
+        remainder[0] = (remainder[0][0] + lo - prefix[a], remainder[0][1])
+    return outputs, remainder
 
 
-def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, list]:
+def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, list, list]:
     """Check a block's values and return its UTXO delta.
 
     Non-coinbase txs are processed in block order; each tx's fee remainder is
-    appended, in order, after the freshly minted subsidy range in the
-    coinbase's range pool. Returns (created, burned): created maps every
-    outpoint the block creates, spent in it or not, to its UtxoEntry; burned
-    ranges arise when the coinbase claims less than subsidy + fees. An
-    output whose outpoint is already unspent raises ChainError (BIP30).
+    appended, in order, after the freshly minted subsidy range, if any, in
+    the coinbase's range pool. Returns (created, burned, fee_at): created
+    maps every outpoint the block creates, spent in it or not, to its
+    UtxoEntry; burned ranges arise when the coinbase claims less than
+    subsidy + fees; tx k's fee starts at fee_at[k - 1] in the coinbase's
+    pool. An output whose outpoint is already unspent raises ChainError
+    (BIP30).
     """
     subsidy = block_subsidy(block.height)
     created: dict[OutPoint, chain.UtxoEntry] = {}
 
     def create(tx, out_ranges):
         for i, (txout, ranges) in enumerate(zip(tx.outputs, out_ranges)):
-            outpoint = OutPoint(tx.txid, i)
+            outpoint = OutPoint._make((tx.txid, i))  # a Transaction checks its txid
             if outpoint in utxos.entries:
                 raise errors.ChainError(f"output {outpoint} would overwrite an unspent one")
             created[outpoint] = chain.UtxoEntry(txout, ranges)
 
     fee_tail: list = []
-    fees = 0
+    fee_at = [subsidy]
     for tx in block.txs[1:]:
-        pool, spent = [], {}
+        pool, spent, prefix = [], {}, [0]
         for tin in tx.inputs:
             # made earlier in the block, or unspent before it
             entry = created.get(tin.prevout) or utxos.require(tin.prevout)
-            if range_total(entry.sat_ranges) != entry.txout.value:
+            ranges = entry.sat_ranges
+            pool += ranges
+            prefix += accumulate(map(sub, map(_END, ranges), map(_START, ranges)),
+                                 initial=prefix.pop())
+            if prefix[-1] - prefix[-1 - len(ranges)] != entry.txout.value:
                 raise errors.RangeValueMismatch(str(tin.prevout))
-            pool.extend(entry.sat_ranges)
             spent[tin.prevout] = entry
-        fees += chain.tx_fee(tx, spent.__getitem__)
-        out_ranges, remainder = slice_ranges(pool, [o.value for o in tx.outputs])
+        fee_at.append(fee_at[-1] + chain.tx_fee(tx, spent.__getitem__))
+        out_ranges, remainder = slice_ranges(pool, [o.value for o in tx.outputs], prefix)
         create(tx, out_ranges)
-        fee_tail.extend(remainder)
+        fee_tail += remainder
 
     coinbase = block.txs[0]
-    budget = subsidy + fees
-    if coinbase.output_total() > budget:
-        raise errors.CoinbaseOverpay(
-            f"coinbase claims {coinbase.output_total()}, budget {budget}")
-    start = start_sat_of_block(block.height)
-    pool = ([(start, start + subsidy)] if subsidy > 0 else []) + fee_tail
-    out_ranges, burned = slice_ranges(pool, [o.value for o in coinbase.outputs])
+    values = [o.value for o in coinbase.outputs]
+    if sum(values) > fee_at[-1]:
+        raise errors.CoinbaseOverpay(f"coinbase claims {sum(values)}, budget {fee_at[-1]}")
+    if subsidy:
+        start = start_sat_of_block(block.height)
+        fee_tail[:0] = [(start, start + subsidy)]
+    out_ranges, burned = slice_ranges(fee_tail, values)
     create(coinbase, out_ranges)
-    return created, burned
+    return created, burned, fee_at
 
 
 def find_sat(n: int, outputs) -> SatPoint | None:

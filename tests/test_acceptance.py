@@ -147,7 +147,7 @@ def replay_with_sat_conservation(blocks):
                 entry = state.utxos.get(tin.prevout)
                 if entry is not None:
                     incoming.extend(entry.sat_ranges)
-        assigned, burned = ordinals.assign_ordinals(block, state.utxos)
+        assigned, burned, _ = ordinals.assign_ordinals(block, state.utxos)
         spent_within = {tin.prevout for tx in block.txs for tin in tx.inputs}
         outgoing = [r for op, entry in assigned.items()
                     if op not in spent_within for r in entry.sat_ranges]

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import coinbase, spend, txid
 from ordlite import chain, errors
-from ordlite.chain import Block, OutPoint, TxOut, UtxoSet
+from ordlite.chain import Block, OutPoint, Transaction, TxOut, UtxoSet
 from ordlite.indexer import IndexState
 
 
@@ -28,6 +28,15 @@ def test_outpoint_rejects_malformed_txid(bad):
         OutPoint(bad, 0)
     with pytest.raises(ValueError):
         OutPoint.parse(f"{bad}:0")
+
+
+@pytest.mark.parametrize("bad", ["A" * 64, "g" * 64, "a" * 63, "a" * 64 + "\n"])
+def test_transaction_rejects_malformed_txid(bad):
+    """A Transaction checks its txid, so the outpoints of its outputs need not."""
+    with pytest.raises(ValueError, match="bad txid"):
+        Transaction(bad, (), (TxOut(1, "m"),), True)
+    with pytest.raises(ValueError, match="bad txid"):
+        chain.tx_from_json({"txid": bad, "outputs": [{"value": 1, "recipient": "m"}]})
 
 
 @pytest.mark.parametrize("vout", [True, 1.0, -1, "1"])

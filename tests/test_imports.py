@@ -31,7 +31,9 @@ BTC deltas and status) undone. Nor does a `raise` follow a store to a
 `.status` attribute: a refused trade leaves every offer's status as it was,
 and whether an offer can still settle is `trade.settleable`'s to say.
 `chain.tx_fee` is the one fee rule, so building a block, settling a trade and
-indexing price a tx alike. Code that nothing in the package reaches is
+indexing price a tx alike. `ordinals.find_sat` walks ranges, so only a `sat`
+query and the checks of a loaded snapshot call it; applying a block finds a
+moved sat by its offset. Code that nothing in the package reaches is
 deleted; what only the benchmark reaches is listed in BENCHMARK_ONLY until
 the benchmark stops reaching it. `python -O` strips `assert` statements, so
 every check in the package raises instead.
@@ -203,6 +205,34 @@ class C:
         return inner, make_UtxoEntry(o), UtxoEntries(o)
 """
     assert utxo_entry_makers(source, "m") == {"m", "m.f"}
+
+
+FIND_SAT_CALLERS = {
+    "indexer.sat_report",  # `ordlite sat`
+    "indexer.IndexState.validate",  # a loaded snapshot's locations
+    "ordinals.locate_sat",  # the benchmark's sat lookups
+}
+
+
+def find_sat_callers(source: str, module: str) -> set[str]:
+    """The functions that call `find_sat` or `<module>.find_sat`."""
+    return calling_scopes(source, module, lambda func: "find_sat" in (
+        getattr(func, "id", None), getattr(func, "attr", None)))
+
+
+def test_only_queries_and_snapshot_checks_walk_ranges_for_a_sat():
+    found = set().union(*(find_sat_callers(path.read_text(), path.stem) for path in SOURCES))
+    assert found == FIND_SAT_CALLERS
+
+
+def test_scan_finds_find_sat_callers():
+    source = """def f(n, outputs):
+    return ordinals.find_sat(n, outputs)
+class C:
+    def g(self, n):
+        return find_sat(n, ()), self.find_sats(n), find_sat
+"""
+    assert find_sat_callers(source, "m") == {"m.f", "m.C.g"}
 
 
 def negative_fee_raisers(source: str, module: str) -> set[str]:

@@ -1,7 +1,9 @@
 import collections
 import gc
+import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -601,3 +603,22 @@ def test_inscription_locations_match_naive_oracle(seed):
     for case in ("chained", "inscribed_to_fee", "zero_value", "multi_envelope",
                  "underclaim", "lost", "in_coinbase", "in_tx", "past_first_range"):
         assert seen[case] > 0, case
+
+
+@pytest.mark.parametrize("workload", ["transfer_web", "range_shred"])
+def test_block_application_never_walks_ranges_for_a_sat(workload, monkeypatch, tmp_path):
+    """Tracking finds a moved inscription's sat by its offset, so applying
+    every block of a benchmark seed-101 chain never calls `ordinals.find_sat`,
+    though inscriptions move from their genesis outputs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    session = importlib.import_module("session")
+    inputs = session.setup_chain(workload, 101, 0, tmp_path)
+    calls = []
+    monkeypatch.setattr(ordinals, "find_sat", lambda *args: calls.append(args))
+    state = IndexState()
+    with open(inputs.blocks_path) as fp:
+        state.index_blocks(chain.read_blocks_jsonl(fp))
+    assert calls == []
+    moved = [ins_id for ins_id, point in state.location.items()
+             if point != SatPoint(OutPoint(ins_id.rpartition("i")[0], 0), 0)]
+    assert len(moved) > 10

@@ -1,5 +1,6 @@
 import collections
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -187,7 +188,7 @@ def test_fifo_coinbase_fee_tail(genesis):
     subsidy1 = chain.block_subsidy(1)
     pay = spend("pay", [prev], [TxOut(5_000_000_000 - 1, "bob")])  # 1 sat fee
     block = Block(1, (coinbase(1, subsidy1 + 1, label="cb1"), pay))
-    assigned, burned = ordinals.assign_ordinals(block, utxos)
+    assigned, burned, _ = ordinals.assign_ordinals(block, utxos)
     cb_ranges = assigned[OutPoint(block.txs[0].txid, 0)].sat_ranges
     start1 = ordinals.start_sat_of_block(1)
     fee_sat = 5_000_000_000 - 1  # the last genesis sat pays the fee
@@ -216,31 +217,48 @@ def test_fee_sat_located_in_coinbase(genesis):
 
 
 def test_fifo_random_vs_per_sat_oracle():
+    """slice_ranges against a per-sat list, on pools of up to 60 ranges with
+    gaps between them, carved into outputs of which some are empty and some
+    end exactly where a range ends."""
     rng = random.Random(42)
-    for _ in range(200):
-        # up to 8 sats split into input ranges, sliced into random outputs
-        total = rng.randint(1, 8)
-        sats = list(range(100, 100 + total))
-        ranges = []
-        i = 0
-        while i < total:
-            j = rng.randint(i + 1, total)
-            ranges.append((sats[i], sats[j - 1] + 1))
-            i = j
-        spendable = total
-        outputs = []
-        while spendable > 0 and rng.random() < 0.8:
-            v = rng.randint(1, spendable)
-            outputs.append(v)
-            spendable -= v
-        outs, fee = ordinals.slice_ranges(ranges, outputs)
-        # oracle: track each sat individually
+    seen = collections.Counter()
+    for _ in range(400):
+        ranges, sat = [], 100
+        for _ in range(rng.randint(1, 60)):
+            sat += rng.randint(0, 3)  # gap to the previous range
+            size = rng.randint(1, 5)
+            ranges.append((sat, sat + size))
+            sat += size
         flat = _expand(ranges)
+        boundaries = list(accumulate(end - start for start, end in ranges))
+        outputs, taken = [], 0
+        while taken < len(flat) and rng.random() < 0.85:
+            kind = rng.choice(["empty", "to_a_boundary", "any"])
+            if kind == "empty":
+                value = 0
+            elif kind == "to_a_boundary":
+                value = rng.choice([end for end in boundaries if end > taken]) - taken
+            else:
+                value = rng.randint(1, len(flat) - taken)
+            seen[kind] += 1
+            seen["many_ranges"] += value > 0 and len(ranges) > 30
+            outputs.append(value)
+            taken += value
+        outs, fee = ordinals.slice_ranges(ranges, outputs)
         pos = 0
         for v, got in zip(outputs, outs):
             assert _expand(got) == flat[pos:pos + v]
+            assert all(start < end for start, end in got)
             pos += v
         assert _expand(fee) == flat[pos:]
+        assert all(start < end for start, end in fee)
+    for case in ("empty", "to_a_boundary", "any", "many_ranges"):
+        assert seen[case] > 0, case
+
+
+def test_slicing_past_the_pool_raises():
+    with pytest.raises(errors.RangeValueMismatch):
+        ordinals.slice_ranges([(0, 3), (5, 6)], [2, 3])
 
 
 # A height whose subsidy is 1 sat, so that every sat of a block can be listed.
@@ -260,7 +278,7 @@ def seed_utxos(pick):
             next_sat += size
         op = OutPoint(txid(f"utxo{k}"), 0)
         utxos.entries[op] = chain.UtxoEntry(
-            TxOut(ordinals.range_total(ranges), "alice"), ranges)
+            TxOut(ordinals.prefix_sums(ranges)[-1], "alice"), ranges)
         sats_of[op] = _expand(ranges)
     return utxos, sats_of
 
@@ -322,7 +340,10 @@ def test_assign_ordinals_matches_per_sat_oracle(data):
     block, burned_sats = oracle_block(pick, ONE_SAT_HEIGHT, sats_of, list(sats_of), "")
     chain.validate_block(block, ONE_SAT_HEIGHT)
 
-    assigned, burned = ordinals.assign_ordinals(block, utxos)
+    assigned, burned, fee_at = ordinals.assign_ordinals(block, utxos)
+    assert fee_at == list(accumulate(
+        (sum(len(sats_of[tin.prevout]) for tin in tx.inputs) - tx.output_total()
+         for tx in block.txs[1:]), initial=1))  # the 1-sat subsidy, then each tx's fee
     txids = {tx.txid for tx in block.txs}
     created = {op for op in sats_of if op.txid in txids}
     assert set(assigned) == created
@@ -351,6 +372,18 @@ def test_inscription_locations_match_per_sat_oracle():
             block, burned = oracle_block(rng.randint, height, sats_of, unspent,
                                          f"{seed}|{height}", envelopes=True)
             live_before = {genesis[i] for i in state.location}
+            located_before = {point.outpoint for point in state.location.values()}
+            fees_before = 0  # paid by the block's txs before the one at hand
+            for tx in block.txs[1:]:
+                pool = [sat for tin in tx.inputs for sat in sats_of[tin.prevout]]
+                kept = {sat for i in range(len(tx.outputs))
+                        for sat in sats_of[OutPoint(tx.txid, i)]}
+                seen["moved_from_a_later_input"] += any(
+                    tin.prevout in located_before for tin in tx.inputs[1:])
+                if fees_before:
+                    spent_to_fee = live_before & (set(pool) - kept)
+                    seen["spent_to_fee_after_an_earlier_fee"] += len(spent_to_fee)
+                fees_before += len(pool) - len(kept)
             for tx in block.txs[1:]:
                 first = sats_of.get(OutPoint(tx.txid, 0))
                 revealed = sum(bool(tin.witness) for tin in tx.inputs) if first else 0
@@ -374,7 +407,8 @@ def test_inscription_locations_match_per_sat_oracle():
                 start, end = state.utxos.entries[point.outpoint].sat_ranges[0]
                 seen["past_first_range"] += point.offset >= end - start
     for case in ("multi_envelope", "moved_then_spent_to_fee", "lost_to_underclaim",
-                 "past_first_range"):
+                 "past_first_range", "moved_from_a_later_input",
+                 "spent_to_fee_after_an_earlier_fee"):
         assert seen[case] > 0, case
 
 
@@ -386,6 +420,61 @@ def test_range_value_mismatch():
     block = Block(1, (coinbase(1, chain.block_subsidy(1)), tx))
     with pytest.raises(errors.RangeValueMismatch):
         ordinals.assign_ordinals(block, utxos)
+
+
+def _three_inputs(bad_ranges: dict, missing=()):
+    """A block whose one tx spends utxo0..utxo2, 5 sats each: each in
+    bad_ranges holds those ranges instead, and each in missing is not unspent."""
+    utxos, prevouts = UtxoSet(), []
+    for k in range(3):
+        op = OutPoint(txid(f"utxo{k}"), 0)
+        if k not in missing:
+            utxos.entries[op] = chain.UtxoEntry(
+                TxOut(5, "alice"), bad_ranges.get(k, [(10 * k, 10 * k + 5)]))
+        prevouts.append(op)
+    tx = spend("t", prevouts, [TxOut(15, "bob")])
+    return Block(1, (coinbase(1, chain.block_subsidy(1)), tx)), utxos, prevouts
+
+
+def test_range_value_mismatch_names_the_first_input_whose_ranges_are_off():
+    block, utxos, prevouts = _three_inputs({1: [(10, 14)], 2: [(20, 26)]})
+    with pytest.raises(errors.RangeValueMismatch, match=str(prevouts[1])):
+        ordinals.assign_ordinals(block, utxos)
+
+
+def test_range_value_mismatch_comes_before_a_later_missing_prevout():
+    block, utxos, prevouts = _three_inputs({0: [(0, 4)]}, missing={1})
+    with pytest.raises(errors.RangeValueMismatch, match=str(prevouts[0])):
+        ordinals.assign_ordinals(block, utxos)
+    block, utxos, prevouts = _three_inputs({2: [(20, 24)]}, missing={1})
+    with pytest.raises(errors.MissingPrevout, match=str(prevouts[1])):
+        ordinals.assign_ordinals(block, utxos)
+
+
+def test_blocks_past_the_last_subsidy_apply_and_carry_fees_to_the_coinbase():
+    """From FINAL_SUPPLY_HEIGHT on no sat is minted, but blocks still move
+    sats and pay fees: an inscription spent as fee there, after an earlier
+    tx's fee, lands in the coinbase's output after that fee."""
+    height = ordinals.FINAL_SUPPLY_HEIGHT
+    assert chain.block_subsidy(height + 1) == 0
+    seeded = IndexState()
+    seeded.utxos.entries.update({OutPoint(txid(f"old{k}"), 0): chain.UtxoEntry(
+        TxOut(5, "alice"), [(10 * k, 10 * k + 5)]) for k in range(2)})
+    seeded.tip_height = height
+    state = IndexState.from_json(seeded.to_json())
+    state.apply_block(Block(height + 1, (coinbase(height + 1, 0),)))
+    reveal = spend("reveal", [OutPoint(txid("old0"), 0)], [TxOut(5, "alice")],
+                   witness=tuple(envelope.build_envelope("text/plain", b"late")))
+    state.apply_block(Block(height + 2, (coinbase(height + 2, 0), reveal)))
+    ins_id = f"{reveal.txid}i0"
+    assert state.location[ins_id] == SatPoint(OutPoint(reveal.txid, 0), 0)
+    change = spend("change", [OutPoint(txid("old1"), 0)], [TxOut(3, "bob")])  # fee 2
+    to_fee = spend("to fee", [OutPoint(reveal.txid, 0)], [])  # fee 5
+    cb = coinbase(height + 3, 7)
+    state.apply_block(Block(height + 3, (cb, change, to_fee)))
+    assert state.location[ins_id] == SatPoint(OutPoint(cb.txid, 0), 2)
+    assert state.utxos.entries[OutPoint(cb.txid, 0)].sat_ranges == [(13, 15), (0, 5)]
+    assert ordinals.locate_sat(0, state.utxos) == state.location[ins_id]
 
 
 def test_range_value_mismatch_comes_before_a_negative_fee():
@@ -405,7 +494,7 @@ def test_sat_conservation_per_block(genesis):
                                 TxOut(1_999_999_000, "carol")])  # fee 1000
     block = Block(1, (coinbase(1, chain.block_subsidy(1) + 1000, label="cb1"), pay))
     input_ranges = list(utxos.entries[prev].sat_ranges)
-    assigned, burned = ordinals.assign_ordinals(block, utxos)
+    assigned, burned, _ = ordinals.assign_ordinals(block, utxos)
     start1 = ordinals.start_sat_of_block(1)
     subsidy_range = [(start1, start1 + chain.block_subsidy(1))]
     got = [r for entry in assigned.values() for r in entry.sat_ranges] + list(burned)
