@@ -90,30 +90,28 @@ class UtxoEntry:
     sat_ranges: list = field(default_factory=list)  # list of (start, end) half-open
 
 
-class UtxoSet:
+class UtxoSet(dict):
     """Map OutPoint -> UtxoEntry. Written only by IndexState.apply_block
     and IndexState.from_json (snapshot loading), which keep the state's
     recipient -> plain outpoints index with it; tests/test_imports.py checks
-    that no other function writes it. `entries` is a dict, or for a state
-    `IndexState.decode` made, a map backed by the snapshot bytes."""
+    that no other function writes it. A state `IndexState.decode` made holds
+    a map backed by the snapshot bytes instead; code reads and writes either
+    through mapping operations only."""
 
-    def __init__(self, entries=None):
-        self.entries: dict[OutPoint, UtxoEntry] = {} if entries is None else entries
+    __slots__ = ()
 
-    def __contains__(self, outpoint):
-        return outpoint in self.entries
+    @property
+    def entries(self) -> "UtxoSet":
+        """The set itself: the benchmark still reads it as `utxos.entries`."""
+        return self
 
-    def __len__(self):
-        return len(self.entries)
 
-    def get(self, outpoint) -> UtxoEntry | None:
-        return self.entries.get(outpoint)
-
-    def require(self, outpoint) -> UtxoEntry:
-        entry = self.entries.get(outpoint)
-        if entry is None:
-            raise errors.MissingPrevout(str(outpoint))
-        return entry
+def require(utxos, outpoint) -> UtxoEntry:
+    """The entry utxos holds for outpoint; MissingPrevout if it holds none."""
+    entry = utxos.get(outpoint)
+    if entry is None:
+        raise errors.MissingPrevout(str(outpoint))
+    return entry
 
 
 def block_subsidy(height: int) -> int:
@@ -125,16 +123,17 @@ def block_subsidy(height: int) -> int:
     return INITIAL_SUBSIDY >> epoch
 
 
-def tx_fee(tx: Transaction, entry) -> int:
+def tx_fee(tx: Transaction, utxos) -> int:
     """Input value minus output value of a non-coinbase tx, the one fee rule:
-    a negative fee raises NegativeFee here and nowhere else. entry(outpoint)
-    returns the UtxoEntry an input spends or raises MissingPrevout. Builders
-    pass `UtxoSet.require`; a tx that spends an output made earlier in its
-    block needs a lookup that checks that block's outputs first, and
-    `ordinals.assign_ordinals` passes the entries it so resolved."""
+    a negative fee raises NegativeFee here and nowhere else. utxos maps each
+    outpoint an input spends to its UtxoEntry; one it lacks raises
+    MissingPrevout (`require`). Builders pass the UTXO set; a tx that spends
+    an output made earlier in its block needs a mapping that holds that
+    block's outputs too, and `ordinals.assign_ordinals` passes the entries
+    it so resolved."""
     if tx.is_coinbase:
         raise ValueError("coinbase has no fee")
-    fee = sum(entry(tin.prevout).txout.value for tin in tx.inputs) - tx.output_total()
+    fee = sum(require(utxos, tin.prevout).txout.value for tin in tx.inputs) - tx.output_total()
     if fee < 0:
         raise errors.NegativeFee(f"{tx.txid}: inputs short by {-fee} sats")
     return fee
@@ -168,11 +167,11 @@ def validate_block(block: Block, next_height: int) -> None:
             spent.add(tin.prevout)
 
 
-def mine_block(height: int, txs, utxos: UtxoSet, coinbase_txid: str,
+def mine_block(height: int, txs, utxos, coinbase_txid: str,
                miner: str) -> Block:
     """The block at `height` holding txs, whose coinbase pays the subsidy
     plus the txs' fees to miner. The txs spend only outputs in utxos."""
-    fees = sum(tx_fee(tx, utxos.require) for tx in txs)
+    fees = sum(tx_fee(tx, utxos) for tx in txs)
     coinbase = Transaction(coinbase_txid, (),
                            (TxOut(block_subsidy(height) + fees, miner),),
                            is_coinbase=True)

@@ -48,12 +48,14 @@ re-encode what it does not touch. `decode(data)` decodes `btc_deltas`,
 `ticks` whole, and keeps the UTXO set, the inscriptions, their locations,
 the ledger's pendings and the three derived indexes (plain outpoints,
 inscriptions by outpoint, unused pendings by tick and owner) as `_Lazy`
-maps over the bytes: each finds a key's value there on its first lookup
-(`Snapshot`: a keyed record by `_seek`, a derived lookup by
-`records_with`) and keeps every write in an overlay, its change log. The
-`brc20` read commands decode the ledger the same way (`Snapshot.ledger`). An
-`IndexState()`, as the in-memory index job and the scenario compiler make,
-holds plain dicts, and `apply_block` runs the same code on either.
+maps over the bytes, which are only looked up by key: each finds a key's
+value there on its first lookup (`Snapshot`: a keyed record by `_seek`, a
+derived lookup by `records_with`) and keeps every write in an overlay, its
+change log, and none can be iterated. The `brc20` read commands decode the
+ledger the same way (`Snapshot.ledger`). An `IndexState()`, as the
+in-memory index job and the scenario compiler make, holds dicts (its UTXO
+set a `chain.UtxoSet`, a dict), and `apply_block` runs the same mapping
+operations on either.
 `spliced_bytes` hands data, the spans and the overlays' records to `splice`,
 which re-encodes each written record, puts a new one at its key's sorted
 place, deletes a spent one, and copies every byte of a record no write
@@ -304,20 +306,18 @@ _ABSENT = object()  # what a `_Lazy` map holds for a key it has no value of
 
 
 class _Lazy(MutableMapping):
-    """A map backed by snapshot bytes, for a state `IndexState.decode` made.
-    A key is looked up in the bytes, by `find(key)`, the first time it is
-    asked for, and what was found is kept in `found`; `find` gives _ABSENT
-    for a key the bytes hold no value of. Every write, a delete included
-    (as _ABSENT), goes to `written`, which is so the change log of the map.
-    Iteration takes every (key, value) pair the bytes hold, from
-    `find_all()`, once; a map with no `find_all` cannot be iterated.
-    `count` is the number of keys, when known."""
+    """A map backed by snapshot bytes, for a state `IndexState.decode` made,
+    that is only looked up by key. A key is looked up in the bytes, by
+    `find(key)`, the first time it is asked for, and what was found is kept
+    in `found`; `find` gives _ABSENT for a key the bytes hold no value of.
+    Every write, a delete included (as _ABSENT), goes to `written`, which is
+    so the change log of the map. Iterating it raises TypeError, and so
+    does its length unless `count`, the number of keys, is given."""
 
-    def __init__(self, find, find_all, count=None):
-        self.find, self.find_all, self.count = find, find_all, count
+    def __init__(self, find, count=None):
+        self.find, self.count = find, count
         self.found: dict = {}
         self.written: dict = {}
-        self.complete = False  # whether `found` holds every key the bytes hold
 
     def __getitem__(self, key):
         value = self.written.get(key)
@@ -342,18 +342,11 @@ class _Lazy(MutableMapping):
             self.count -= 1
 
     def __iter__(self):
-        if not self.complete:
-            if self.find_all is None:
-                raise TypeError("this map is only looked up by key")
-            for key, value in self.find_all():
-                self.found.setdefault(key, value)  # a value found or changed earlier stays
-            self.find, self.complete = (lambda key: _ABSENT), True
-        merged = {**self.found, **self.written}
-        return iter([key for key, value in merged.items() if value is not _ABSENT])
+        raise TypeError("this map is only looked up by key")
 
     def __len__(self):
         if self.count is None:
-            self.count = sum(1 for _ in self)
+            raise TypeError("this map's size is not known")
         return self.count
 
 
@@ -376,9 +369,9 @@ class Snapshot:
     The values are otherwise trusted until `value` decodes them.
 
     It is also what finds a `_Lazy` map's values in the bytes, for a state
-    `IndexState.decode` made or a ledger `ledger` made. Each finder answers
-    as the bytes do; once a key is written, its map answers from its
-    overlay instead:
+    `IndexState.decode` made or a ledger `ledger` made, one key at a time:
+    no finder decodes a whole section. Each answers as the bytes do; once a
+    key is written, its map answers from its overlay instead:
     - a UTXO, an inscription or a pending: `_seek` bisects its section for
       the record's head (see `splice`), unless `records_with` decoded it
     - the inscriptions on an outpoint: a location is the only place
@@ -476,30 +469,18 @@ class Snapshot:
             pos = data.find(needle, pos + len(needle), hi)
         return found
 
-    # per map: the finder of one key's value, and the finder of every pair
+    # per map: the finder of one key's value
     def utxo(self, op: OutPoint):
         obj = self.record("utxos", str(op))
         return _ABSENT if obj is None else _utxo_from_json(obj)
-
-    def utxos(self):
-        return ((OutPoint.parse(key), _utxo_from_json(obj))
-                for key, obj in self.value("utxos").items())
 
     def inscription(self, ins_id: str):
         obj = self.record("inscriptions", ins_id)
         return _ABSENT if obj is None else _inscription_from_json(ins_id, obj)
 
-    def inscriptions(self):
-        return ((ins_id, _inscription_from_json(ins_id, obj))
-                for ins_id, obj in self.value("inscriptions").items())
-
     def location(self, ins_id: str):
         obj = self.record("inscriptions", ins_id)
         return _ABSENT if obj is None or obj["satpoint"] is None else _satpoint(obj["satpoint"], {})
-
-    def locations(self):
-        return ((ins_id, _satpoint(obj["satpoint"], {}))
-                for ins_id, obj in self.value("inscriptions").items() if obj["satpoint"])
 
     def ids_on(self, op: OutPoint):
         """The ids of the inscriptions located on op, in key order, or _ABSENT."""
@@ -509,9 +490,6 @@ class Snapshot:
     def pending(self, ins_id: str):
         obj = self.record("pendings", ins_id)
         return _ABSENT if obj is None else brc20.pending_from_json(obj)
-
-    def pendings(self):
-        return ((obj["id"], brc20.pending_from_json(obj)) for obj in self.value("pendings"))
 
     def unused(self, key: tuple[str, str], pendings: _Lazy):
         """The unused pendings of key, (tick, owner), by id, taken from
@@ -523,11 +501,10 @@ class Snapshot:
 
     def ledger(self) -> brc20.Brc20Ledger:
         """The ledger of the bytes: its `balances` and `ticks` decoded, its
-        `pendings` and `unused` `_Lazy` maps over the bytes, `unused` only
-        looked up by key."""
-        pendings = _Lazy(self.pending, self.pendings)
+        `pendings` and `unused` `_Lazy` maps over the bytes."""
+        pendings = _Lazy(self.pending)
         return brc20.Brc20Ledger.from_tables(
-            self, pendings, _Lazy(lambda key: self.unused(key, pendings), None))
+            self, pendings, _Lazy(lambda key: self.unused(key, pendings)))
 
     def plain(self, recipient: str) -> set:
         """recipient's plain outpoints."""
@@ -590,10 +567,11 @@ class IndexState:
     outpoints). `apply_block` keeps `plain_outpoints` in the step that commits
     the UTXO delta and `from_json` builds it in the loop that loads the UTXO
     set; nothing else writes the UTXO set, so the index cannot drift from it.
-    A state `decode` made holds its UTXO set, inscriptions, locations and
-    both indexes, which it only looks up by key, and its ledger's pendings
-    and their index of unused ones, as `_Lazy` maps over its snapshot bytes,
-    which `apply_block` reads and writes as it does dicts."""
+    A state `decode` made holds its UTXO set, inscriptions, locations, both
+    indexes, its ledger's pendings and their index of unused ones as `_Lazy`
+    maps over its snapshot bytes, which are only looked up by key;
+    `apply_block` reads and writes them with the mapping operations it uses
+    on dicts."""
 
     def __init__(self):
         self.tip_height = -1
@@ -621,8 +599,8 @@ class IndexState:
 
         # the commit: the UTXO set and its plain-outpoint index change together;
         # created first, as a tx may spend an output made in the block
-        entries, plain = self.utxos.entries, self.plain_outpoints
-        entries.update(created)
+        utxos, plain = self.utxos, self.plain_outpoints
+        utxos.update(created)
         for op, entry in created.items():
             txout = entry.txout
             if txout.script_kind == "plain":
@@ -630,7 +608,7 @@ class IndexState:
         spent = {}  # outpoint -> the output it held, for tracking
         for tx in block.txs:
             for tin in tx.inputs:
-                txout = spent[tin.prevout] = entries.pop(tin.prevout).txout
+                txout = spent[tin.prevout] = utxos.pop(tin.prevout).txout
                 if txout.script_kind == "plain":
                     plain[txout.recipient].remove(tin.prevout)
         self.tip_height = block.height
@@ -719,7 +697,7 @@ class IndexState:
     # --- queries ---
 
     def sat_report(self, n: int) -> dict:
-        return sat_report(n, ((op, e.sat_ranges) for op, e in self.utxos.entries.items()))
+        return sat_report(n, ((op, e.sat_ranges) for op, e in self.utxos.items()))
 
     # --- canonical snapshot ---
 
@@ -731,7 +709,7 @@ class IndexState:
         return {
             "tip_height": self.tip_height,
             "next_number": len(self.inscriptions),
-            "utxos": {str(op): _utxo_json(e) for op, e in self.utxos.entries.items()},
+            "utxos": {str(op): _utxo_json(e) for op, e in self.utxos.items()},
             "inscriptions": {ins.id: _inscription_json(ins, location.get(ins.id))
                              for ins in self.inscriptions.values()},
             "brc20": self.ledger.to_json(),
@@ -752,7 +730,7 @@ class IndexState:
         are re-encoded; once a block was applied, so are the ledger's
         `ticks` and `balances`, `next_number`, `tip_height` and every
         pending, UTXO and inscription record written since, as the `written`
-        overlays of `ledger.pendings`, `utxos.entries`, `inscriptions` and
+        overlays of `ledger.pendings`, `utxos`, `inscriptions` and
         `location` name them; every other byte is copied."""
         source = self.source
         values = {"offers": self.offers_json(), "btc_deltas": dict(self.btc_deltas)}
@@ -763,7 +741,7 @@ class IndexState:
             records["pendings"] = {ins_id: brc20.pending_json(p)
                                    for ins_id, p in self.ledger.pendings.written.items()}
             records["utxos"] = {str(op): None if e is _ABSENT else _utxo_json(e)
-                                for op, e in self.utxos.entries.written.items()}
+                                for op, e in self.utxos.written.items()}
             location = self.location
             records["inscriptions"] = {
                 ins_id: _inscription_json(self.inscriptions[ins_id], location.get(ins_id))
@@ -788,7 +766,7 @@ class IndexState:
         plain = state.plain_outpoints
         for key, e in obj["utxos"].items():
             op = outpoints[key] = OutPoint.parse(key)
-            entry = state.utxos.entries[op] = _utxo_from_json(e)
+            entry = state.utxos[op] = _utxo_from_json(e)
             if entry.txout.script_kind == "plain":
                 plain[entry.txout.recipient].add(op)
         for ins_id, i in obj["inscriptions"].items():
@@ -810,13 +788,11 @@ class IndexState:
         state = cls()
         state._read_whole(source, source.ledger())
         state.source = source
-        state.utxos = chain.UtxoSet(_Lazy(source.utxo, source.utxos))
-        # the derived indexes are only looked up by key (`trade.funding_outputs`)
-        state.plain_outpoints = _Lazy(lambda recipient: _Outpoints(source, recipient), None)
-        state.inscriptions = _Lazy(source.inscription, source.inscriptions,
-                                   source.value("next_number"))
-        state.location = _Lazy(source.location, source.locations)
-        state.by_outpoint = _Lazy(source.ids_on, None)
+        state.utxos = _Lazy(source.utxo)
+        state.plain_outpoints = _Lazy(lambda recipient: _Outpoints(source, recipient))
+        state.inscriptions = _Lazy(source.inscription, source.value("next_number"))
+        state.location = _Lazy(source.location)
+        state.by_outpoint = _Lazy(source.ids_on)
         return state
 
     @classmethod
@@ -864,7 +840,7 @@ class IndexState:
         canonical bytes, so no stored value disagrees with what the state
         derives."""
         spans = []
-        for op, entry in self.utxos.entries.items():
+        for op, entry in self.utxos.items():
             for r in entry.sat_ranges:
                 if len(r) != 2 or not all(type(x) is int for x in r) or r[0] >= r[1]:
                     raise errors.CorruptSnapshot(f"{op}: bad sat range {list(r)}")

@@ -2,8 +2,10 @@
 
 Input price series are CSV files with a `date,price` header (spaces around
 either name are ignored), ISO-8601 dates, one file per symbol, named by its
-stem; `report` refuses two series of one symbol. Series are aligned by date
-intersection pairwise when building the correlation matrix.
+stem; a row with more fields than the header, such as `2024-01-02,1,234.5`,
+is refused, as is a price that is not a finite number. `report` refuses two
+series of one symbol. Series are aligned by date intersection pairwise when
+building the correlation matrix.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ def load_price_csv(path) -> PriceSeries:
             raise errors.MetricsError(f"{path}: expected 'date,price' header")
         reader.fieldnames = names  # key rows by the stripped names
         for row in reader:
+            if None in row:  # DictReader keys the fields past the header's by None
+                raise errors.MetricsError(f"{path}: line {reader.line_num}: price {row['price']!r}"
+                                          f" is followed by {len(row[None])} more field(s)")
             try:  # float(None) raises TypeError: the row has no price field
                 prices.append(float(row["price"]))
             except (TypeError, ValueError):

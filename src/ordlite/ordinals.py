@@ -13,7 +13,7 @@ input holds its value if the count rises by it over the input's ranges, and
 each output, which takes the sats from the sum of the values before it on, is
 one slice of them, found by bisecting the count, with its first and last range
 trimmed (`slice_ranges`). `find_sat` walks ranges for a sat, for `sat` queries
-over a snapshot's UTXOs (`locate_sat` over a `UtxoSet`) and for
+over a snapshot's UTXOs (`locate_sat` over a UTXO mapping) and for
 `IndexState.validate`; applying a block finds a moved sat by its offset.
 """
 
@@ -246,7 +246,7 @@ def slice_ranges(ranges, output_values, prefix=None):
     return outputs, remainder
 
 
-def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, list, list]:
+def assign_ordinals(block: chain.Block, utxos) -> tuple[dict, list, list]:
     """Check a block's values and return its UTXO delta.
 
     Non-coinbase txs are processed in block order; each tx's fee remainder is
@@ -255,8 +255,9 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
     maps every outpoint the block creates, spent in it or not, to its
     UtxoEntry; burned ranges arise when the coinbase claims less than
     subsidy + fees; tx k's fee starts at fee_at[k - 1] in the coinbase's
-    pool. An output whose outpoint is already unspent raises ChainError
-    (BIP30).
+    pool. utxos, the UTXO set before the block, is any mapping of outpoint
+    to UtxoEntry. An output whose outpoint is already unspent raises
+    ChainError (BIP30).
     """
     subsidy = block_subsidy(block.height)
     created: dict[OutPoint, chain.UtxoEntry] = {}
@@ -264,7 +265,7 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
     def create(tx, out_ranges):
         for i, (txout, ranges) in enumerate(zip(tx.outputs, out_ranges)):
             outpoint = OutPoint._make((tx.txid, i))  # a Transaction checks its txid
-            if outpoint in utxos.entries:
+            if outpoint in utxos:
                 raise errors.ChainError(f"output {outpoint} would overwrite an unspent one")
             created[outpoint] = chain.UtxoEntry(txout, ranges)
 
@@ -274,7 +275,7 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
         pool, spent, prefix = [], {}, [0]
         for tin in tx.inputs:
             # made earlier in the block, or unspent before it
-            entry = created.get(tin.prevout) or utxos.require(tin.prevout)
+            entry = created.get(tin.prevout) or chain.require(utxos, tin.prevout)
             ranges = entry.sat_ranges
             pool += ranges
             prefix += accumulate(map(sub, map(_END, ranges), map(_START, ranges)),
@@ -282,7 +283,7 @@ def assign_ordinals(block: chain.Block, utxos: chain.UtxoSet) -> tuple[dict, lis
             if prefix[-1] - prefix[-1 - len(ranges)] != entry.txout.value:
                 raise errors.RangeValueMismatch(str(tin.prevout))
             spent[tin.prevout] = entry
-        fee_at.append(fee_at[-1] + chain.tx_fee(tx, spent.__getitem__))
+        fee_at.append(fee_at[-1] + chain.tx_fee(tx, spent))
         out_ranges, remainder = slice_ranges(pool, [o.value for o in tx.outputs], prefix)
         create(tx, out_ranges)
         fee_tail += remainder
@@ -310,9 +311,9 @@ def find_sat(n: int, outputs) -> SatPoint | None:
     return None
 
 
-def locate_sat(n: int, utxos: chain.UtxoSet) -> SatPoint:
+def locate_sat(n: int, utxos) -> SatPoint:
     check_sat(n)
-    point = find_sat(n, ((op, e.sat_ranges) for op, e in utxos.entries.items()))
+    point = find_sat(n, ((op, e.sat_ranges) for op, e in utxos.items()))
     if point is None:
         raise errors.SatNotInUtxoSet(str(n))
     return point

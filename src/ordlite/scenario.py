@@ -91,7 +91,7 @@ class ScenarioCompiler:
 
     def _reveal(self, actor: str, body: bytes, purpose: str) -> str:
         funding = self._funding_outpoint(actor, POSTAGE + REVEAL_FEE)
-        value = self.state.utxos.require(funding).txout.value
+        value = chain.require(self.state.utxos, funding).txout.value
         witness = tuple(envelope.build_envelope("text/plain;charset=utf-8", body))
         outputs = [TxOut(POSTAGE, actor, "p2tr_inscription")]
         change = value - POSTAGE - REVEAL_FEE
@@ -135,7 +135,7 @@ class ScenarioCompiler:
             satpoint = self.state.location.get(ins_id)
             if satpoint is None:
                 raise errors.OrdliteError(f"unknown inscription {action['inscription']}")
-            value = self.state.utxos.require(satpoint.outpoint).txout.value
+            value = chain.require(self.state.utxos, satpoint.outpoint).txout.value
             tx = Transaction(
                 self._txid(f"send {ins_id}"),
                 (TxIn(satpoint.outpoint),),

@@ -12,10 +12,12 @@ inscription and is excluded from those deltas.
 
 Each rule has one owner: `funding_outputs` says which outputs may fund a
 buyer, and `chain.tx_fee`, the one fee rule, prices the settlement from the
-UTXO set (`UtxoSet.require`), as `chain.mine_block` prices the block's txs
-for its coinbase. An offer's inscription is the one its PSBT's input 0 spends
-(as in BIP-174, the input is the one record of what it spends), so an offer
-stores no copy of its id. `settleable` alone says whether an offer can still
+UTXO set, as `chain.mine_block` prices the block's txs for its coinbase.
+The state's UTXO set is read only through mapping operations (`in`, `[]`,
+`get`, `chain.require`), so a state `IndexState.decode` made serves as one
+built in memory. An offer's inscription is the one its PSBT's input 0
+spends (as in BIP-174, the input is the one record of what it spends), so
+an offer stores no copy of its id. `settleable` alone says whether an offer can still
 settle; every refusal is decided before anything changes, so a dead offer
 keeps its status. `funding_outputs` reads the state's derived index of each
 recipient's unspent plain outpoints, `IndexState.plain_outpoints`, which
@@ -133,7 +135,7 @@ def signatures_commit(psbt: Psbt) -> bool:
                for pin in psbt.inputs for signer, sig in pin.signatures.items())
 
 
-def verify_signatures(psbt: Psbt, utxos: chain.UtxoSet) -> bool:
+def verify_signatures(psbt: Psbt, utxos) -> bool:
     """True when every input is signed by the recipient of the output in utxos
     that it spends, and every signature present is valid."""
     for pin in psbt.inputs:
@@ -235,7 +237,7 @@ def accept_offer(state: IndexState, offer: Offer, buyer: str,
                  funding: list[OutPoint], fee: int) -> Psbt:
     check_acceptable(state, offer, fee)
     inscribed_outpoint = offer.psbt.inputs[0].outpoint
-    postage = state.utxos.require(inscribed_outpoint).txout.value
+    postage = chain.require(state.utxos, inscribed_outpoint).txout.value
 
     if len(set(funding)) != len(funding):
         raise errors.BadFunding("duplicated funding outpoint")
@@ -275,8 +277,8 @@ def funding_outputs(state: IndexState, addr: str) -> list[tuple[OutPoint, int]]:
     plain, unspent, paying addr and carrying no inscription, in no set order.
     `state.plain_outpoints`, which `apply_block` keeps and `from_json` builds,
     lists addr's unspent plain outputs, so only addr's UTXO entries are read."""
-    entries = state.utxos.entries
-    return [(op, entries[op].txout.value) for op in state.plain_outpoints.get(addr, ())
+    utxos = state.utxos
+    return [(op, utxos[op].txout.value) for op in state.plain_outpoints.get(addr, ())
             if op not in state.by_outpoint]
 
 
@@ -314,7 +316,7 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
         tuple(chain.TxIn(pin.outpoint) for pin in psbt.inputs),
         tuple(psbt.outputs),
     )
-    fee = chain.tx_fee(settlement, state.utxos.require)
+    fee = chain.tx_fee(settlement, state.utxos)
     block = chain.mine_block(
         height, (settlement,), state.utxos,
         hashlib.sha256(f"coinbase|{height}|{MINER}".encode()).hexdigest(), MINER)

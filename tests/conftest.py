@@ -61,9 +61,9 @@ def send_then_recreate(state, ins_id, to="bob"):
     reveal's change output. Apply both to state and return them."""
     listed = state.location[ins_id].outpoint
     assert listed.vout == 0
-    postage = state.utxos.require(listed).txout
+    postage = chain.require(state.utxos, listed).txout
     change = OutPoint(listed.txid, 1)
-    value = state.utxos.require(change).txout.value
+    value = chain.require(state.utxos, change).txout.value
     send = Transaction(txid(f"send {ins_id}"), (TxIn(listed),),
                        (TxOut(postage.value, to, "p2tr_inscription"),))
     recreate = Transaction(listed.txid, (TxIn(change),),

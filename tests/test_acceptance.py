@@ -63,7 +63,7 @@ def test_criterion_2_fifo_listings():
                             is_coinbase=True)
     # genesis coinbase claimed 4 sats (sats 0..3); tx spends them into 3 + fee d
     state.apply_block(chain.Block(1, (cb1, pay)))
-    cb_ranges = state.utxos.require(chain.OutPoint("2" * 64, 0)).sat_ranges
+    cb_ranges = chain.require(state.utxos, chain.OutPoint("2" * 64, 0)).sat_ranges
     start1 = ordinals.start_sat_of_block(1)
     assert cb_ranges == [(start1, start1 + subsidy1), (3, 4)]  # [SUBSIDY d]
     ok(2, "all three FIFO listing cases exact, coinbase fee tail ordered")

@@ -92,35 +92,35 @@ def _chain_with(utxo_values, owner="alice"):
     utxos = UtxoSet()
     t = txid("funding")
     for i, v in enumerate(utxo_values):
-        utxos.entries[OutPoint(t, i)] = chain.UtxoEntry(TxOut(v, owner))
+        utxos[OutPoint(t, i)] = chain.UtxoEntry(TxOut(v, owner))
     return utxos, [OutPoint(t, i) for i in range(len(utxo_values))]
 
 
 def test_tx_fee_balanced():
     utxos, ops = _chain_with([3, 3])
     tx = spend("t", ops, [TxOut(4, "bob"), TxOut(2, "bob")])
-    assert chain.tx_fee(tx, utxos.require) == 0
+    assert chain.tx_fee(tx, utxos) == 0
 
 
 def test_tx_fee_one_sat():
     # two 2-sat inputs, one 3-sat output: one satoshi goes to the miner
     utxos, ops = _chain_with([2, 2])
     tx = spend("t", ops, [TxOut(3, "bob")])
-    assert chain.tx_fee(tx, utxos.require) == 1
+    assert chain.tx_fee(tx, utxos) == 1
 
 
 def test_tx_fee_overdraw():
     utxos, ops = _chain_with([5])
     tx = spend("t", ops, [TxOut(6, "bob")])
     with pytest.raises(errors.NegativeFee):
-        chain.tx_fee(tx, utxos.require)
+        chain.tx_fee(tx, utxos)
 
 
 def test_tx_fee_missing_prevout():
     utxos = UtxoSet()
     tx = spend("t", [OutPoint(txid("nope"), 0)], [TxOut(1, "bob")])
     with pytest.raises(errors.MissingPrevout):
-        chain.tx_fee(tx, utxos.require)
+        chain.tx_fee(tx, utxos)
 
 
 def test_tx_fee_prices_a_spend_of_an_output_made_earlier_in_its_block():
@@ -129,12 +129,12 @@ def test_tx_fee_prices_a_spend_of_an_output_made_earlier_in_its_block():
     second = spend("second", [OutPoint(first.txid, 0)], [TxOut(4, "carol")])  # fee 2
     created = {OutPoint(first.txid, i): chain.UtxoEntry(o) for i, o in enumerate(first.outputs)}
     with pytest.raises(errors.MissingPrevout):
-        chain.tx_fee(second, utxos.require)
-    assert chain.tx_fee(second, lambda op: created.get(op) or utxos.require(op)) == 2
+        chain.tx_fee(second, utxos)
+    assert chain.tx_fee(second, {**utxos, **created}) == 2
 
 
 def utxo_total(state):
-    return sum(e.txout.value for e in state.utxos.entries.values())
+    return sum(e.txout.value for e in state.utxos.values())
 
 
 def test_genesis_apply(genesis):

@@ -87,7 +87,7 @@ class CliModel(RuleBasedStateMachine):
     def index(self, txs, claim_fees=True, miner="miner"):
         """`ordlite index` of the next block, which holds txs."""
         height = self.mirror.tip_height + 1
-        fees = sum(chain.tx_fee(tx, self.mirror.utxos.require) for tx in txs)
+        fees = sum(chain.tx_fee(tx, self.mirror.utxos) for tx in txs)
         claim = chain.block_subsidy(height) + (fees if claim_fees else 0)
         block = Block(height, (Transaction(txid(f"model cb {height}"), (),
                                            (TxOut(claim, miner),), True), *txs))
@@ -120,7 +120,7 @@ class CliModel(RuleBasedStateMachine):
         funding = self.funding(actor)
         if funding is None:
             return self.index([], miner=actor)
-        value = self.mirror.utxos.require(funding).txout.value
+        value = chain.require(self.mirror.utxos, funding).txout.value
         body = BODIES[kind].replace("%s", amt).encode()
         witness = tuple(envelope.build_envelope("text/plain", body))
         self.index([Transaction(self.new_txid(), (TxIn(funding, witness),), (
@@ -136,7 +136,7 @@ class CliModel(RuleBasedStateMachine):
         if not located:
             return
         op = self.mirror.location[located[pick % len(located)]].outpoint
-        value = self.mirror.utxos.require(op).txout.value
+        value = chain.require(self.mirror.utxos, op).txout.value
         outputs = (TxOut(value, to, "p2tr_inscription"),) if how == "send" else ()
         self.index([Transaction(self.new_txid(), (TxIn(op),), outputs)],
                    claim_fees=how != "burn")
@@ -149,7 +149,7 @@ class CliModel(RuleBasedStateMachine):
         funding = self.funding(actor)
         if not reused or funding is None:
             return
-        value = self.mirror.utxos.require(funding).txout.value
+        value = chain.require(self.mirror.utxos, funding).txout.value
         self.index([Transaction(reused[pick % len(reused)], (TxIn(funding),),
                                 (TxOut(value, actor),))])
 

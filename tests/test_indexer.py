@@ -155,20 +155,22 @@ def test_failed_save_keeps_the_old_snapshot(genesis, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_load_leaves_the_garbage_collector_as_it_found_it(genesis, tmp_path, enabled):
+def test_load_leaves_the_garbage_collector_as_it_found_it(genesis, enabled):
+    """`from_untrusted` pauses the collector while it decodes, and restores
+    it whether the bytes load, are not JSON or fail `validate`."""
     state = IndexState()
     state.apply_block(genesis)
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    state.save(good)
-    bad.write_text("{not json")
+    good = state.snapshot_bytes()
+    spaced = good.replace(b'"sat_ranges":[', b'"sat_ranges": [', 1)  # decodes, not canonical
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        assert IndexState.decode(good.read_bytes()).snapshot_hash() == state.snapshot_hash()
+        assert IndexState.from_untrusted(good).snapshot_bytes() == good
         assert gc.isenabled() == enabled
-        with pytest.raises(errors.CorruptSnapshot):
-            IndexState.decode(bad.read_bytes())
-        assert gc.isenabled() == enabled
+        for bad, message in ((b"{not json", "expected"), (spaced, "not in canonical form")):
+            with pytest.raises(errors.CorruptSnapshot, match=message):
+                IndexState.from_untrusted(bad)
+            assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
 
@@ -285,7 +287,7 @@ def next_block(state, txs, claimed_fees, label):
 
 
 def _corrupt_ranges_then_move(state, inscribed):
-    entry = state.utxos.require(inscribed)
+    entry = chain.require(state.utxos, inscribed)
     start = entry.sat_ranges[0][0]
     entry.sat_ranges = [(start, start + 1)]  # ranges no longer cover the value
     return next_block(state, [spend("move", [inscribed], [TxOut(546, "bob")])],
@@ -397,7 +399,7 @@ def test_reveals_of_crafted_brc20_bodies_are_text_and_their_block_commits(genesi
     state = IndexState()
     state.apply_block(genesis)
     prev = OutPoint(genesis.txs[0].txid, 0)
-    change = state.utxos.require(prev).txout.value
+    change = chain.require(state.utxos, prev).txout.value
     reveals = []
     for k, body in enumerate(CRAFTED_BODIES):
         change -= 546
@@ -423,7 +425,7 @@ def test_reveal_reusing_a_spent_txid_keeps_the_earlier_inscription(genesis):
 
     def reveal(prevout, body, owner):
         return spend("reveal", [prevout], [TxOut(546, owner, "p2tr_inscription"),
-                                           TxOut(state.utxos.require(prevout).txout.value
+                                           TxOut(chain.require(state.utxos, prevout).txout.value
                                                  - 546, owner)],
                      witness=tuple(envelope.build_envelope("text/plain", body)))
     first = reveal(OutPoint(genesis.txs[0].txid, 0), b"first", "alice")
@@ -432,7 +434,7 @@ def test_reveal_reusing_a_spent_txid_keeps_the_earlier_inscription(genesis):
     both = [OutPoint(first.txid, 0), OutPoint(first.txid, 1)]
     state.apply_block(next_block(state, [spend("to bob", both, [
         TxOut(546, "bob", "p2tr_inscription"),
-        TxOut(sum(state.utxos.require(op).txout.value for op in both) - 546, "bob")])],
+        TxOut(sum(chain.require(state.utxos, op).txout.value for op in both) - 546, "bob")])],
         0, "cb to bob"))
     again = reveal(OutPoint(txid("cb reveal"), 0), b"second", "carol")
     assert again.txid == first.txid
@@ -529,7 +531,7 @@ def random_outputs(rng, total):
 def random_block(rng, state, seen, seed):
     """A valid block over state's UTXO set, drawn to hit every tracking case."""
     height = state.tip_height + 1
-    spendable = {op: e.txout.value for op, e in state.utxos.entries.items()}
+    spendable = {op: e.txout.value for op, e in state.utxos.items()}
     inscribed = {sp.outpoint for sp in state.location.values()}
     created, txs, fees = set(), [], 0
     for t in range(rng.randint(0, 4)):
@@ -594,7 +596,7 @@ def test_inscription_locations_match_naive_oracle(seed):
             seen["lost" if want is None else
                  "in_coinbase" if want.outpoint.txid in coinbases else "in_tx"] += 1
             if want is not None:
-                start, end = state.utxos.entries[want.outpoint].sat_ranges[0]
+                start, end = state.utxos[want.outpoint].sat_ranges[0]
                 seen["past_first_range"] += want.offset >= end - start
     reloaded = IndexState.from_json(json.loads(state.snapshot_bytes()))
     assert {op: sorted(ids) for op, ids in reloaded.by_outpoint.items()} == \

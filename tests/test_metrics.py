@@ -162,8 +162,8 @@ def test_load_csv_header_with_spaces(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["2023-05-02", "2023-05-02,abc", "2023-05-02,nan",
-                                 "2023-05-02,inf"],
-                         ids=["no_price", "not_a_number", "nan", "inf"])
+                                 "2023-05-02,inf", "2023-05-02,1,234.5"],
+                         ids=["no_price", "not_a_number", "nan", "inf", "extra_field"])
 def test_load_csv_bad_row_names_file_and_line(tmp_path, row):
     f = tmp_path / "bad.csv"
     f.write_text(f"date,price\n2023-05-01,100\n{row}\n2023-05-03,99\n")

@@ -277,7 +277,7 @@ def seed_utxos(pick):
             ranges.append((next_sat, next_sat + size))
             next_sat += size
         op = OutPoint(txid(f"utxo{k}"), 0)
-        utxos.entries[op] = chain.UtxoEntry(
+        utxos[op] = chain.UtxoEntry(
             TxOut(ordinals.prefix_sums(ranges)[-1], "alice"), ranges)
         sats_of[op] = _expand(ranges)
     return utxos, sats_of
@@ -404,7 +404,7 @@ def test_inscription_locations_match_per_sat_oracle():
             seen["moved_then_spent_to_fee"] += len(live_before & passed_on & to_fee)
             seen["lost_to_underclaim"] += len(live_before & set(burned))
             for point in state.location.values():
-                start, end = state.utxos.entries[point.outpoint].sat_ranges[0]
+                start, end = state.utxos[point.outpoint].sat_ranges[0]
                 seen["past_first_range"] += point.offset >= end - start
     for case in ("multi_envelope", "moved_then_spent_to_fee", "lost_to_underclaim",
                  "past_first_range", "moved_from_a_later_input",
@@ -414,7 +414,7 @@ def test_inscription_locations_match_per_sat_oracle():
 
 def test_range_value_mismatch():
     utxos = UtxoSet()
-    utxos.entries[OutPoint(txid("f"), 0)] = chain.UtxoEntry(
+    utxos[OutPoint(txid("f"), 0)] = chain.UtxoEntry(
         TxOut(10, "alice"), [(0, 5)])  # ranges sum 5, value 10
     tx = spend("t", [OutPoint(txid("f"), 0)], [TxOut(10, "bob")])
     block = Block(1, (coinbase(1, chain.block_subsidy(1)), tx))
@@ -429,7 +429,7 @@ def _three_inputs(bad_ranges: dict, missing=()):
     for k in range(3):
         op = OutPoint(txid(f"utxo{k}"), 0)
         if k not in missing:
-            utxos.entries[op] = chain.UtxoEntry(
+            utxos[op] = chain.UtxoEntry(
                 TxOut(5, "alice"), bad_ranges.get(k, [(10 * k, 10 * k + 5)]))
         prevouts.append(op)
     tx = spend("t", prevouts, [TxOut(15, "bob")])
@@ -458,7 +458,7 @@ def test_blocks_past_the_last_subsidy_apply_and_carry_fees_to_the_coinbase():
     height = ordinals.FINAL_SUPPLY_HEIGHT
     assert chain.block_subsidy(height + 1) == 0
     seeded = IndexState()
-    seeded.utxos.entries.update({OutPoint(txid(f"old{k}"), 0): chain.UtxoEntry(
+    seeded.utxos.update({OutPoint(txid(f"old{k}"), 0): chain.UtxoEntry(
         TxOut(5, "alice"), [(10 * k, 10 * k + 5)]) for k in range(2)})
     seeded.tip_height = height
     state = IndexState.from_json(seeded.to_json())
@@ -473,13 +473,13 @@ def test_blocks_past_the_last_subsidy_apply_and_carry_fees_to_the_coinbase():
     cb = coinbase(height + 3, 7)
     state.apply_block(Block(height + 3, (cb, change, to_fee)))
     assert state.location[ins_id] == SatPoint(OutPoint(cb.txid, 0), 2)
-    assert state.utxos.entries[OutPoint(cb.txid, 0)].sat_ranges == [(13, 15), (0, 5)]
+    assert state.utxos[OutPoint(cb.txid, 0)].sat_ranges == [(13, 15), (0, 5)]
     assert ordinals.locate_sat(0, state.utxos) == state.location[ins_id]
 
 
 def test_range_value_mismatch_comes_before_a_negative_fee():
     utxos = UtxoSet()
-    utxos.entries[OutPoint(txid("f"), 0)] = chain.UtxoEntry(
+    utxos[OutPoint(txid("f"), 0)] = chain.UtxoEntry(
         TxOut(10, "alice"), [(0, 5)])  # ranges sum 5, value 10
     tx = spend("t", [OutPoint(txid("f"), 0)], [TxOut(11, "bob")])  # inputs short by 1
     block = Block(1, (coinbase(1, chain.block_subsidy(1)), tx))
@@ -493,7 +493,7 @@ def test_sat_conservation_per_block(genesis):
     pay = spend("pay", [prev], [TxOut(3_000_000_000, "bob"),
                                 TxOut(1_999_999_000, "carol")])  # fee 1000
     block = Block(1, (coinbase(1, chain.block_subsidy(1) + 1000, label="cb1"), pay))
-    input_ranges = list(utxos.entries[prev].sat_ranges)
+    input_ranges = list(utxos[prev].sat_ranges)
     assigned, burned, _ = ordinals.assign_ordinals(block, utxos)
     start1 = ordinals.start_sat_of_block(1)
     subsidy_range = [(start1, start1 + chain.block_subsidy(1))]
