@@ -28,8 +28,10 @@ loses nothing by that: `trade` refuses before it changes the state, so a
 dead offer keeps its status, and `trade accept` checks the offer before the
 buyer's funding. Reads decode only what they print from: `brc20` the
 ledger's ticks and balances, with each pending looked up in the bytes as a
-write does (`Snapshot.ledger`), `inscriptions` the inscriptions, `sat` the
-UTXO set and `snapshot hash` the tip height.
+write does (`Snapshot.ledger`), `inscriptions` the inscriptions, or with
+`--height` only the records of that height, `sat` only the UTXO records
+whose bytes hold a range text that can hold the sat
+(`Snapshot.outputs_holding`), and `snapshot hash` the tip height.
 With no snapshot, every command reads EMPTY_SNAPSHOT, an empty index's bytes.
 """
 
@@ -118,8 +120,8 @@ def sat(obj, query):
     """Describe a sat given any notation (integer, name, decimal, degree,
     percentile such as 50%)."""
     n = ordinals.parse_sat_query(query)
-    utxos = indexer.Snapshot(read_snapshot(obj["data_dir"])).value("utxos")
-    emit(indexer.sat_report(n, ((key, e["sat_ranges"]) for key, e in utxos.items())))
+    source = indexer.Snapshot(read_snapshot(obj["data_dir"]))
+    emit(indexer.sat_report(n, source.outputs_holding(n)))
 
 
 @cli.command()
@@ -127,12 +129,14 @@ def sat(obj, query):
 @click.pass_obj
 def inscriptions(obj, height):
     """List inscriptions, optionally filtered by reveal height."""
-    listed = indexer.Snapshot(read_snapshot(obj["data_dir"])).value("inscriptions")
+    source = indexer.Snapshot(read_snapshot(obj["data_dir"]))
+    listed = (source.value("inscriptions") if height is None
+              # quoted, so it matches no string: only the records of that height
+              else source.records_with("inscriptions", b',"height":%d,"kind":' % height))
     emit([{"id": ins_id, "number": i["number"], "kind": i["kind"],
            "content_type": i["content_type"], "height": i["height"],
            "genesis_sat": i["genesis_sat"], "satpoint": i["satpoint"]}
-          for ins_id, i in sorted(listed.items(), key=lambda item: item[1]["number"])
-          if height is None or i["height"] == height])
+          for ins_id, i in sorted(listed.items(), key=lambda item: item[1]["number"])])
 
 
 @cli.group()

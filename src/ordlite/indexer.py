@@ -35,7 +35,10 @@ fields in LEDGER order. `Snapshot` is its one reader, for the data dir's
 bytes and a file's alike: it decodes the bytes to text once, finds every
 section and ledger field going forward by one table of heads (HEADS), which
 checks the layout and nothing more, and decodes a section (`value`) or a
-record only when asked. Bytes from outside the data dir enter only through
+record only when asked: a record found by its key (`_seek`) or by bytes it
+holds (`records_with`; `outputs_holding` for the UTXO records that can hold
+a sat, which is sound as every range lies inside one block's subsidy, a rule
+`validate` checks). Bytes from outside the data dir enter only through
 `IndexState.from_untrusted`, which decodes every section whole and then
 validates the state; the data dir then holds only bytes ordlite wrote.
 `next_number`, each `genesis_satpoint` and each offer's `inscription_id` are
@@ -117,9 +120,13 @@ _DECODER = json.JSONDecoder()
 # "<txid>i<k>", in quotes, then a colon. The byte before it is the `{` or `,`
 # that separates the record from what comes before.
 _RECORD_HEAD = re.compile(rb'"([0-9a-f]{64}[:i][0-9]+)":')
-# The start of a pending's element in `pendings`, `{"amt":"<amt>","id":"<id>"`
-# (its fields in sorted order), which holds its key, the id. `{"` occurs in
-# no string, where every `"` is escaped, so it matches only there.
+# section -> what opens each of its records: a brace, then its first field's
+# name (a record's fields are in sorted order). No string holds one, as every
+# `"` in a string is escaped and a string's closing quote is followed only by
+# `,`, `:`, `}` or `]`.
+_RECORD_OPENS = {"inscriptions": b'{"body":', "pendings": b'{"amt":', "utxos": b'{"recipient":'}
+# The start of a pending's element in `pendings`, `{"amt":"<amt>","id":"<id>"`,
+# which holds its key, the id; it matches only there, as `{"amt":` opens it.
 _PENDING_HEAD = re.compile(rb'\{"amt":"[0-9.]+","id":"([0-9a-f]{64}i[0-9]+)"')
 # section -> what finds the head of each of its records
 _RECORD_HEADS = {"inscriptions": _RECORD_HEAD, "pendings": _PENDING_HEAD, "utxos": _RECORD_HEAD}
@@ -217,6 +224,25 @@ def _seek(data: bytes, lo: int, hi: int, key: bytes, pattern=_RECORD_HEAD):
         if head.group(1) >= key:
             return head
     return found
+
+
+def _range_texts(n: int):
+    """The pattern of the range texts `[a,b]` whose a can start a range that
+    holds sat n. Every range lies inside the subsidy of one block: indexing
+    cuts ranges and never joins them (`assign_ordinals`), and `validate`
+    refuses a snapshot that holds another. So a is between the first sat of
+    n's block and n, and canonical JSON writes an integer without leading
+    zeros: when the two have as many digits, a has that many and starts
+    with the digits they share; otherwise, which happens only in block 0, a
+    has as many digits as either, or a count between."""
+    digits = str(n)
+    first = str(ordinals.start_sat_of_block(ordinals.sat_to_decimal(n)[0]))
+    if len(first) == len(digits):
+        shared = os.path.commonprefix((first, digits))
+        start = "%s[0-9]{%d}" % (shared, len(digits) - len(shared))
+    else:
+        start = "[0-9]{%d,%d}" % (len(first), len(digits))
+    return re.compile(rb"\[(%s),([0-9]+)\]" % start.encode())
 
 
 def write_snapshot(path, data: bytes) -> None:
@@ -385,7 +411,10 @@ class Snapshot:
     - the unused pendings of a (tick, owner): the elements of `pendings`
       that end `,"owner":<owner>,"tick":<tick>,"used":false}`. A pending is
       written only when it is made, after its owner's unused pendings were
-      looked up, or used, after they were looked up to drop it."""
+      looked up, or used, after they were looked up to drop it.
+
+    Two reads find records the same way, by bytes they hold: `inscriptions
+    --height` (`records_with`) and `sat` (`outputs_holding`)."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -452,22 +481,44 @@ class Snapshot:
 
     def records_with(self, section: str, needle: bytes) -> dict:
         """The records of section whose bytes hold needle, by key, decoded and
-        kept for `record`. Records are flat objects, so the record that holds
-        a hit starts at the last `{"` before it: `{"` occurs in no string,
-        where every `"` is escaped."""
+        kept for `record`: each hit's record is the one `record_at` finds."""
         data, (lo, hi) = self.data, self.spans[section]
         found, pos = {}, data.find(needle, lo, hi)
         while pos >= 0:
-            start = data.rfind(b'{"', lo, pos + 2)
-            if section == "pendings":  # a pending's key is its id, in its head
-                key = _PENDING_HEAD.match(data, start).group(1).decode()
-            else:  # a record's key is the string before its value
-                key = data[data.rfind(b'"', lo, start - 2) + 1:start - 2].decode()
-            if self.found.get((section, key)) is None:
-                self.found[section, key] = self.value_at(start)[0]
-            found[key] = self.found[section, key]
+            key, found[key] = self.record_at(section, pos)
             pos = data.find(needle, pos + len(needle), hi)
         return found
+
+    def record_at(self, section: str, pos: int) -> tuple:
+        """The key and decoded value of the record of section whose bytes
+        hold offset pos, decoded once and kept for `record`. Records are flat
+        objects, so it starts at the last `_RECORD_OPENS` of its section that
+        starts at or before pos."""
+        data, lo = self.data, self.spans[section][0]
+        opener = _RECORD_OPENS[section]
+        start = data.rfind(opener, lo, pos + len(opener))
+        if section == "pendings":  # a pending's key is its id, in its head
+            key = _PENDING_HEAD.match(data, start).group(1).decode()
+        else:  # a record's key is the string before its value
+            key = data[data.rfind(b'"', lo, start - 2) + 1:start - 2].decode()
+        if self.found.get((section, key)) is None:
+            self.found[section, key] = self.value_at(start)[0]
+        return key, self.found[section, key]
+
+    def outputs_holding(self, n: int) -> list:
+        """The (key, sat_ranges) pairs of the UTXO records whose bytes hold a
+        range text `[a,b]` with a <= n < b, in key order, each decoded once:
+        the record that holds sat n, if one does, and any whose recipient
+        holds such a text, which `ordinals.find_sat` passes over. One
+        pattern finds the texts whose a can start a range holding n
+        (`_range_texts`)."""
+        lo, hi = self.spans["utxos"]
+        found = {}
+        for text in _range_texts(n).finditer(self.data, lo, hi):
+            if int(text[1]) <= n < int(text[2]):
+                key, obj = self.record_at("utxos", text.start())
+                found[key] = obj["sat_ranges"]
+        return list(found.items())
 
     # per map: the finder of one key's value
     def utxo(self, op: OutPoint):
@@ -821,8 +872,10 @@ class IndexState:
 
     def validate(self, data: bytes) -> None:
         """Raise CorruptSnapshot unless this state, decoded from `data`, is one
-        indexing could have produced: every UTXO's ranges are non-empty, total
-        its value and share no sat with another's; the inscriptions are
+        indexing could have produced: every UTXO's ranges are non-empty, each
+        inside the subsidy of one block at or below the tip (`Snapshot`'s
+        `outputs_holding` relies on it), total its value and share no sat
+        with another's; the inscriptions are
         numbered 0..n-1 and every located one is on its genesis sat, in an
         unspent output, and its kind is the one its content type and body
         classify as, and its id is "<txid>i<k>"; their heights do not
@@ -842,8 +895,15 @@ class IndexState:
         spans = []
         for op, entry in self.utxos.items():
             for r in entry.sat_ranges:
-                if len(r) != 2 or not all(type(x) is int for x in r) or r[0] >= r[1]:
+                if len(r) != 2 or not all(type(x) is int for x in r) or not 0 <= r[0] < r[1]:
                     raise errors.CorruptSnapshot(f"{op}: bad sat range {list(r)}")
+                height, offset = ordinals.sat_to_decimal(r[0])
+                if height > self.tip_height:
+                    raise errors.CorruptSnapshot(
+                        f"{op}: sat range {list(r)} is of block {height}, above the tip")
+                if r[1] - r[0] > chain.block_subsidy(height) - offset:
+                    raise errors.CorruptSnapshot(
+                        f"{op}: sat range {list(r)} is not inside block {height}'s subsidy")
                 spans.append((*r, op))
             if ordinals.prefix_sums(entry.sat_ranges)[-1] != entry.txout.value:
                 raise errors.CorruptSnapshot(

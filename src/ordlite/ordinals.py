@@ -12,8 +12,10 @@ tx's input ranges, concatenated, are counted once, in C (`prefix_sums`); an
 input holds its value if the count rises by it over the input's ranges, and
 each output, which takes the sats from the sum of the values before it on, is
 one slice of them, found by bisecting the count, with its first and last range
-trimmed (`slice_ranges`). `find_sat` walks ranges for a sat, for `sat` queries
-over a snapshot's UTXOs (`locate_sat` over a UTXO mapping) and for
+trimmed (`slice_ranges`). Ranges are cut and never joined, so each lies
+inside one block's subsidy. `find_sat` walks ranges for a sat, for `sat`
+queries over the candidate UTXO records `indexer.Snapshot.outputs_holding`
+finds, which it may pass over (`locate_sat` over a UTXO mapping), and for
 `IndexState.validate`; applying a block finds a moved sat by its offset.
 """
 

@@ -6,8 +6,9 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from conftest import BAD_FIELD_SCRIPTS, SELLER_SCRIPT, send_then_recreate
-from ordlite import chain, cli as cli_module, errors, indexer, trade
+from conftest import BAD_FIELD_SCRIPTS, SELLER_SCRIPT, coinbase, send_then_recreate, spend, txid
+from ordlite import chain, cli as cli_module, envelope, errors, indexer, ordinals, trade
+from ordlite.chain import Block, OutPoint, Transaction, TxIn, TxOut
 from ordlite.cli import cli
 from ordlite.indexer import IndexState
 from ordlite.scenario import ScenarioCompiler
@@ -565,11 +566,35 @@ def _minted_past_the_mints(obj):
     balances["alice"] = str(int(balances["alice"]) + rise)
 
 
+def _range_across_blocks(obj):
+    """A coinbase output's two ranges, its fee sats at the end of the block
+    before and its subsidy, which meet at its block's first sat, joined into
+    one range, as indexing never joins them: the range crosses a block."""
+    utxo = next(u for u in obj["utxos"].values()
+                if len(u["sat_ranges"]) == 2 and u["sat_ranges"][1][1] == u["sat_ranges"][0][0])
+    (_, end), (start, _) = utxo["sat_ranges"]
+    utxo["sat_ranges"] = [[start, end]]
+
+
+def _range_above_the_tip(obj):
+    """An uninscribed UTXO's sats moved into the block after the tip, which
+    no block mined."""
+    inscribed = {i["satpoint"].rpartition(":")[0] for i in obj["inscriptions"].values()
+                 if i["satpoint"]}
+    key = min((k for k in obj["utxos"] if k not in inscribed),
+              key=lambda k: obj["utxos"][k]["value"])
+    start = ordinals.start_sat_of_block(obj["tip_height"] + 1)
+    assert obj["utxos"][key]["value"] <= chain.block_subsidy(obj["tip_height"] + 1)
+    obj["utxos"][key]["sat_ranges"] = [[start, start + obj["utxos"][key]["value"]]]
+
+
 NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # the snapshot reader's first check
 
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
     "range_total_off_by_one": (_value_off_by_one, None, "do not total"),
     "two_utxos_share_a_sat": (_shared_sat, None, "share sat"),
+    "range_across_blocks": (_range_across_blocks, None, "is not inside block 0's subsidy"),
+    "range_above_the_tip": (_range_above_the_tip, None, "is of block 6, above the tip"),
     "inscription_on_missing_outpoint": (_on_missing_outpoint, None, "not unspent"),
     "inscription_past_output_value": (_past_its_value, None, "not on its genesis sat"),
     "minted_does_not_match_balances": (_minted_mismatch, None, "balances sum to"),
@@ -803,6 +828,33 @@ def test_write_reading_a_record_that_is_not_json_is_corrupt(runner, workdir, mon
     assert snapshot.read_bytes() == before
 
 
+def test_index_spends_an_inscription_whose_content_type_ends_in_a_brace(runner, workdir):
+    """A string that ends in `{` is followed by its closing quote, so the
+    bytes of an inscription record whose content type is `text/x{` hold
+    `{"` before its location. An `index` whose block spends that location
+    must still find the record, and write what indexing in memory writes."""
+    state = IndexState()
+    genesis = Block(0, (coinbase(0, chain.block_subsidy(0), "alice"),))
+    state.apply_block(genesis)
+    funding = OutPoint(genesis.txs[0].txid, 0)
+    reveal = Transaction(txid("brace reveal"), (TxIn(funding, tuple(envelope.build_envelope(
+        "text/x{", b"hi"))),), (TxOut(546, "alice", "p2tr_inscription"),
+                                TxOut(chain.block_subsidy(0) - 1_546, "alice")))
+    first = [genesis, chain.mine_block(1, (reveal,), state.utxos, txid("brace cb1"), "miner")]
+    state.apply_block(first[-1])
+    send = spend("brace send", [OutPoint(reveal.txid, 0)], [TxOut(546, "bob", "p2tr_inscription")])
+    second = [chain.mine_block(2, (send,), state.utxos, txid("brace cb2"), "miner")]
+    state.apply_block(second[-1])
+    assert state.location[f"{reveal.txid}i0"].outpoint == OutPoint(send.txid, 0)
+    for name, blocks in (("first.jsonl", first), ("second.jsonl", second)):
+        with open(workdir / name, "w") as fp:
+            chain.write_blocks_jsonl(blocks, fp)
+        result = runner.invoke(cli, ["--data-dir", str(workdir / "data"), "index",
+                                     str(workdir / name)])
+        assert result.exit_code == 0, result.exception
+    assert json.loads(result.output)["hash"] == state.snapshot_hash()
+
+
 READS = (("sat", "0"), ("inscriptions",), ("brc20", "tick", "ordi"),
          ("brc20", "balance", "ordi", "alice"), ("snapshot", "hash"))
 
@@ -842,7 +894,8 @@ def test_read_commands_never_load_the_whole_state(runner, workdir, monkeypatch, 
 
 def decoded_sections(monkeypatch) -> list:
     """The snapshot sections the snapshot reader decodes from now on, in
-    order, each named by the head its value follows."""
+    order, each named by the head its value follows, and the records, each
+    named by its key."""
     decoded = []
     decoder = indexer._DECODER
 
@@ -854,18 +907,34 @@ def decoded_sections(monkeypatch) -> list:
     return decoded
 
 
+def _utxo_holding_sat_0(state):
+    """The record of the UTXO that holds sat 0, by its key."""
+    return [state.sat_report(0)["satpoint"].rpartition(":")[0]]
+
+
+def _inscriptions_of_height_2(state):
+    """The records of the inscriptions revealed at height 2, by key: the mint."""
+    return sorted(i.id for i in state.inscriptions.values() if i.height == 2)
+
+
 @pytest.mark.parametrize("args, sections", [
-    (("sat", "0"), ["utxos"]),
-    (("snapshot", "hash"), ["tip_height"]),
-    (("brc20", "tick", "ordi"), ["ticks", "balances"]),  # the ledger without its pendings
-    (("inscriptions",), ["inscriptions"]),
-], ids=["sat", "snapshot hash", "brc20 tick", "inscriptions"])
+    (("sat", "0"), _utxo_holding_sat_0),
+    (("snapshot", "hash"), lambda state: ["tip_height"]),
+    # the ledger without its pendings
+    (("brc20", "tick", "ordi"), lambda state: ["ticks", "balances"]),
+    (("inscriptions",), lambda state: ["inscriptions"]),
+    (("inscriptions", "--height", "2"), _inscriptions_of_height_2),
+], ids=["sat", "snapshot hash", "brc20 tick", "inscriptions", "inscriptions --height"])
 def test_reads_decode_only_their_sections(runner, workdir, monkeypatch, args, sections):
+    """Each read decodes only the sections, or the records, it prints from."""
     indexed(runner, workdir)
+    expected = sections(IndexState.from_untrusted(
+        (workdir / "data" / cli_module.SNAPSHOT_FILE).read_bytes()))
+    assert len(expected) > 0
     decoded = decoded_sections(monkeypatch)
     result = runner.invoke(cli, ["--data-dir", str(workdir / "data"), *args])
     assert result.exit_code == 0, result.exception
-    assert decoded == sections
+    assert decoded == expected
 
 
 def _drop_the_utxos_section(text):

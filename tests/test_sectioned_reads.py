@@ -4,10 +4,12 @@ command must print what the Python API prints on the fully loaded state;
 `brc20 tick` and `brc20 balance` must do so without decoding the whole
 ledger (`Brc20Ledger.from_json`). On those chains, and on one whose names
 are the snapshot's heads, the snapshot reader must find each section where
-encoding the sections one after another puts it."""
+encoding the sections one after another puts it, and its sat finder must
+find every sat's output as the walk over every UTXO does."""
 
 import importlib
 import json
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -59,7 +61,7 @@ def assert_reads_match(data_dir: Path, state: IndexState) -> None:
               state.ledger.query_balance("zzzz", "nobody"))
         assert isinstance(read("brc20", "tick", "zzzz").exception, errors.UnknownTick)
     check(["inscriptions"], listing(state))
-    for height in sorted({ins.height for ins in state.inscriptions.values()}):
+    for height in range(state.tip_height + 2):  # the height after the tip has none
         check(["inscriptions", "--height", str(height)], listing(state, height))
     unmined = ordinals.start_sat_of_block(state.tip_height + 1)
     sats = [state.inscriptions[i].genesis_sat for i in sorted(state.location)] + [unmined]
@@ -91,6 +93,41 @@ def assert_reader_finds_the_encoding(data: bytes, state: IndexState) -> None:
         assert reader.value(name) == fields[name], name
 
 
+def fixed_sats(state: IndexState) -> set:
+    """Sat 0, a sat inside block 0, one in block 1 whose digits share none
+    with the block's first sat (5e9), and the first unmined sat."""
+    return {0, 2_345_678_901, 7_000_000_003, ordinals.start_sat_of_block(state.tip_height + 1)}
+
+
+def assert_sat_finder_matches_the_walk(data: bytes, state: IndexState) -> None:
+    """For each range of state's UTXOs, its start, its last sat and the sat
+    after it, and each of `fixed_sats`, the outputs `Snapshot.outputs_holding`
+    finds in data, state's bytes, locate the sat where the walk over every
+    UTXO (`IndexState.sat_report`) does. No two ranges share a sat, so the
+    walk's satpoints are those of one sorted table of the state's ranges,
+    which `find_sat` over the outputs found must give for each sat; at the
+    fixed sats and every 50th other, `indexer.sat_report` over them must
+    print what the walk itself prints."""
+    held = sorted((start, end, op, offset) for op, entry in state.utxos.items()
+                  for (start, end), offset in zip(entry.sat_ranges,
+                                                  ordinals.prefix_sums(entry.sat_ranges)))
+    starts = [r[0] for r in held]
+    fixed = fixed_sats(state)
+    source = indexer.Snapshot(data)
+    sats = sorted(fixed.union(*((start, end - 1, end) for start, end, _, _ in held)))
+    for k, n in enumerate(sats):
+        outputs = source.outputs_holding(n)
+        i = bisect_right(starts, n) - 1
+        expected = None
+        if i >= 0 and n < held[i][1]:
+            start, _, op, offset = held[i]
+            expected = f"{op}:{offset + n - start}"
+        point = ordinals.find_sat(n, outputs)
+        assert (None if point is None else str(point)) == expected, n
+        if k % 50 == 0 or n in fixed:
+            assert indexer.sat_report(n, outputs) == state.sat_report(n), n
+
+
 def refuse_whole_ledger(*args):
     raise AssertionError("a brc20 read decoded the whole ledger")
 
@@ -112,11 +149,13 @@ def test_sectioned_reads_equal_full_loads(workload, monkeypatch, tmp_path):
         state = IndexState.from_untrusted(path.read_bytes())
         assert state.inscriptions, (workload, k)
         assert_reader_finds_the_encoding(path.read_bytes(), state)
+        assert_sat_finder_matches_the_walk(path.read_bytes(), state)
         assert_reads_match(data_dir, state)
 
 
 def test_reads_of_an_empty_data_dir_equal_an_empty_index(tmp_path):
     assert_reader_finds_the_encoding(cli.EMPTY_SNAPSHOT, IndexState())
+    assert_sat_finder_matches_the_walk(cli.EMPTY_SNAPSHOT, IndexState())
     assert_reads_match(tmp_path / "absent", IndexState())
 
 
@@ -147,7 +186,9 @@ def test_commands_are_not_misled_by_section_heads_in_names(tmp_path):
     Here every name is a head's, and one content type holds every head and
     every needle of the writes below, so the bytes hold each head's name
     before its section; every read and write command must still answer as
-    the API does on the same state."""
+    the API does on the same state. That content type and some names end
+    in `{`, so `{"` follows them in the bytes, and one recipient holds the
+    range text of a sat `sat` is asked for."""
     script = [{"action": "deploy", "tick": "ordi", "max": "2100000", "lim": "1000",
                "deployer": NAMES[0]}]
     for k, name in enumerate(NAMES):
@@ -168,7 +209,7 @@ def test_commands_are_not_misled_by_section_heads_in_names(tmp_path):
     # every head and every needle
     label = "head names text"
     ins_id = f"{txid(label)}i0"
-    content_type = "text/x;" + "".join([*indexer.HEADS.values(), *needles(ins_id)])
+    content_type = "text/x;" + "".join([*indexer.HEADS.values(), *needles(ins_id)]) + "{"
     funding, value = max(trade.funding_outputs(state, NAMES[0]), key=lambda o: o[1])
     reveal = Transaction(txid(label), (TxIn(funding, tuple(envelope.build_envelope(
         content_type, b"hi"))),), (TxOut(546, NAMES[1], "p2tr_inscription"),
@@ -202,12 +243,17 @@ def test_commands_are_not_misled_by_section_heads_in_names(tmp_path):
                      lambda m: trade.broadcast_and_settle(m, m.offers[oid], buyer))
     txs = [spend("head names send", [mirror.location[ins_id].outpoint],
                  [TxOut(546, NAMES[3], "p2tr_inscription")])]
-    for name in NAMES:
+    sat = state.inscriptions[ins_id].genesis_sat
+    decoy = f"[{sat},{sat + 1}]{{"  # the first name's tx also pays this recipient
+    assert any(name.endswith("{") for name in NAMES)
+    for k, name in enumerate(NAMES):
         body = b'{"amt":"1","op":"transfer","p":"brc-20","tick":"ordi"}'
         funding, value = max(trade.funding_outputs(mirror, name), key=lambda o: o[1])
+        change = ((TxOut(1_000, decoy), TxOut(value - 2_546, name)) if k == 0
+                  else (TxOut(value - 1_546, name),))
         txs.append(Transaction(txid(f"head names {name}"), (TxIn(funding, tuple(
             envelope.build_envelope("text/plain", body))),), (
-            TxOut(546, name, "p2tr_inscription"), TxOut(value - 1_546, name))))
+            TxOut(546, name, "p2tr_inscription"), *change)))
     writes.index(data_dir, mirror, tmp_path / "more.jsonl", chain.mine_block(
         mirror.tip_height + 1, tuple(txs), mirror.utxos, txid("head names more"), NAMES[4]))
     assert mirror.location[ins_id].outpoint.txid == txid("head names send")
@@ -224,4 +270,7 @@ def test_commands_are_not_misled_by_section_heads_in_names(tmp_path):
     assert json.loads(loaded.output)["tip_height"] == mirror.tip_height
     assert cli.snapshot_path(tmp_path / "loaded").read_bytes() == data
     assert_reader_finds_the_encoding(data, mirror)
+    # the decoy's record is a candidate for the sat, which `find_sat` drops
+    assert len(indexer.Snapshot(data).outputs_holding(sat)) == 2
+    assert_sat_finder_matches_the_walk(data, mirror)
     assert_reads_match(data_dir, IndexState.from_untrusted(data))
