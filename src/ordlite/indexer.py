@@ -35,9 +35,10 @@ fields in LEDGER order. `Snapshot` is its one reader, for the data dir's
 bytes and a file's alike: it decodes the bytes to text once, finds every
 section and ledger field going forward by one table of heads (HEADS), which
 checks the layout and nothing more, and decodes a section (`value`) or a
-record only when asked: a record found by its key (`_seek`) or by bytes it
-holds (`records_with`; `outputs_holding` for the UTXO records that can hold
-a sat, which is sound as every range lies inside one block's subsidy, a rule
+record only when asked: a record is found by what opens it
+(`_RECORD_OPENS`), for its key (`_seek`) or for bytes it holds
+(`records_with`; `outputs_holding` for the UTXO records that can hold a
+sat, which is sound as every range lies inside one block's subsidy, a rule
 `validate` checks). Bytes from outside the data dir enter only through
 `IndexState.from_untrusted`, which decodes every section whole and then
 validates the state; the data dir then holds only bytes ordlite wrote.
@@ -116,20 +117,16 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _DECODER = json.JSONDecoder()
 
 
-# A record head in `utxos` or `inscriptions`: its key, "<txid>:<vout>" or
-# "<txid>i<k>", in quotes, then a colon. The byte before it is the `{` or `,`
-# that separates the record from what comes before.
-_RECORD_HEAD = re.compile(rb'"([0-9a-f]{64}[:i][0-9]+)":')
 # section -> what opens each of its records: a brace, then its first field's
 # name (a record's fields are in sorted order). No string holds one, as every
 # `"` in a string is escaped and a string's closing quote is followed only by
-# `,`, `:`, `}` or `]`.
+# `,`, `:`, `}` or `]`, and records are flat, so each one in a section opens
+# one of its records, in key order. `_head` reads the key of the record it
+# opens: in `utxos` and `inscriptions` the string before it, as no key (an
+# outpoint or an inscription id) holds a quote; in `pendings`, a list sorted
+# by id, the `id`, its element's second field, after `amt`, a string of
+# digits and a point.
 _RECORD_OPENS = {"inscriptions": b'{"body":', "pendings": b'{"amt":', "utxos": b'{"recipient":'}
-# The start of a pending's element in `pendings`, `{"amt":"<amt>","id":"<id>"`,
-# which holds its key, the id; it matches only there, as `{"amt":` opens it.
-_PENDING_HEAD = re.compile(rb'\{"amt":"[0-9.]+","id":"([0-9a-f]{64}i[0-9]+)"')
-# section -> what finds the head of each of its records
-_RECORD_HEADS = {"inscriptions": _RECORD_HEAD, "pendings": _PENDING_HEAD, "utxos": _RECORD_HEAD}
 # An inscription id, as `_extract_reveals` makes it: "<txid>i<k>"
 _INSCRIPTION_ID = re.compile(r"[0-9a-f]{64}i[0-9]+")
 
@@ -146,16 +143,10 @@ def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
     and on its own.
 
     Only `utxos`, `inscriptions` and the ledger's `pendings` list take
-    records, found by their `_RECORD_HEADS` pattern. In the two objects
-    `_RECORD_HEAD` matches only a record's head: every `"` inside a string
-    is escaped, so the quote after the key's last digit ends a string, and
-    the colon after it makes that string a key; a record key holds no quote,
-    so the match is the whole key; and the keys inside a record are field
-    names, none of a record key's shape. No user chooses a record key (an
-    outpoint or an inscription id). A pending's key is its id. Records are
-    in `canonical_dumps` order, Python string order (`pendings` is sorted by
+    records, each found by what opens it (`_RECORD_OPENS`). Records are in
+    `canonical_dumps` order, Python string order (`pendings` is sorted by
     id), so `<txid>:10` comes before `<txid>:2`, and each key is found by
-    bisecting the section's bytes."""
+    bisecting the section's bytes (`_seek`)."""
     pieces, pos = [], 0
     view = memoryview(data)
     changed = [key for key in (*values, *records) if key in values or records[key]]
@@ -165,31 +156,32 @@ def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
         if key in values:
             pieces.append(chain.canonical_dumps(values[key]).encode())
         else:
-            pieces += _splice_records(data, start, end, records[key], _RECORD_HEADS[key])
+            pieces += _splice_records(data, start, end, records[key], key)
         pos = end
     pieces.append(view[pos:])
     return b"".join(pieces)
 
 
-def _splice_records(data: bytes, start: int, end: int, records: dict, pattern) -> list:
-    """The pieces that, joined, encode the object, or the list, at
-    data[start:end] with records spliced in (see `splice`): each run of old
+def _splice_records(data: bytes, start: int, end: int, records: dict, section: str) -> list:
+    """The pieces that, joined, encode section, the object or list at
+    data[start:end], with records spliced in (see `splice`): each run of old
     records between two named keys is a piece of data, joined once, by
     `splice`. A list's element holds its key, an object's record follows it."""
     close = end - 1  # the closing brace or bracket
     view, runs = memoryview(data), []
-    listed = data[start:start + 1] == b"["
+    opener, listed = _RECORD_OPENS[section], section == "pendings"
     cursor = start  # the separator before the first record not yet copied, or close
     for key in sorted(records):
         k = key.encode()
-        head = _seek(data, cursor, close, k, pattern)
-        sep = close if head is None else head.start() - 1
+        head = _seek(data, cursor, close, k, section)
+        sep = close if head is None else head[0] - 1
         if sep - cursor > 1:
             runs.append(view[cursor + 1:sep])
         cursor = sep
-        if head is not None and head.group(1) == k:  # the old record: skip it
-            after = pattern.search(data, head.end(), close)
-            cursor = close if after is None else after.start() - 1
+        if head is not None and head[1] == k:  # the old record: skip it
+            # its own opener is the first at or after its start
+            after = data.find(opener, data.find(opener, head[0]) + 1, close)
+            cursor = close if after < 0 else _head(data, cursor, after, section)[0] - 1
         if records[key] is not None:
             value = chain.canonical_dumps(records[key]).encode()
             runs.append(value if listed else b'"%s":%s' % (k, value))
@@ -204,25 +196,34 @@ def _splice_records(data: bytes, start: int, end: int, records: dict, pattern) -
     return pieces
 
 
-def _seek(data: bytes, lo: int, hi: int, key: bytes, pattern=_RECORD_HEAD):
-    """The match of `pattern`, a record head, of the first record in
-    data[lo:hi] whose key is not below key, or None. Every record head
-    before lo is below key. A probe matches the first head after a
-    midpoint; once few bytes are left unsearched, the heads after lo are
-    tried in turn."""
-    found, bound = None, hi  # no head lies in [hi, bound)
-    while hi - lo > 256:
+def _head(data: bytes, lo: int, at: int, section: str) -> tuple:
+    """The start and key of the record of section that opens at `at`, which
+    starts at or after lo (see `_RECORD_OPENS`): an object's record starts
+    at the quote that opens its key, a list's at its opener."""
+    if section == "pendings":  # `{"amt":"<amt>","id":"<key>"`
+        key = data.index(b'"', at + len(b'{"amt":"')) + len(b'","id":"')
+        return at, data[key:data.index(b'"', key)]
+    quote = data.rfind(b'"', lo, at - 2)  # `"<key>":` precedes the opener
+    return quote, data[quote + 1:at - 2]
+
+
+def _seek(data: bytes, lo: int, hi: int, key: bytes, section: str):
+    """The (start, key) `_head` gives of the first record of section in
+    data[lo:hi] whose key is not below key, or None. Every record that opens
+    before lo is below key. A probe reads the first record that opens after
+    a midpoint."""
+    opener, found, bound = _RECORD_OPENS[section], None, hi  # no record opens in [hi, bound)
+    while lo < hi:
         mid = (lo + hi) // 2
-        head = pattern.search(data, mid, bound)
-        if head is None or head.group(1) >= key:
-            if head is not None:
-                found, bound = head, head.start()
+        at = data.find(opener, mid, bound)
+        if at < 0:
             hi = mid
+            continue
+        head = _head(data, lo, at, section)
+        if head[1] < key:
+            lo = at + len(opener)
         else:
-            lo = head.end()
-    for head in pattern.finditer(data, lo, bound):
-        if head.group(1) >= key:
-            return head
+            found, bound, hi = head, at, mid
     return found
 
 
@@ -399,7 +400,8 @@ class Snapshot:
     no finder decodes a whole section. Each answers as the bytes do; once a
     key is written, its map answers from its overlay instead:
     - a UTXO, an inscription or a pending: `_seek` bisects its section for
-      the record's head (see `splice`), unless `records_with` decoded it
+      the record's key, read where a record opens (`_head`), unless
+      `records_with` decoded it
     - the inscriptions on an outpoint: a location is the only place
       `"satpoint":"<txid>:<vout>:` occurs in `inscriptions`. An outpoint's
       inscriptions change only when it is spent, which pops it from the
@@ -414,7 +416,8 @@ class Snapshot:
       looked up, or used, after they were looked up to drop it.
 
     Two reads find records the same way, by bytes they hold: `inscriptions
-    --height` (`records_with`) and `sat` (`outputs_holding`)."""
+    --height` (`records_with`) and `sat` (`outputs_holding`). Every record
+    is decoded, and kept, by `record_at`."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -472,11 +475,11 @@ class Snapshot:
         if found is _ABSENT:
             start, end = self.spans[section]
             k = key.encode()
-            head = _seek(self.data, start, end - 1, k, _RECORD_HEADS[section])
+            head = _seek(self.data, start, end - 1, k, section)
             found = self.found[section, key] = (
-                None if head is None or head.group(1) != k
-                # a pending's head starts its element, a record's ends at its value
-                else self.value_at(head.start() if section == "pendings" else head.end())[0])
+                None if head is None or head[1] != k
+                # its opener is the first at or after its start
+                else self.record_at(section, self.data.find(_RECORD_OPENS[section], head[0]))[1])
         return found
 
     def records_with(self, section: str, needle: bytes) -> dict:
@@ -490,19 +493,16 @@ class Snapshot:
         return found
 
     def record_at(self, section: str, pos: int) -> tuple:
-        """The key and decoded value of the record of section whose bytes
-        hold offset pos, decoded once and kept for `record`. Records are flat
-        objects, so it starts at the last `_RECORD_OPENS` of its section that
-        starts at or before pos."""
+        """The key and decoded value of the record of section whose value
+        holds offset pos, decoded once and kept for `record`: the record
+        that opens at the last `_RECORD_OPENS` of its section that starts at
+        or before pos, as records are flat, with its key from `_head`."""
         data, lo = self.data, self.spans[section][0]
         opener = _RECORD_OPENS[section]
-        start = data.rfind(opener, lo, pos + len(opener))
-        if section == "pendings":  # a pending's key is its id, in its head
-            key = _PENDING_HEAD.match(data, start).group(1).decode()
-        else:  # a record's key is the string before its value
-            key = data[data.rfind(b'"', lo, start - 2) + 1:start - 2].decode()
+        at = data.rfind(opener, lo, pos + len(opener))
+        key = _head(data, lo, at, section)[1].decode()
         if self.found.get((section, key)) is None:
-            self.found[section, key] = self.value_at(start)[0]
+            self.found[section, key] = self.value_at(at)[0]
         return key, self.found[section, key]
 
     def outputs_holding(self, n: int) -> list:
@@ -926,7 +926,8 @@ class IndexState:
         transfers, deploys = {}, {}  # inscription id -> its op (and height), by number
         mints = {}  # tick -> the amounts of its mints numbered after a deploy of it
         for ins in ordered:
-            if not _INSCRIPTION_ID.fullmatch(ins.id):  # `splice` finds records by key
+            # `_head` reads a key as the string before its record: no quote in it
+            if not _INSCRIPTION_ID.fullmatch(ins.id):
                 raise errors.CorruptSnapshot(f"inscription id {ins.id!r} is not <txid>i<k>")
             kind, op = classify_envelope(envelope.Envelope(ins.content_type, ins.body))
             if ins.kind != kind:

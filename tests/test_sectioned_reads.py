@@ -2,22 +2,27 @@
 chains of every benchmark workload, and on an empty data dir, each read
 command must print what the Python API prints on the fully loaded state;
 `brc20 tick` and `brc20 balance` must do so without decoding the whole
-ledger (`Brc20Ledger.from_json`). On those chains, and on one whose names
-are the snapshot's heads, the snapshot reader must find each section where
-encoding the sections one after another puts it, and its sat finder must
-find every sat's output as the walk over every UTXO does."""
+ledger (`Brc20Ledger.from_json`). On those chains, on one whose names are
+the snapshot's heads and after each index file of the hand-built chain of
+the splice's edge cases, the snapshot reader must find each section, and
+each record by its key, where encoding them one after another puts it, and
+its sat finder must find every sat's output as the walk over every UTXO
+does."""
 
 import importlib
 import json
-from bisect import bisect_right
+import re
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import test_sectioned_writes as writes
 from conftest import spend, txid
-from ordlite import chain, cli, envelope, errors, indexer, ordinals, scenario, trade
+from ordlite import brc20, chain, cli, envelope, errors, indexer, ordinals, scenario, trade
 from ordlite.chain import Transaction, TxIn, TxOut
 from ordlite.brc20 import Brc20Ledger
 from ordlite.indexer import IndexState
@@ -75,7 +80,8 @@ def assert_reader_finds_the_encoding(data: bytes, state: IndexState) -> None:
     """The snapshot reader's span of each ledger field and later section of
     data, state's bytes, is where encoding the sections of `state.to_json()`
     one after another puts it, and its value of each section and field is
-    that section or field."""
+    that section or field; and it finds each record where encoding its
+    section record by record puts it (`assert_locator_finds_the_records`)."""
     obj = json.loads(chain.canonical_dumps(state.to_json()))
     fields = {**obj["brc20"], **obj}
     text, spans = f'{{"{indexer.SECTIONS[0]}":{{', {}
@@ -91,6 +97,56 @@ def assert_reader_finds_the_encoding(data: bytes, state: IndexState) -> None:
     assert reader.spans == spans
     for name in (*indexer.LEDGER, *indexer.SECTIONS):
         assert reader.value(name) == fields[name], name
+    for section in ("utxos", "inscriptions", "pendings"):
+        assert_locator_finds_the_records(data, section, fields[section], spans[section][0])
+
+
+def assert_locator_finds_the_records(data: bytes, section: str, value, start: int) -> None:
+    """In data, whose section encodes value from offset start, `_seek` finds
+    the first record whose key is not below a probe where encoding the
+    section's records one after another puts it, and `Snapshot.record`
+    finds the record of that key, or None. The probes are every key, each
+    without its last character and with "0" after it, "" and "~"."""
+    # key -> its record; a pending's key is its id, and `pendings` is sorted by it
+    records = value if section != "pendings" else {p["id"]: p for p in value}
+    table, pos = [], start + 1  # (start, key) of each record, in the bytes' order
+    for key, record in (records.items() if section == "pendings" else sorted(records.items())):
+        table.append((pos, key.encode()))
+        head = "" if section == "pendings" else f"{json.dumps(key)}:"
+        pos += len(head) + len(chain.canonical_dumps(record)) + 1
+    keys = [key for _, key in table]
+    assert keys == sorted(keys), section
+    reader = indexer.Snapshot(data)
+    lo, hi = reader.spans[section]
+    probes = {"", "~"}.union(*((key, key[:-1], f"{key}0") for key in records))
+    for probe in sorted(probes):
+        k = bisect_left(keys, probe.encode())
+        found = indexer._seek(data, lo, hi - 1, probe.encode(), section)
+        assert found == (table[k] if k < len(table) else None), (section, probe)
+        assert reader.record(section, probe) == records.get(probe), (section, probe)
+
+
+def test_each_record_opens_with_its_smallest_field():
+    """What opens a record of each section (`indexer._RECORD_OPENS`) is a
+    brace and the smallest field name of the record its builder makes; a
+    pending's key, its id, is the field after `amt`."""
+    ins = indexer.Inscription(f"{txid('opens')}i0", 0, "text/plain", b"hi", "text", 0, 0)
+    pending = brc20.PendingTransfer(ins.id, "ordi", brc20.AMOUNT_UNIT, "alice", False)
+    for section, record in (
+            ("utxos", indexer._utxo_json(chain.UtxoEntry(TxOut(1, "alice"), [(0, 1)]))),
+            ("inscriptions", indexer._inscription_json(ins, None)),
+            ("pendings", brc20.pending_json(pending))):
+        opener = indexer._RECORD_OPENS[section]
+        assert opener == f'{{"{min(record)}":'.encode(), section
+        assert chain.canonical_dumps(record).encode().startswith(opener), section
+    assert sorted(brc20.pending_json(pending))[:2] == ["amt", "id"]
+
+
+@given(st.integers(min_value=0, max_value=brc20.MAX_MANTISSA * brc20.AMOUNT_UNIT))
+def test_no_encoded_amount_holds_a_quote(units):
+    """`_head` reads a pending's id after the quote that ends its amount."""
+    encoded = chain.canonical_dumps(brc20.format_amount(units))
+    assert re.fullmatch(r'"[0-9.]+"', encoded), units
 
 
 def fixed_sats(state: IndexState) -> set:
@@ -157,6 +213,16 @@ def test_reads_of_an_empty_data_dir_equal_an_empty_index(tmp_path):
     assert_reader_finds_the_encoding(cli.EMPTY_SNAPSHOT, IndexState())
     assert_sat_finder_matches_the_walk(cli.EMPTY_SNAPSHOT, IndexState())
     assert_reads_match(tmp_path / "absent", IndexState())
+
+
+def test_reader_finds_the_records_of_the_hand_built_chain():
+    """After each index file of the chain that gathers the splice's edge
+    cases (`<txid>:10` before `<txid>:2`, ids `i10` before `i2`, names like
+    record keys), the reader finds every section and record."""
+    state = IndexState()
+    for blocks in writes.hand_built_index_files(IndexState()):
+        state.index_blocks(blocks)
+        assert_reader_finds_the_encoding(state.snapshot_bytes(), state)
 
 
 def test_reader_section_order_is_the_snapshot_key_order():

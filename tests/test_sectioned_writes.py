@@ -188,7 +188,9 @@ def test_spliced_bytes_equal_the_full_encoding_after_every_block(workload, monke
     IndexState.from_untrusted(data)
 
 
-# A recipient named like a UTXO record head, a BRC-20 holder named like a UTXO
+# A recipient named like a UTXO record's key and colon, so `"<key>":` stands,
+# escaped, in records that pay it, and `_head` must read a key only as the
+# string right before its record's opener; a BRC-20 holder named like a UTXO
 # key (the ledger's keys are names, so `"<key>":` occurs there unescaped), one
 # named like the `utxos` section head, and one whose name is not ASCII.
 FAN = txid("hand fan")
