@@ -39,7 +39,9 @@ record only when asked: a record is found by what opens it
 (`_RECORD_OPENS`), for its key (`_seek`) or for bytes it holds
 (`records_with`; `outputs_holding` for the UTXO records that can hold a
 sat, which is sound as every range lies inside one block's subsidy, a rule
-`validate` checks). Bytes from outside the data dir enter only through
+`validate` checks), and each is found once: the reader keeps where it lies
+with its value, and for a key the bytes do not hold the place its record
+would go (`locate`). Bytes from outside the data dir enter only through
 `IndexState.from_untrusted`, which decodes every section whole and then
 validates the state; the data dir then holds only bytes ordlite wrote.
 `next_number`, each `genesis_satpoint` and each offer's `inscription_id` are
@@ -60,12 +62,14 @@ ledger the same way (`Snapshot.ledger`). An `IndexState()`, as the
 in-memory index job and the scenario compiler make, holds dicts (its UTXO
 set a `chain.UtxoSet`, a dict), and `apply_block` runs the same mapping
 operations on either.
-`spliced_bytes` hands data, the spans and the overlays' records to `splice`,
-which re-encodes each written record, puts a new one at its key's sorted
-place, deletes a spent one, and copies every byte of a record no write
-changed. `offers` and `btc_deltas` are re-encoded on every write, and the
-ledger's `balances` and `ticks`, `next_number` and `tip_height` once a block
-was applied. Each record and section has one builder, `_utxo_json`,
+`spliced_bytes` hands the reader and the overlays' records to `splice`,
+which writes each record where the reader found it: it re-encodes a written
+record in its old one's place, puts a new one at the place found for its
+key, deletes a spent one, and copies every byte of a record no write
+changed, so it seeks only a key the write never read (a new pending).
+`offers` and `btc_deltas` are re-encoded on every write, and the ledger's
+`balances` and `ticks`, `next_number` and `tip_height` once a block was
+applied. Each record and section has one builder, `_utxo_json`,
 `_inscription_json`, `brc20.pending_json`, `offers_json` and the ledger's
 `tables_json`, which `to_json` uses too, so both paths write the same
 bytes; `_utxo_from_json`, `_inscription_from_json` and
@@ -131,24 +135,24 @@ _RECORD_OPENS = {"inscriptions": b'{"body":', "pendings": b'{"amt":', "utxos": b
 _INSCRIPTION_ID = re.compile(r"[0-9a-f]{64}i[0-9]+")
 
 
-def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
-    """Snapshot bytes `data`, whose sections (and ledger fields) `Snapshot`
-    found at `spans`, with the value of each one in `values`
-    replaced by its canonical encoding, and in each one in `records`
-    (section -> {key: value, or None for no record}) each named record
-    re-encoded, put at its key's sorted place or deleted; every other byte
-    is copied as it is. A None for a key the bytes do not hold changes
-    nothing. The result is the canonical encoding of the snapshot so
-    changed, as a value's encoding is the same inside the whole snapshot
-    and on its own.
+def splice(source: Snapshot, values: dict, records: dict) -> bytes:
+    """The bytes `source` read, with the value of each section (and ledger
+    field) in `values` replaced by its canonical encoding, and in each one
+    in `records` (section -> {key: value, or None for no record}) each
+    named record re-encoded, put at its key's sorted place or deleted;
+    every other byte is copied as it is. A None for a key the bytes do not
+    hold changes nothing. The result is the canonical encoding of the
+    snapshot so changed, as a value's encoding is the same inside the whole
+    snapshot and on its own.
 
     Only `utxos`, `inscriptions` and the ledger's `pendings` list take
-    records, each found by what opens it (`_RECORD_OPENS`). Records are in
+    records, each written where the reader found it: its old record's
+    bytes, or, for a key the bytes do not hold, the place its record goes
+    (`Snapshot.locate`), so no key is sought twice. Records are in
     `canonical_dumps` order, Python string order (`pendings` is sorted by
-    id), so `<txid>:10` comes before `<txid>:2`, and each key is found by
-    bisecting the section's bytes (`_seek`)."""
+    id), so `<txid>:10` comes before `<txid>:2`."""
     pieces, pos = [], 0
-    view = memoryview(data)
+    view, spans = memoryview(source.data), source.spans
     changed = [key for key in (*values, *records) if key in values or records[key]]
     for key in sorted(changed, key=lambda key: spans[key][0]):
         start, end = spans[key]
@@ -156,44 +160,35 @@ def splice(data: bytes, spans: dict, values: dict, records: dict) -> bytes:
         if key in values:
             pieces.append(chain.canonical_dumps(values[key]).encode())
         else:
-            pieces += _splice_records(data, start, end, records[key], key)
+            pieces += _splice_records(source, key, records[key])
         pos = end
     pieces.append(view[pos:])
     return b"".join(pieces)
 
 
-def _splice_records(data: bytes, start: int, end: int, records: dict, section: str) -> list:
-    """The pieces that, joined, encode section, the object or list at
-    data[start:end], with records spliced in (see `splice`): each run of old
-    records between two named keys is a piece of data, joined once, by
-    `splice`. A list's element holds its key, an object's record follows it."""
+def _splice_records(source: Snapshot, section: str, records: dict) -> list:
+    """The pieces that, joined, encode section, an object or list of the
+    bytes `source` read, with records spliced in (see `splice`): each run of
+    old records between two named keys' places is a piece of the bytes,
+    joined once, by `splice`. A list's element holds its key, an object's
+    record follows it."""
+    start, end = source.spans[section]
     close = end - 1  # the closing brace or bracket
-    view, runs = memoryview(data), []
-    opener, listed = _RECORD_OPENS[section], section == "pendings"
+    view, runs = memoryview(source.data), []
     cursor = start  # the separator before the first record not yet copied, or close
     for key in sorted(records):
-        k = key.encode()
-        head = _seek(data, cursor, close, k, section)
-        sep = close if head is None else head[0] - 1
+        at, stop, old = source.locate(section, key)
+        sep = at - 1 if at < close else close  # the separator before its place
         if sep - cursor > 1:
             runs.append(view[cursor + 1:sep])
-        cursor = sep
-        if head is not None and head[1] == k:  # the old record: skip it
-            # its own opener is the first at or after its start
-            after = data.find(opener, data.find(opener, head[0]) + 1, close)
-            cursor = close if after < 0 else _head(data, cursor, after, section)[0] - 1
+        cursor = sep if old is None else stop  # past the old record, if there is one
         if records[key] is not None:
             value = chain.canonical_dumps(records[key]).encode()
-            runs.append(value if listed else b'"%s":%s' % (k, value))
+            runs.append(value if section == "pendings" else b'"%s":%s' % (key.encode(), value))
     if close - cursor > 1:
         runs.append(view[cursor + 1:close])
-    pieces = [view[start:start + 1]]
-    for run in runs:
-        pieces += (run, b",")
-    if runs:
-        pieces.pop()  # the separator after the last run
-    pieces.append(view[close:end])
-    return pieces
+    separated = [piece for run in runs for piece in (b",", run)][1:]  # none before the first
+    return [view[start:start + 1], *separated, view[close:end]]
 
 
 def _head(data: bytes, lo: int, at: int, section: str) -> tuple:
@@ -207,12 +202,12 @@ def _head(data: bytes, lo: int, at: int, section: str) -> tuple:
     return quote, data[quote + 1:at - 2]
 
 
-def _seek(data: bytes, lo: int, hi: int, key: bytes, section: str):
+def _seek(data: bytes, lo: int, hi: int, key: bytes, section: str) -> tuple:
     """The (start, key) `_head` gives of the first record of section in
-    data[lo:hi] whose key is not below key, or None. Every record that opens
-    before lo is below key. A probe reads the first record that opens after
-    a midpoint."""
-    opener, found, bound = _RECORD_OPENS[section], None, hi  # no record opens in [hi, bound)
+    data[lo:hi] whose key is not below key, or (hi, None) if none is. Every
+    record that opens before lo is below key. A probe reads the first record
+    that opens after a midpoint."""
+    opener, found, bound = _RECORD_OPENS[section], (hi, None), hi  # no record opens in [hi, bound)
     while lo < hi:
         mid = (lo + hi) // 2
         at = data.find(opener, mid, bound)
@@ -403,10 +398,11 @@ class Snapshot:
       the record's key, read where a record opens (`_head`), unless
       `records_with` decoded it
     - the inscriptions on an outpoint: a location is the only place
-      `"satpoint":"<txid>:<vout>:` occurs in `inscriptions`. An outpoint's
-      inscriptions change only when it is spent, which pops it from the
-      map, or when it is created, and the bytes locate no inscription on an
-      outpoint that is not yet created.
+      `"satpoint":"<txid>:<vout>:` occurs in `inscriptions`, which is
+      searched only for an outpoint whose UTXO record the bytes hold. An
+      outpoint's inscriptions change only when it is spent, which pops it
+      from the map, or when it is created, and the bytes locate no
+      inscription on an outpoint that is not yet created.
     - a recipient's plain outpoints: its records in `utxos`, which start
       `{"recipient":<recipient>,`; `_Outpoints` corrects them by what was
       added and removed since.
@@ -417,7 +413,8 @@ class Snapshot:
 
     Two reads find records the same way, by bytes they hold: `inscriptions
     --height` (`records_with`) and `sat` (`outputs_holding`). Every record
-    is decoded, and kept, by `record_at`."""
+    is decoded, and kept with where it lies, by `record_at`, and `splice`
+    writes a record where `locate` says it lies."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -444,7 +441,8 @@ class Snapshot:
                 raise errors.CorruptSnapshot(f"{name} at offset {self.spans[name][0]} "
                                              f"is not an integer")
         self.values: dict = {}  # section or field -> its value, once `value` decoded it
-        self.found: dict = {}  # (section, key) -> its decoded record, or None
+        # (section, key) -> where its record lies and its value, once met (see `locate`)
+        self.found: dict = {}
 
     def value(self, name: str):
         """The decoded value of a section or ledger field; `brc20`'s is its
@@ -471,15 +469,23 @@ class Snapshot:
 
     def record(self, section: str, key: str):
         """The decoded record of key in section, or None."""
-        found = self.found.get((section, key), _ABSENT)
-        if found is _ABSENT:
+        return self.locate(section, key)[2]
+
+    def locate(self, section: str, key: str) -> tuple:
+        """The `found` entry of key in section: the (start, end, decoded
+        value) of its record, or, if the bytes hold none, (place, place,
+        None), place the start of the first record whose key is above key,
+        or the section's closing bracket. A key is sought (`_seek`) only if
+        no lookup met it before."""
+        found = self.found.get((section, key))
+        if found is None:
             start, end = self.spans[section]
-            k = key.encode()
-            head = _seek(self.data, start, end - 1, k, section)
-            found = self.found[section, key] = (
-                None if head is None or head[1] != k
+            at, k = _seek(self.data, start, end - 1, key.encode(), section)
+            if k == key.encode():
                 # its opener is the first at or after its start
-                else self.record_at(section, self.data.find(_RECORD_OPENS[section], head[0]))[1])
+                self.record_at(section, self.data.find(_RECORD_OPENS[section], at))
+                return self.found[section, key]
+            found = self.found[section, key] = (at, at, None)
         return found
 
     def records_with(self, section: str, needle: bytes) -> dict:
@@ -494,16 +500,20 @@ class Snapshot:
 
     def record_at(self, section: str, pos: int) -> tuple:
         """The key and decoded value of the record of section whose value
-        holds offset pos, decoded once and kept for `record`: the record
-        that opens at the last `_RECORD_OPENS` of its section that starts at
-        or before pos, as records are flat, with its key from `_head`."""
+        holds offset pos, decoded once and kept, with where it lies, for
+        `locate`: the record that opens at the last `_RECORD_OPENS` of its
+        section that starts at or before pos, as records are flat, with its
+        start and key from `_head` and its end where its value ends."""
         data, lo = self.data, self.spans[section][0]
         opener = _RECORD_OPENS[section]
         at = data.rfind(opener, lo, pos + len(opener))
-        key = _head(data, lo, at, section)[1].decode()
-        if self.found.get((section, key)) is None:
-            self.found[section, key] = self.value_at(at)[0]
-        return key, self.found[section, key]
+        start, key = _head(data, lo, at, section)
+        key = key.decode()
+        found = self.found.get((section, key))
+        if found is None:
+            value, end = self.value_at(at)
+            found = self.found[section, key] = (start, end, value)
+        return key, found[2]
 
     def outputs_holding(self, n: int) -> list:
         """The (key, sat_ranges) pairs of the UTXO records whose bytes hold a
@@ -534,7 +544,13 @@ class Snapshot:
         return _ABSENT if obj is None or obj["satpoint"] is None else _satpoint(obj["satpoint"], {})
 
     def ids_on(self, op: OutPoint):
-        """The ids of the inscriptions located on op, in key order, or _ABSENT."""
+        """The ids of the inscriptions located on op, in key order, or _ABSENT.
+        The bytes locate an inscription only on a UTXO they hold, as
+        `validate` refuses any other, so `inscriptions` is searched only for
+        an op whose record they hold: never for an output the write created,
+        as `assign_ordinals` creates none that is still unspent (BIP30)."""
+        if self.record("utxos", str(op)) is None:
+            return _ABSENT
         ids = self.records_with("inscriptions", b'"satpoint":"%s:' % str(op).encode())
         return list(ids) or _ABSENT
 
@@ -797,7 +813,7 @@ class IndexState:
             records["inscriptions"] = {
                 ins_id: _inscription_json(self.inscriptions[ins_id], location.get(ins_id))
                 for ins_id in self.inscriptions.written.keys() | location.written.keys()}
-        return splice(source.data, source.spans, values, records)
+        return splice(source, values, records)
 
     def snapshot_hash(self) -> str:
         return hashlib.sha256(self.snapshot_bytes()).hexdigest()

@@ -300,7 +300,12 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
     Every check runs before the block is mined: an offer that is no longer
     `settleable` raises DoubleSpend, and a PSBT that fails `verify_signatures`
     raises BadSignature, both leaving the state, the offer's status included,
-    untouched. Nothing after `apply_block` can fail.
+    untouched. `apply_block` raises a chain error before it changes
+    anything, but an InvariantViolation from the ledger's per-block check
+    (`check_touched`) only after the block is applied: the state then holds
+    the block, while the BTC deltas and the offer's status are left as they
+    were. The CLI saves no state after an exception, so the data dir keeps
+    none of it.
     """
     psbt = offer.psbt
     if offer.status != "accepted" or not psbt.finalized:
@@ -321,7 +326,7 @@ def broadcast_and_settle(state: IndexState, offer: Offer, buyer: str) -> chain.B
         height, (settlement,), state.utxos,
         hashlib.sha256(f"coinbase|{height}|{MINER}".encode()).hexdigest(), MINER)
 
-    state.apply_block(block)  # raises (state unchanged) on any chain error
+    state.apply_block(block)  # a chain error leaves the state unchanged
     for addr, delta in ((offer.seller, offer.ask), (buyer, -(offer.ask + fee)),
                         (MINER, fee)):
         state.btc_deltas[addr] = state.btc_deltas.get(addr, 0) + delta

@@ -14,7 +14,11 @@ name (an attribute chain's root included). A pattern ending in `$` also
 matches before a trailing newline; `fullmatch` does not. Every snapshot has
 one reader, `indexer.Snapshot`, which decodes each section, and each record
 a CLI command reads, at one place (`value_at`); a second decoder could read
-it differently from the first.
+it differently from the first. It alone knows where a record lies: only it
+and their own definitions name how a key is sought, how a record's start
+and key are read and what opens a record (`_seek`, `_head`,
+`_RECORD_OPENS`), so the splice writes each record where the reader found
+it and seeks no key again.
 `ordinals.assign_ordinals` alone turns a block into UTXO entries, which
 `IndexState.apply_block` commits as they are; a second maker could give an
 output other ranges. `IndexState.apply_block` and `IndexState.from_json`
@@ -174,6 +178,57 @@ class C:
         return inner, pickle.loads(text), json.dumps(text)
 """
     assert json_decoders(source, "m") == {"m", "m.f", "m.C.g.inner"}
+
+
+RECORD_SYNTAX = {"_seek", "_head", "_RECORD_OPENS"}
+RECORD_SYNTAX_DEFINITIONS = {"indexer._seek", "indexer._head"}
+
+
+def naming_scopes(source: str, module: str, names: set[str]) -> set[str]:
+    """The dotted names of the scopes (the module, at top level) that read
+    one of names, as a name or an attribute: a definition or an assignment
+    of it does not count."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id in names
+                    or isinstance(child, ast.Attribute) and child.attr in names) \
+                    and isinstance(child.ctx, ast.Load):
+                found.add(scope)
+            visit(child, scope)
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_only_the_snapshot_reader_knows_where_a_record_lies():
+    found = set().union(*(naming_scopes(path.read_text(), path.stem, RECORD_SYNTAX)
+                          for path in SOURCES))
+    assert found, "the scan found no reader of the record syntax"
+    assert {scope for scope in found
+            if not scope.startswith("indexer.Snapshot.")} <= RECORD_SYNTAX_DEFINITIONS
+
+
+def test_scan_finds_record_syntax_names():
+    source = """_RECORD_OPENS = {"utxos": b"{"}
+def _seek(data, key):
+    return _head(data, key), _RECORD_OPENS
+def _head(data, at):
+    return at
+def splice(source):
+    return indexer._seek(source), seek
+class Snapshot:
+    def locate(self, key):
+        def inner():
+            return _head
+        return _seek(self, key), inner
+TOP = _RECORD_OPENS["utxos"]
+"""
+    assert naming_scopes(source, "m", RECORD_SYNTAX) == {
+        "m", "m._seek", "m.splice", "m.Snapshot.locate", "m.Snapshot.locate.inner"}
 
 
 UTXO_ENTRY_MAKERS = {

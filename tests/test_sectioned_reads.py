@@ -102,27 +102,39 @@ def assert_reader_finds_the_encoding(data: bytes, state: IndexState) -> None:
 
 
 def assert_locator_finds_the_records(data: bytes, section: str, value, start: int) -> None:
-    """In data, whose section encodes value from offset start, `_seek` finds
-    the first record whose key is not below a probe where encoding the
-    section's records one after another puts it, and `Snapshot.record`
-    finds the record of that key, or None. The probes are every key, each
-    without its last character and with "0" after it, "" and "~"."""
+    """In data, whose section encodes value from offset start, the reader
+    finds each record where encoding the section's records one after another
+    puts it. For a key, `Snapshot.locate` gives its record's start and end,
+    between which the bytes are exactly its `"<key>":<value>` (a pending's
+    list element), and its value; for any other probe, the place where the
+    next record starts, or the section's closing bracket past the last, and
+    None. A record found by bytes it holds (`record_at`) has the same entry.
+    The probes are every key, each without its last character and with "0"
+    after it, "" and "~"."""
     # key -> its record; a pending's key is its id, and `pendings` is sorted by it
     records = value if section != "pendings" else {p["id"]: p for p in value}
-    table, pos = [], start + 1  # (start, key) of each record, in the bytes' order
+    table, pos = [], start + 1  # (start, end, key) of each record, in the bytes' order
     for key, record in (records.items() if section == "pendings" else sorted(records.items())):
-        table.append((pos, key.encode()))
         head = "" if section == "pendings" else f"{json.dumps(key)}:"
-        pos += len(head) + len(chain.canonical_dumps(record)) + 1
-    keys = [key for _, key in table]
+        end = pos + len(head) + len(chain.canonical_dumps(record))
+        assert data[pos:end] == f"{head}{chain.canonical_dumps(record)}".encode(), key
+        table.append((pos, end, key.encode()))
+        pos = end + 1
+    keys = [key for _, _, key in table]
     assert keys == sorted(keys), section
-    reader = indexer.Snapshot(data)
-    lo, hi = reader.spans[section]
+    reader, other = indexer.Snapshot(data), indexer.Snapshot(data)
+    close = reader.spans[section][1] - 1
     probes = {"", "~"}.union(*((key, key[:-1], f"{key}0") for key in records))
     for probe in sorted(probes):
         k = bisect_left(keys, probe.encode())
-        found = indexer._seek(data, lo, hi - 1, probe.encode(), section)
-        assert found == (table[k] if k < len(table) else None), (section, probe)
+        if k < len(table) and keys[k] == probe.encode():
+            expected = (*table[k][:2], records[probe])
+            assert other.record_at(section, table[k][1] - 1) == (probe, records[probe])
+            assert other.locate(section, probe) == expected, (section, probe)
+        else:
+            place = table[k][0] if k < len(table) else close
+            expected = (place, place, None)
+        assert reader.locate(section, probe) == expected, (section, probe)
         assert reader.record(section, probe) == records.get(probe), (section, probe)
 
 

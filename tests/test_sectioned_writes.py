@@ -9,7 +9,9 @@ names hold the byte patterns lookups search for, every write made through
 the CLI must leave the data dir holding the full encoding of a mirror state
 that made the same calls through the API, and bytes that pass the checks
 `snapshot load` makes; no such write may decode or encode the whole
-snapshot."""
+snapshot, nor seek a record's key twice. Writes of many blocks each, spliced
+once, must give the full encoding too, and search `inscriptions` only for
+the outpoints they spend that the bytes hold."""
 
 import importlib
 import json
@@ -35,10 +37,10 @@ WIDE_BUYER = "bücher-☃"
 
 def write(data_dir: Path, mirror: IndexState, args, api) -> dict:
     """Run the write command args on data_dir, which must neither decode the
-    whole snapshot or ledger (`from_json`) nor build either (`to_json`), nor,
-    for a `trade` command, which prints none, hash the snapshot, and api on
-    the mirror; check the bytes written and return what the command
-    printed."""
+    whole snapshot or ledger (`from_json`) nor build either (`to_json`), nor
+    seek a record's key twice, nor, for a `trade` command, which prints
+    none, hash the snapshot, and api on the mirror; check the bytes written
+    and return what the command printed."""
     with pytest.MonkeyPatch.context() as patch:
         for owner in (IndexState, Brc20Ledger):
             patch.setattr(owner, "to_json", refuse_whole)
@@ -46,8 +48,10 @@ def write(data_dir: Path, mirror: IndexState, args, api) -> dict:
         if args[0] == "trade":
             for module in (cli, indexer):
                 patch.setattr(module, "hashlib", None)
+        seen = spy_on_reader(patch)
         result = CliRunner().invoke(cli.cli, ["--data-dir", str(data_dir), *args])
     assert result.exit_code == 0, (args, result.output, result.exception)
+    assert_each_key_sought_once(seen)
     api(mirror)
     data = cli.snapshot_path(data_dir).read_bytes()
     assert data == mirror.snapshot_bytes(), args
@@ -57,6 +61,38 @@ def write(data_dir: Path, mirror: IndexState, args, api) -> dict:
 
 def refuse_whole(*args):
     raise AssertionError("a CLI write decoded or encoded the whole snapshot")
+
+
+SATPOINT = b'"satpoint":"'  # what opens the needle `ids_on` searches `inscriptions` for
+
+
+def spy_on_reader(patch) -> dict:
+    """Spy, through patch, on what snapshot readers do: "sought" gets the
+    (section, key) of each `_seek`, and "scanned" the outpoint of each
+    search of `inscriptions` for the inscriptions on an outpoint
+    (`Snapshot.ids_on`)."""
+    seen = {"sought": [], "scanned": []}
+    seek, records_with = indexer._seek, indexer.Snapshot.records_with
+
+    def spy_seek(data, lo, hi, key, section):
+        seen["sought"].append((section, key))
+        return seek(data, lo, hi, key, section)
+
+    def spy_records_with(self, section, needle):
+        if needle.startswith(SATPOINT):
+            seen["scanned"].append(needle[len(SATPOINT):-1].decode())
+        return records_with(self, section, needle)
+    patch.setattr(indexer, "_seek", spy_seek)
+    patch.setattr(indexer.Snapshot, "records_with", spy_records_with)
+    return seen
+
+
+def assert_each_key_sought_once(seen: dict) -> None:
+    """The reader keeps where it found each record, or the place of a key
+    the bytes do not hold, and the splice writes there: no key is sought
+    twice."""
+    sought = seen["sought"]
+    assert len(set(sought)) == len(sought), sorted(k for k in sought if sought.count(k) > 1)
 
 
 def offer(data_dir, mirror, ins_id, ask) -> str:
@@ -186,6 +222,66 @@ def test_spliced_bytes_equal_the_full_encoding_after_every_block(workload, monke
             assert state.spliced_bytes() == data, block.height
     assert len(state.inscriptions) == len(whole.inscriptions)
     IndexState.from_untrusted(data)
+
+
+def spent_and_held(whole: IndexState, blocks) -> list[str]:
+    """The outpoints blocks spend that whole's UTXO set, before them, holds."""
+    return sorted(str(tin.prevout) for block in blocks for tx in block.txs
+                  for tin in tx.inputs if tin.prevout in whole.utxos)
+
+
+def spliced_write(whole: IndexState, blocks) -> indexer.Snapshot:
+    """Apply blocks, as one write, to a state `decode` makes of whole's
+    bytes, then to whole: the decoded state's spliced bytes must be whole's
+    full encoding. The write seeks no key twice and searches `inscriptions`
+    once for each outpoint the blocks spend that the bytes hold, and for no
+    other, such as an output the write created (`Snapshot.ids_on`). Return
+    the decoded state's reader."""
+    held = spent_and_held(whole, blocks)
+    state = IndexState.decode(whole.snapshot_bytes())
+    with pytest.MonkeyPatch.context() as patch:
+        seen = spy_on_reader(patch)
+        state.index_blocks(blocks)
+        spliced = state.spliced_bytes()
+    whole.index_blocks(blocks)
+    assert spliced == whole.snapshot_bytes(), blocks[0].height
+    assert_each_key_sought_once(seen)
+    assert sorted(seen["scanned"]) == held, blocks[0].height
+    return state.source
+
+
+@pytest.mark.parametrize("workload", ["cli_mix", "range_shred", "transfer_web"])
+def test_multi_block_writes_equal_the_full_encoding(workload, monkeypatch, tmp_path):
+    """The first 2 blocks of a workload's first seed-101 chain, then the next
+    50, then the rest, each applied as one write (`spliced_write`), as
+    `ordlite index` applies a file of blocks. Within the later writes an
+    output is made and spent, and in each some new keys of a section share
+    one place: the start of the same next record, or the section's end."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    session = importlib.import_module("session")
+    inputs = session.setup_chain(workload, SEED, 0, tmp_path)
+    with open(inputs.blocks_path) as fp:
+        blocks = list(chain.read_blocks_jsonl(fp))
+    whole = IndexState()
+    for n, part in enumerate((blocks[:2], blocks[2:52], blocks[52:])):
+        made = {OutPoint(tx.txid, k) for block in part for tx in block.txs
+                for k in range(len(tx.outputs))}
+        assert n == 0 or any(tin.prevout in made for block in part
+                             for tx in block.txs for tin in tx.inputs), n
+        reader = spliced_write(whole, part)
+        places = [start for start, _, value in reader.found.values() if value is None]
+        assert len(set(places)) < len(places), n
+
+
+def test_writes_search_inscriptions_only_for_outpoints_the_bytes_hold():
+    """Each index file of the chain that gathers the splice's edge cases,
+    applied as one write (`spliced_write`): its reveals and moves place
+    inscriptions on outputs the write created, one block spends an output
+    the block before it made, and a reused txid re-creates outputs spent
+    before."""
+    whole = IndexState()
+    for blocks in hand_built_index_files(IndexState()):
+        spliced_write(whole, blocks)
 
 
 # A recipient named like a UTXO record's key and colon, so `"<key>":` stands,
