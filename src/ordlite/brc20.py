@@ -372,49 +372,6 @@ class Brc20Ledger:
             if not pending.used and ins_id not in located:
                 raise errors.CorruptSnapshot(f"unused pending {ins_id} is not located")
 
-    def check_deploys(self, deploys: dict) -> None:
-        """Raise CorruptSnapshot unless every tick's deploy_id names an
-        inscription in deploys (id -> (its deploy op, its height)) whose body
-        gives that tick, max and lim, revealed at the tick's height."""
-        for tick, state in self.ticks.items():
-            op = Brc20Op(DEPLOY, tick, max=state.max, lim=state.lim)
-            if deploys.get(state.deploy_inscription_id) != (op, state.deploy_height):
-                raise errors.CorruptSnapshot(
-                    f"tick {tick} is not what its deploy {state.deploy_inscription_id} "
-                    f"inscribes")
-
-    def check_deployed(self, deploys: dict) -> None:
-        """Raise CorruptSnapshot unless the tick of every inscription in
-        deploys (as for `check_deploys`) is in `ticks`: the first deploy of a
-        tick always applies."""
-        for ins_id, (op, _) in deploys.items():
-            if op.tick not in self.ticks:
-                raise errors.CorruptSnapshot(f"deploy {ins_id} of tick {op.tick} deployed nothing")
-
-    def check_first_deploys(self, deploys: dict) -> None:
-        """Raise CorruptSnapshot unless each tick's deploy_id is the first
-        inscription of that tick in deploys (as for `check_deploys`, in
-        number order): `apply_deploy` refuses every later one (TickExists)."""
-        first: dict[str, str] = {}
-        for ins_id, (op, _) in deploys.items():
-            first.setdefault(op.tick, ins_id)
-        for tick, state in self.ticks.items():
-            if first.get(tick, state.deploy_inscription_id) != state.deploy_inscription_id:
-                raise errors.CorruptSnapshot(
-                    f"tick {tick} names deploy {state.deploy_inscription_id}, "
-                    f"not its first, {first[tick]}")
-
-    def check_minted(self, mints: dict[str, int]) -> None:
-        """Raise CorruptSnapshot unless every tick's minted is at most the sum
-        in mints (tick -> the amounts of its mint inscriptions numbered after
-        its first deploy): `apply_mint` adds no more than a mint inscribes,
-        and refuses a mint before its tick's deploy (UnknownTick)."""
-        for tick, state in self.ticks.items():
-            if state.minted > mints.get(tick, 0):
-                raise errors.CorruptSnapshot(
-                    f"tick {tick} has minted {format_amount(state.minted)}, more than its "
-                    f"mints inscribe, {format_amount(mints.get(tick, 0))}")
-
     def to_json(self) -> dict:
         return {**self.tables_json(),
                 "pendings": sorted((pending_json(p) for p in self.pendings.values()),

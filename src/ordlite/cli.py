@@ -131,8 +131,7 @@ def inscriptions(obj, height):
     """List inscriptions, optionally filtered by reveal height."""
     source = indexer.Snapshot(read_snapshot(obj["data_dir"]))
     listed = (source.value("inscriptions") if height is None
-              # quoted, so it matches no string: only the records of that height
-              else source.records_with("inscriptions", b',"height":%d,"kind":' % height))
+              else source.inscriptions_at(height))
     emit([{"id": ins_id, "number": i["number"], "kind": i["kind"],
            "content_type": i["content_type"], "height": i["height"],
            "genesis_sat": i["genesis_sat"], "satpoint": i["satpoint"]}

@@ -80,7 +80,6 @@ commands that print the snapshot's hash, `index`, `snapshot save` and
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -317,11 +316,10 @@ def _inscription_from_json(ins_id: str, obj: dict) -> Inscription:
                        obj["kind"], obj["genesis_sat"], obj["height"])
 
 
-def _satpoint(text: str, outpoints: dict) -> SatPoint:
-    """The SatPoint "<txid>:<vout>:<offset>" names, its outpoint taken from
-    outpoints (str -> OutPoint) when it is there."""
+def _satpoint(text: str) -> SatPoint:
+    """The SatPoint "<txid>:<vout>:<offset>" names."""
     key, _, offset = text.rpartition(":")
-    return SatPoint(outpoints.get(key) or OutPoint.parse(key), int(offset))
+    return SatPoint(OutPoint.parse(key), int(offset))
 
 
 _ABSENT = object()  # what a `_Lazy` map holds for a key it has no value of
@@ -412,7 +410,7 @@ class Snapshot:
       looked up, or used, after they were looked up to drop it.
 
     Two reads find records the same way, by bytes they hold: `inscriptions
-    --height` (`records_with`) and `sat` (`outputs_holding`). Every record
+    --height` (`inscriptions_at`) and `sat` (`outputs_holding`). Every record
     is decoded, and kept with where it lies, by `record_at`, and `splice`
     writes a record where `locate` says it lies."""
 
@@ -515,6 +513,12 @@ class Snapshot:
             found = self.found[section, key] = (start, end, value)
         return key, found[2]
 
+    def inscriptions_at(self, height: int) -> dict:
+        """The inscription records revealed at height, by id, decoded: those
+        that hold its `height` field, with the quotes of the fields around it,
+        which no string holds."""
+        return self.records_with("inscriptions", b',"height":%d,"kind":' % height)
+
     def outputs_holding(self, n: int) -> list:
         """The (key, sat_ranges) pairs of the UTXO records whose bytes hold a
         range text `[a,b]` with a <= n < b, in key order, each decoded once:
@@ -541,7 +545,7 @@ class Snapshot:
 
     def location(self, ins_id: str):
         obj = self.record("inscriptions", ins_id)
-        return _ABSENT if obj is None or obj["satpoint"] is None else _satpoint(obj["satpoint"], {})
+        return _ABSENT if obj is None or obj["satpoint"] is None else _satpoint(obj["satpoint"])
 
     def ids_on(self, op: OutPoint):
         """The ids of the inscriptions located on op, in key order, or _ABSENT.
@@ -829,17 +833,16 @@ class IndexState:
     def from_json(cls, obj: dict) -> "IndexState":
         state = cls()
         state._read_whole(obj, brc20.Brc20Ledger.from_json(obj["brc20"]))
-        outpoints: dict[str, OutPoint] = {}  # a location shares its UTXO's key
         plain = state.plain_outpoints
         for key, e in obj["utxos"].items():
-            op = outpoints[key] = OutPoint.parse(key)
+            op = OutPoint.parse(key)
             entry = state.utxos[op] = _utxo_from_json(e)
             if entry.txout.script_kind == "plain":
                 plain[entry.txout.recipient].add(op)
         for ins_id, i in obj["inscriptions"].items():
             state.inscriptions[ins_id] = _inscription_from_json(ins_id, i)
             if i["satpoint"]:
-                state._place(ins_id, _satpoint(i["satpoint"], outpoints))
+                state._place(ins_id, _satpoint(i["satpoint"]))
         return state
 
     @classmethod
@@ -867,12 +870,6 @@ class IndexState:
         """The state in snapshot bytes from outside the data dir, every section
         decoded whole and validated. Bytes of the wrong shape, which
         `from_json` or `validate` trip over, raise CorruptSnapshot too."""
-        # Decoding allocates the whole state and frees none of it, so cyclic
-        # collections during it find nothing; the objects they promote would
-        # only bring the next full collection, over the caller's whole heap,
-        # sooner. Pause the collector for the decode.
-        enabled = gc.isenabled()
-        gc.disable()
         try:
             state = cls.from_json(Snapshot(data))
             state.validate(data)
@@ -881,9 +878,6 @@ class IndexState:
         except (ValueError, RecursionError, LookupError, TypeError, AttributeError,
                 errors.OrdliteError) as exc:
             raise errors.CorruptSnapshot(f"{type(exc).__name__}: {exc}") from exc
-        finally:
-            if enabled:
-                gc.enable()
         return state
 
     def validate(self, data: bytes) -> None:
@@ -899,15 +893,12 @@ class IndexState:
         in full, its index of unused pendings included; every pending, used or
         not, names a transfer inscription of its tick and amount
         (`check_pendings`), and every unused one a located inscription
-        (`check_located`); every tick's deploy_id names a deploy inscription
-        of its tick, max and lim, revealed at its height (`check_deploys`),
-        and that inscription is the first deploy of its tick
-        (`check_first_deploys`), and every deploy inscription's tick is
-        deployed (`check_deployed`); every tick's minted is at most the sum
-        of its mint inscriptions numbered after its deploy (`check_minted`);
-        every offer passes `trade.check_offer`; and `data` is this state's
-        canonical bytes, so no stored value disagrees with what the state
-        derives."""
+        (`check_located`); the tick table is the one the deploy and mint
+        inscriptions make, applied in number order through
+        `Brc20Ledger.apply`, so each tick's max, lim, minted, deploy id and
+        height are what indexing would have given it; every offer passes
+        `trade.check_offer`; and `data` is this state's canonical bytes, so
+        no stored value disagrees with what the state derives."""
         spans = []
         for op, entry in self.utxos.items():
             for r in entry.sat_ranges:
@@ -939,8 +930,13 @@ class IndexState:
                     f"inscription {ins.id} has height {ins.height!r}, not between an earlier "
                     f"one's ({height}) and the tip ({self.tip_height})")
             height = ins.height
-        transfers, deploys = {}, {}  # inscription id -> its op (and height), by number
-        mints = {}  # tick -> the amounts of its mints numbered after a deploy of it
+        transfers = {}  # inscription id -> its op
+        # Numbers follow reveal order, and a tick's fields change only in
+        # `apply_deploy` and `apply_mint`, neither of which depends on where
+        # sats move, so replaying the deploys and mints in number order makes
+        # the tick table indexing made. The actor only moves the replay's
+        # balances, which are not compared.
+        replayed = brc20.Brc20Ledger()
         for ins in ordered:
             # `_head` reads a key as the string before its record: no quote in it
             if not _INSCRIPTION_ID.fullmatch(ins.id):
@@ -951,11 +947,8 @@ class IndexState:
                     f"inscription {ins.id} is labelled {ins.kind!r}, its content is {kind!r}")
             if kind == "brc20_transfer":
                 transfers[ins.id] = op
-            elif kind == "brc20_deploy":
-                deploys[ins.id] = (op, ins.height)
-                mints.setdefault(op.tick, 0)
-            elif kind == "brc20_mint" and op.tick in mints:
-                mints[op.tick] += op.amt
+            elif op is not None:  # a deploy or a mint
+                replayed.apply(op, ins.id, ins.height, "")
         for ins_id, point in self.location.items():
             entry = self.utxos.get(point.outpoint)
             if entry is None:
@@ -971,10 +964,11 @@ class IndexState:
             raise errors.CorruptSnapshot(f"ledger: {exc}") from exc
         self.ledger.check_pendings(transfers)
         self.ledger.check_located(self.location)
-        self.ledger.check_deploys(deploys)
-        self.ledger.check_deployed(deploys)
-        self.ledger.check_first_deploys(deploys)
-        self.ledger.check_minted(mints)
+        ticks, made = self.ledger.ticks, replayed.ticks
+        if ticks != made:
+            tick = min(t for t in ticks.keys() | made.keys() if ticks.get(t) != made.get(t))
+            raise errors.CorruptSnapshot(
+                f"tick {tick} is not what its deploy and mint inscriptions make")
         for oid, offer in self.offers.items():
             trade.check_offer(oid, offer)
         if self.snapshot_bytes() != data:

@@ -566,6 +566,23 @@ def _minted_past_the_mints(obj):
     balances["alice"] = str(int(balances["alice"]) + rise)
 
 
+def _minted_below_the_mints(obj):
+    """ordi's minted and alice's balance both lowered by 100: the balances
+    still sum to minted, and alice's still covers her unused pending, but
+    the mint inscriptions inscribe 1000."""
+    ordi, balances = obj["brc20"]["ticks"]["ordi"], obj["brc20"]["balances"]["ordi"]
+    ordi["minted"] = str(int(ordi["minted"]) - 100)
+    balances["alice"] = str(int(balances["alice"]) - 100)
+
+
+def _tick_max_changed(obj):
+    obj["brc20"]["ticks"]["ordi"]["max"] = "2100001"
+
+
+def _tick_lim_changed(obj):
+    obj["brc20"]["ticks"]["ordi"]["lim"] = "999"
+
+
 def _range_across_blocks(obj):
     """A coinbase output's two ranges, its fee sats at the end of the block
     before and its subsidy, which meet at its block's first sat, joined into
@@ -589,6 +606,7 @@ def _range_above_the_tip(obj):
 
 
 NOT_THE_LAYOUT = """expected '{"brc20":' at offset 0"""  # the snapshot reader's first check
+NOT_MADE = "tick ordi is not what its deploy and mint inscriptions make"  # the tick replay's
 
 CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message part)
     "range_total_off_by_one": (_value_off_by_one, None, "do not total"),
@@ -637,11 +655,13 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
     "inscription_height_above_tip": (_mint_height_above_tip, None,
                                      "not between an earlier one's"),
     "inscription_heights_decrease": (_heights_swapped, None, "not between an earlier one's"),
-    "deploy_id_is_not_the_first_deploy": (_later_deploy_named, None, "not its first"),
-    "deploy_of_an_undeployed_tick": (_deploy_of_an_undeployed_tick, None,
-                                     "of tick zzzz deployed nothing"),
-    "minted_past_the_mints": (_minted_past_the_mints, None,
-                              "tick ordi has minted 2100000, more than its mints inscribe"),
+    "deploy_id_is_not_the_first_deploy": (_later_deploy_named, None, NOT_MADE),
+    # the relabelled mint leaves ordi short of it, and ordi sorts before zzzz
+    "deploy_of_an_undeployed_tick": (_deploy_of_an_undeployed_tick, None, NOT_MADE),
+    "minted_past_the_mints": (_minted_past_the_mints, None, NOT_MADE),
+    "minted_below_the_mints": (_minted_below_the_mints, None, NOT_MADE),
+    "tick_max_changed": (_tick_max_changed, None, NOT_MADE),
+    "tick_lim_changed": (_tick_lim_changed, None, NOT_MADE),
     # canonical bytes are ASCII, so offsets in the decoded text are byte offsets
     "raw_utf8": (_recipient_not_ascii,
                  lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"),

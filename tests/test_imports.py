@@ -28,8 +28,12 @@ locations of a CLI write's state keep what was written to them, which is all
 the write re-encodes, so each of their writers must be one a block's or a
 snapshot's commit runs. `chain.txout_to_json`
 and `txout_from_json` own the output shape, so no other module names its
-`"script_kind"` key. No `raise` follows a call of `.apply_block(` in a
-function's body: a caller checks everything before it commits a block, so
+`"script_kind"` key. `IndexState.validate` checks a loaded tick table
+against the one replaying the deploy and mint inscriptions makes, which is
+sound only while a tick is made by a deploy or a snapshot's decode alone and
+its `minted` is assigned only in `Brc20Ledger.apply_mint`. `cli` holds no
+bytes literal: the record syntax a read searches for is `indexer`'s. No
+`raise` follows a call of `.apply_block(` in a function's body: a caller checks everything before it commits a block, so
 it cannot fail with the block committed and the rest of its work (a trade's
 BTC deltas and status) undone. Nor does a `raise` follow a store to a
 `.status` attribute: a refused trade leaves every offer's status as it was,
@@ -339,7 +343,14 @@ STATE_WRITERS = {
         "indexer.IndexState._extract_reveals",  # a reveal
         "indexer.IndexState.from_json",  # a snapshot's inscriptions
     },
+    # `IndexState.validate`'s replay of the deploys and mints relies on these
+    # alone making a tick, and on MINTED_WRITERS alone changing its `minted`
+    "ticks": {
+        "brc20.Brc20Ledger.apply_deploy",  # a deploy
+        "brc20.Brc20Ledger.from_tables",  # a snapshot's ticks
+    },
 }
+MINTED_WRITERS = {"brc20.Brc20Ledger.apply_mint"}
 WRITE_METHODS = {"update", "pop", "popitem", "clear", "setdefault"}
 
 
@@ -392,6 +403,69 @@ def test_locations_and_inscriptions_are_written_only_by_commits(target):
     found = set().union(*(state_writers(path.read_text(), path.stem, target)
                           for path in SOURCES))
     assert found == STATE_WRITERS[target]
+
+
+def test_ticks_are_made_only_by_deploys_and_snapshot_decoding():
+    found = set().union(*(state_writers(path.read_text(), path.stem, "ticks")
+                          for path in SOURCES))
+    assert found == STATE_WRITERS["ticks"]
+
+
+def test_scan_finds_tick_writers():
+    source = """class Ledger:
+    def deploy(self, op):
+        self.ticks[op.tick] = op
+    def load(self, obj):
+        ticks = self.ticks
+        ticks.update(obj)
+    def reads(self, op, made):
+        ticks, made = self.ticks, {}
+        made[op.tick] = ticks[op.tick]
+        return ticks == made, self.ticks.get(op.tick), self.tick.pop(op)
+"""
+    assert state_writers(source, "m", "ticks") == {"m.Ledger.deploy", "m.Ledger.load"}
+
+
+def attribute_assigners(source: str, module: str, attr: str) -> set[str]:
+    """The dotted names of the scopes (the module, at top level) that assign
+    an `attr` attribute, an augmented assignment included."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+        if any(isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Store)
+               for n in own_nodes(node)):
+            found.add(scope)
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_minted_changes_only_in_a_mint():
+    found = set().union(*(attribute_assigners(path.read_text(), path.stem, "minted")
+                          for path in SOURCES))
+    assert found == MINTED_WRITERS
+
+
+def test_scan_finds_minted_assigners():
+    source = """class TickState:
+    minted: int
+def mint(state, amt):
+    state.minted += amt
+def load(state, obj):
+    state.max, state.minted = obj
+    minted = state.minted
+    return minted, state.minted_at, TickState(minted=1)
+class Ledger:
+    def reset(self):
+        def inner(state):
+            state.minted = 0
+        return inner
+TOP = x.minted = 1
+"""
+    assert attribute_assigners(source, "m", "minted") == {
+        "m", "m.mint", "m.load", "m.Ledger.reset.inner"}
 
 
 def test_scan_finds_utxo_set_writers():
@@ -542,6 +616,26 @@ class C:
         raise KeyError
 """
     assert raises_after(source, "m", sets_a_status) == ["m.g: line 10"]
+
+
+def bytes_literal_lines(source: str) -> list[int]:
+    """The lines of each bytes literal in source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, bytes))
+
+
+def test_the_cli_spells_no_record_bytes():
+    assert bytes_literal_lines((ROOT / "src/ordlite/cli.py").read_text()) == []
+
+
+def test_scan_finds_bytes_literals():
+    source = """a = b'{"height":'
+b = "height", f"{a}"
+c = (b"x"
+     b"y")
+d = rb"%d" % 1
+"""
+    assert bytes_literal_lines(source) == [1, 3, 5]
 
 
 def string_literal_lines(source: str, value: str) -> list[int]:
