@@ -1,4 +1,5 @@
 import collections
+import gc
 import importlib
 import json
 import random
@@ -153,17 +154,26 @@ def test_failed_save_keeps_the_old_snapshot(genesis, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_load_round_trips_canonical_bytes_and_refuses_others(genesis):
-    """`from_untrusted` takes back the bytes a state wrote, and refuses
-    bytes that are not JSON or fail `validate`."""
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_garbage_collector_as_it_found_it(genesis, enabled):
+    """`from_untrusted` takes back the bytes a state wrote, refuses bytes
+    that are not JSON or fail `validate`, and leaves the collector enabled
+    or disabled as it found it either way."""
     state = IndexState()
     state.apply_block(genesis)
     good = state.snapshot_bytes()
     spaced = good.replace(b'"sat_ranges":[', b'"sat_ranges": [', 1)  # decodes, not canonical
-    assert IndexState.from_untrusted(good).snapshot_bytes() == good
-    for bad, message in ((b"{not json", "expected"), (spaced, "not in canonical form")):
-        with pytest.raises(errors.CorruptSnapshot, match=message):
-            IndexState.from_untrusted(bad)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert IndexState.from_untrusted(good).snapshot_bytes() == good
+        assert gc.isenabled() == enabled
+        for bad, message in ((b"{not json", "expected"), (spaced, "not in canonical form")):
+            with pytest.raises(errors.CorruptSnapshot, match=message):
+                IndexState.from_untrusted(bad)
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_malformed_envelopes_skip_without_state_change(genesis):
