@@ -896,9 +896,10 @@ class IndexState:
         (`check_located`); the tick table is the one the deploy and mint
         inscriptions make, applied in number order through
         `Brc20Ledger.apply`, so each tick's max, lim, minted, deploy id and
-        height are what indexing would have given it; every offer passes
-        `trade.check_offer`; and `data` is this state's canonical bytes, so
-        no stored value disagrees with what the state derives."""
+        height are what indexing would have given it, each height an `int`;
+        every offer passes `trade.check_offer`; and `data` is this state's
+        canonical bytes, so no stored value disagrees with what the state
+        derives."""
         spans = []
         for op, entry in self.utxos.items():
             for r in entry.sat_ranges:
@@ -965,6 +966,10 @@ class IndexState:
         self.ledger.check_pendings(transfers)
         self.ledger.check_located(self.location)
         ticks, made = self.ledger.ticks, replayed.ticks
+        for tick, state in ticks.items():  # true and 1.0 both equal the replay's 1
+            if type(state.deploy_height) is not int:
+                raise errors.CorruptSnapshot(
+                    f"tick {tick} has height {state.deploy_height!r}, not an integer")
         if ticks != made:
             tick = min(t for t in ticks.keys() | made.keys() if ticks.get(t) != made.get(t))
             raise errors.CorruptSnapshot(

@@ -1,18 +1,35 @@
 """Token market statistics: returns, volatility, Sharpe ratio, correlations.
 
-Input price series are CSV files with a `date,price` header (spaces around
-either name are ignored), ISO-8601 dates, one file per symbol, named by its
-stem; a row with more fields than the header, such as `2024-01-02,1,234.5`,
-is refused, as is a price that is not a finite number. `report` refuses two
-series of one symbol. Series are aligned by date intersection pairwise when
-building the correlation matrix.
+Input price series are CSV files, one per symbol, named by its stem, read as
+UTF-8 with or without a byte-order mark. `load_price_csv` refuses a file, naming
+it and the line, unless:
+
+- its first row is the header `date,price` (spaces around either name are
+  ignored);
+- every other row has exactly two fields: a row with more, such as
+  `2024-01-02,1,234.5`, is refused, as is a row with no price; blank rows are
+  skipped;
+- every price is a finite number, and every date, spaces around it ignored,
+  is a calendar date written `YYYY-MM-DD`. Rows are checked in file order,
+  dates once every price has been read.
+
+`PriceSeries` then refuses dates that do not strictly increase and prices that
+are not positive, and `report` refuses two series of one symbol. Series are
+aligned by date intersection pairwise when building the correlation matrix.
+
+Sums are `math.fsum` over lists built in the order of operations of the plain
+formulas, with `** 2` for squares (libm's `pow` need not equal `x * x`), so
+every float is the one those formulas give.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
+from datetime import date
+from operator import itemgetter, le, mul
 from pathlib import Path
 
 from . import errors
@@ -25,7 +42,7 @@ class PriceSeries:
     prices: tuple
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if any(map(le, self.dates[1:], self.dates)):
             raise errors.MetricsError(f"{self.symbol}: dates must strictly increase")
         if any(p <= 0 for p in self.prices):
             raise errors.MetricsError(f"{self.symbol}: prices must be positive")
@@ -41,31 +58,56 @@ class ReturnSeries:
 def load_price_csv(path) -> PriceSeries:
     path = Path(path)
     dates, prices = [], []
-    with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        names = [f.strip() for f in reader.fieldnames or ()]
-        if names != ["date", "price"]:
+    with open(path, newline="", encoding="utf-8-sig") as fp:
+        reader = csv.reader(fp)
+        if [name.strip() for name in next(reader, ())] != ["date", "price"]:
             raise errors.MetricsError(f"{path}: expected 'date,price' header")
-        reader.fieldnames = names  # key rows by the stripped names
-        for row in reader:
-            if None in row:  # DictReader keys the fields past the header's by None
-                raise errors.MetricsError(f"{path}: line {reader.line_num}: price {row['price']!r}"
-                                          f" is followed by {len(row[None])} more field(s)")
-            try:  # float(None) raises TypeError: the row has no price field
-                prices.append(float(row["price"]))
-            except (TypeError, ValueError):
-                prices.append(math.nan)
-            if not math.isfinite(prices[-1]):
+        for row in filter(None, reader):  # a blank row reads as []
+            try:
+                day, text = row
+                price = float(text)
+            except ValueError:  # not two fields, or a price float() refuses
+                price = math.nan
+            if not math.isfinite(price):
+                if len(row) > 2:
+                    raise errors.MetricsError(f"{path}: line {reader.line_num}: price {row[1]!r}"
+                                              f" is followed by {len(row) - 2} more field(s)")
+                text = row[1] if len(row) == 2 else None  # None: the row has no price
                 raise errors.MetricsError(f"{path}: line {reader.line_num}: "
-                                          f"price {row['price']!r} is not a finite number")
-            dates.append(row["date"].strip())
+                                          f"price {text!r} is not a finite number")
+            dates.append(day.strip())
+            prices.append(price)
+    if not _iso_dates(dates):
+        index = next(i for i in range(len(dates)) if not _iso_dates(dates[i:i + 1]))
+        raise errors.MetricsError(f"{path}: line {_line_of(path, index)}: date {dates[index]!r}"
+                                  " is not a calendar date written YYYY-MM-DD")
     return PriceSeries(path.stem, tuple(dates), tuple(prices))
+
+
+def _iso_dates(texts) -> bool:
+    """Whether every text is a calendar date written `YYYY-MM-DD`."""
+    try:
+        list(map(date.fromisoformat, texts))
+    except ValueError:
+        return False
+    # Of what fromisoformat takes, only YYYY-MM-DD and YYYY-Www-D have ten
+    # characters, and only the first has a '-' at index 7.
+    return {*map(len, texts)} <= {10} and {*map(itemgetter(7), texts)} <= {"-"}
+
+
+def _line_of(path: Path, index: int) -> int:
+    """The line that ends the index-th row after the header, blank rows not counted."""
+    with open(path, newline="", encoding="utf-8-sig") as fp:
+        reader = csv.reader(fp)
+        for _ in itertools.islice(filter(None, reader), index + 2):
+            pass
+        return reader.line_num
 
 
 def daily_returns(series: PriceSeries) -> ReturnSeries:
     if len(series.prices) < 2:
         raise errors.TooFewPoints(series.symbol)
-    rets = tuple((b - a) / a for a, b in zip(series.prices, series.prices[1:]))
+    rets = tuple([(b - a) / a for a, b in zip(series.prices, series.prices[1:])])
     return ReturnSeries(series.symbol, series.dates[1:], rets)
 
 
@@ -75,13 +117,17 @@ def average_return(rs: ReturnSeries) -> float:
     return math.fsum(rs.returns) / len(rs.returns)
 
 
-def volatility(rs: ReturnSeries) -> float:
-    """Sample standard deviation (n-1 denominator) of the returns."""
+def volatility(rs: ReturnSeries, mean: float | None = None) -> float:
+    """Sample standard deviation (n-1 denominator) of the returns.
+
+    `mean` is `average_return(rs)`, when the caller has it already.
+    """
     n = len(rs.returns)
     if n < 2:
         raise errors.TooFewPoints(rs.symbol)
-    mean = average_return(rs)
-    return math.sqrt(math.fsum((r - mean) ** 2 for r in rs.returns) / (n - 1))
+    if mean is None:
+        mean = average_return(rs)
+    return math.sqrt(math.fsum([(r - mean) ** 2 for r in rs.returns]) / (n - 1))
 
 
 def sharpe_ratio(avg: float, risk_free: float, stdev: float) -> float:
@@ -100,11 +146,13 @@ def pearson(xs, ys) -> float:
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    sxx = math.fsum([d ** 2 for d in dx])
+    syy = math.fsum([d ** 2 for d in dy])
     if sxx == 0 or syy == 0:
         raise errors.ZeroVariance("constant series has undefined correlation")
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxy = math.fsum(map(mul, dx, dy))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
@@ -146,7 +194,7 @@ def report(series_list: list[PriceSeries], risk_free: float = 0.0) -> dict:
         rs = daily_returns(series)
         returns.append(rs)
         avg = average_return(rs)
-        vol = volatility(rs) if len(rs.returns) >= 2 else None
+        vol = volatility(rs, avg) if len(rs.returns) >= 2 else None
         per_symbol[series.symbol] = {
             "avg": avg, "cumulative": cumulative_return(series), "vol": vol,
             "sharpe": sharpe_ratio(avg, risk_free, vol) if vol else None}

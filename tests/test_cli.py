@@ -583,6 +583,18 @@ def _tick_lim_changed(obj):
     obj["brc20"]["ticks"]["ordi"]["lim"] = "999"
 
 
+def _tick_height_float(obj):
+    ordi = obj["brc20"]["ticks"]["ordi"]
+    ordi["height"] = float(ordi["height"])
+
+
+def _tick_height_true(obj):
+    """ordi's height JSON true: ordi is deployed at height 1, and True == 1."""
+    ordi = obj["brc20"]["ticks"]["ordi"]
+    assert ordi["height"] == 1
+    ordi["height"] = True
+
+
 def _range_across_blocks(obj):
     """A coinbase output's two ranges, its fee sats at the end of the block
     before and its subsidy, which meet at its block's first sat, joined into
@@ -662,6 +674,8 @@ CORRUPTIONS = {  # test id -> (edit of the snapshot, how it is written, message 
     "minted_below_the_mints": (_minted_below_the_mints, None, NOT_MADE),
     "tick_max_changed": (_tick_max_changed, None, NOT_MADE),
     "tick_lim_changed": (_tick_lim_changed, None, NOT_MADE),
+    "tick_height_float": (_tick_height_float, None, "tick ordi has height 1.0, not an integer"),
+    "tick_height_true": (_tick_height_true, None, "tick ordi has height True, not an integer"),
     # canonical bytes are ASCII, so offsets in the decoded text are byte offsets
     "raw_utf8": (_recipient_not_ascii,
                  lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"),
